@@ -6,7 +6,6 @@ Exit codes: 0 completed run, 2 validation error, 3 budget exhaustion.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -14,30 +13,22 @@ import numpy as np
 from gptlab import config
 from gptlab.errors import BudgetExceededError, GptError, ValidationError
 from gptlab.composites import Composite, chsh_value, compose
-from gptlab.convex import Measurement, PolytopeRep, StateSpace, vertices_of
+from gptlab.convex import Measurement, PolytopeRep, StateSpace, validate_space, vertices_of
 from gptlab.discrimination import capacity
 from gptlab.runner import (
+    PostulateReport,
     build_space,
     check_postulates,
     dump_json,
+    load_json,
     load_theory,
-    report_parse,
     report_render,
+    theory_from_dict,
 )
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
-
-
-def _load_json(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def cmd_check(args) -> int:
@@ -78,23 +69,23 @@ def _composite_to_dict(comp: Composite, a_dict: dict, b_dict: dict, name: str) -
 
 
 def _composite_from_dict(data: dict) -> Composite:
-    from gptlab.runner import theory_from_dict
-
     parts = data.get("parts")
     if not parts or len(parts) != 2:
         raise ValidationError("composite JSON must list its two parts")
     part_a = build_space(theory_from_dict(parts[0]))
     part_b = build_space(theory_from_dict(parts[1]))
+    k = part_a.ambient_dim * part_b.ambient_dim
     verts = np.asarray(data["vertices"], dtype=float)
+    if verts.ndim != 2 or verts.shape[1] != k:
+        raise ValidationError(f"composite vertices must be rows of length k_a * k_b = {k}")
     space = StateSpace(name=data.get("name", "composite"), rep=PolytopeRep(verts))
+    validate_space(space)
     return Composite(part_a, part_b, data["rule"], space)
 
 
 def cmd_compose(args) -> int:
-    a_dict = _load_json(args.a)
-    b_dict = _load_json(args.b)
-    from gptlab.runner import theory_from_dict
-
+    a_dict = load_json(args.a)
+    b_dict = load_json(args.b)
     part_a = build_space(theory_from_dict(a_dict))
     part_b = build_space(theory_from_dict(b_dict))
     comp = compose(part_a, part_b, args.rule)
@@ -121,10 +112,10 @@ def _parse_settings(data: dict) -> tuple[list[Measurement], list[Measurement]]:
 
 
 def cmd_chsh(args) -> int:
-    comp = _composite_from_dict(_load_json(args.composite))
-    a_meas, b_meas = _parse_settings(_load_json(args.settings))
+    comp = _composite_from_dict(load_json(args.composite))
+    a_meas, b_meas = _parse_settings(load_json(args.settings))
     if args.state:
-        state = np.asarray(_load_json(args.state)["state"], dtype=float)
+        state = np.asarray(load_json(args.state)["state"], dtype=float)
         value = chsh_value(comp, state, a_meas, b_meas)
         print(dump_json({"chsh": value}))
         return EXIT_OK
@@ -140,8 +131,7 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
-        report = report_parse(fh.read())
+    report = PostulateReport.from_dict(load_json(args.report))
     print(report_render(report, format=args.format), end="")
     return EXIT_OK
 

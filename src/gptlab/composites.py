@@ -44,7 +44,7 @@ from gptlab.symmetry import (
     FiniteMatrixGroup,
     PermutationGroup,
     _group_matrices,
-    _round_key,
+    _orbit,
     maximally_mixed,
 )
 
@@ -285,20 +285,7 @@ def maximally_mixed_composite(c: Composite, tol: float | None = None) -> np.ndar
         eye_b = np.eye(c.k_b)
         gens = [np.kron(m, eye_b) for m in _group_matrices(ga)]
         gens += [np.kron(eye_a, m) for m in _group_matrices(gb)]
-        start = vertices_of(c.space)[-1]
-        seen: dict[bytes, np.ndarray] = {_round_key(start): start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for mat in gens:
-                    t = mat @ s
-                    key = _round_key(t)
-                    if key not in seen:
-                        seen[key] = t
-                        nxt.append(t)
-            frontier = nxt
-        return np.mean(list(seen.values()), axis=0)
+        return np.mean(_orbit(vertices_of(c.space)[-1], gens), axis=0)
     return product_state(maximally_mixed(c.part_a), maximally_mixed(c.part_b))
 
 

@@ -3,8 +3,13 @@
 One routine serves every direction of the duality: the extreme rays of
 ``{x : G x >= 0}`` give facet effects when ``G`` holds polytope vertices, and
 give composite-state vertices when ``G`` holds product-effect functionals.
-An exact ``fractions.Fraction`` path is available for integral inputs so that
-small canonical fixtures are bit-exact.
+
+One incremental double-description loop (Fukuda & Prodon, 1996) does the
+enumeration for two number types: float arrays compared against a tolerance
+(``dual_cone_rays``) and numpy object arrays of ``fractions.Fraction``
+compared exactly (``dual_cone_rays_exact``), so that small integral fixtures
+are bit-exact.  The two entry points differ only in set-up (choice of the
+starting rows and inverse of that block) and in the final deduplication.
 """
 
 from __future__ import annotations
@@ -62,6 +67,40 @@ def _independent_rows(G: np.ndarray, tol: float) -> list[int]:
     return chosen
 
 
+def _exact_independent_rows(G: np.ndarray) -> list[int]:
+    """Greedy pick of linearly independent rows via exact elimination."""
+    chosen: list[int] = []
+    work: list[np.ndarray] = []
+    pivots: list[int] = []
+    for i, row in enumerate(G):
+        r = row
+        for w, pc in zip(work, pivots):
+            if r[pc] != 0:
+                r = r - (r[pc] / w[pc]) * w
+        pivot_col = next((c for c, v in enumerate(r) if v != 0), None)
+        if pivot_col is not None:
+            work.append(r)
+            pivots.append(pivot_col)
+            chosen.append(i)
+            if len(chosen) == G.shape[1]:
+                break
+    return chosen
+
+
+def _exact_inverse(A: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan inverse of a square object array of ``Fraction``."""
+    K = A.shape[0]
+    M = np.hstack([A, np.array([[Fraction(int(i == j)) for j in range(K)] for i in range(K)])])
+    for col in range(K):
+        pivot = next(r for r in range(col, K) if M[r, col] != 0)
+        M[[col, pivot]] = M[[pivot, col]]
+        M[col] = M[col] / M[col, col]
+        for r in range(K):
+            if r != col and M[r, col] != 0:
+                M[r] = M[r] - M[r, col] * M[col]
+    return M[:, K:]
+
+
 def _adjacent(mask_p: int, mask_n: int, masks: list[int], p: int, n: int) -> bool:
     common = mask_p & mask_n
     for k, mask in enumerate(masks):
@@ -70,38 +109,26 @@ def _adjacent(mask_p: int, mask_n: int, masks: list[int], p: int, n: int) -> boo
     return True
 
 
-def dual_cone_rays(generators: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Extreme rays of the pointed cone ``{x : generators @ x >= 0}``.
+def _double_description(G: np.ndarray, inverse: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Incremental double description of the cone ``{x : G x >= 0}``.
 
-    Requires the generator rows to span the full space (otherwise the cone
-    contains a line and has no extreme rays).  Rays are scaled to unit
-    max-abs and returned in lexicographic order.
+    The first K rows of ``G`` are independent and ``inverse`` is the inverse
+    of that block; its columns are the rays of the starting simplicial cone,
+    and each later row cuts the cone once.  A ray's mask holds the rows it
+    makes tight.  The same loop runs on float arrays with a tolerance and on
+    object arrays of ``Fraction`` with ``tol = 0``.
     """
-    tol = resolve_tol(tol)
-    G = np.atleast_2d(np.asarray(generators, dtype=float))
     K = G.shape[1]
-    scales = np.max(np.abs(G), axis=1)
-    if np.any(scales == 0):
-        raise ValidationError("zero generator row")
-    G = G / scales[:, None]
-
-    chosen = _independent_rows(G, tol)
-    if len(chosen) < K:
-        raise ValidationError("generators do not span the space; dual cone is not pointed")
-    order = chosen + [i for i in range(G.shape[0]) if i not in chosen]
-    G = G[order]
-
-    rays = [np.ascontiguousarray(col) for col in np.linalg.inv(G[:K]).T]
+    rays = [r / np.max(np.abs(r)) for r in inverse.T]
     full = (1 << K) - 1
     masks = [full & ~(1 << j) for j in range(K)]
-    rays = [r / np.max(np.abs(r)) for r in rays]
 
     for t in range(K, G.shape[0]):
         g = G[t]
-        values = np.array([g @ r for r in rays])
-        pos = [i for i, v in enumerate(values) if v > tol]
-        neg = [i for i, v in enumerate(values) if v < -tol]
-        zero = [i for i in range(len(rays)) if i not in pos and i not in neg]
+        values = [g @ r for r in rays]
+        pos, neg, zero = [], [], []
+        for i, v in enumerate(values):
+            (pos if v > tol else neg if v < -tol else zero).append(i)
         if not neg:
             for i in zero:
                 masks[i] |= 1 << t
@@ -122,7 +149,30 @@ def dual_cone_rays(generators: np.ndarray, tol: float | None = None) -> np.ndarr
             + [masks[i] | (1 << t) for i in zero]
             + new_masks
         )
+    return rays
 
+
+def dual_cone_rays(generators: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Extreme rays of the pointed cone ``{x : generators @ x >= 0}``.
+
+    Requires the generator rows to span the full space (otherwise the cone
+    contains a line and has no extreme rays).  Rays are scaled to unit
+    max-abs and returned in lexicographic order.
+    """
+    tol = resolve_tol(tol)
+    G = np.atleast_2d(np.asarray(generators, dtype=float))
+    K = G.shape[1]
+    scales = np.max(np.abs(G), axis=1)
+    if np.any(scales == 0):
+        raise ValidationError("zero generator row")
+    G = G / scales[:, None]
+
+    chosen = _independent_rows(G, tol)
+    if len(chosen) < K:
+        raise ValidationError("generators do not span the space; dual cone is not pointed")
+    G = G[chosen + [i for i in range(G.shape[0]) if i not in chosen]]
+
+    rays = _double_description(G, np.linalg.inv(G[:K]), tol)
     if not rays:
         return np.zeros((0, K))
     return canonicalize_vertices(np.array(rays), tol=tol)
@@ -130,83 +180,19 @@ def dual_cone_rays(generators: np.ndarray, tol: float | None = None) -> np.ndarr
 
 def dual_cone_rays_exact(generators) -> list[tuple[Fraction, ...]]:
     """Exact-rational double description for integral/rational generators."""
-    G = [[Fraction(x).limit_denominator(10**12) for x in row] for row in np.atleast_2d(generators).tolist()]
-    K = len(G[0])
-
-    def reduce_rows(rows):
-        # returns indices of a maximal independent subset (exact elimination)
-        chosen = []
-        work: list[list[Fraction]] = []
-        pivots: list[int] = []
-        for i, row in enumerate(rows):
-            r = list(row)
-            for w, pc in zip(work, pivots):
-                if r[pc] != 0:
-                    f = r[pc] / w[pc]
-                    r = [a - f * b for a, b in zip(r, w)]
-            pivot_col = next((c for c, v in enumerate(r) if v != 0), None)
-            if pivot_col is not None:
-                work.append(r)
-                pivots.append(pivot_col)
-                chosen.append(i)
-                if len(chosen) == K:
-                    break
-        return chosen
-
-    chosen = reduce_rows(G)
+    G = np.array(
+        [[Fraction(x).limit_denominator(10**12) for x in row]
+         for row in np.atleast_2d(generators).tolist()],
+        dtype=object,
+    )
+    K = G.shape[1]
+    chosen = _exact_independent_rows(G)
     if len(chosen) < K:
         raise ValidationError("generators do not span the space; dual cone is not pointed")
-    order = chosen + [i for i in range(len(G)) if i not in chosen]
-    G = [G[i] for i in order]
+    G = G[chosen + [i for i in range(G.shape[0]) if i not in chosen]]
 
-    # invert the leading K x K block by Gauss-Jordan
-    M = [list(G[i]) + [Fraction(int(i == j)) for j in range(K)] for i in range(K)]
-    for col in range(K):
-        pivot = next(r for r in range(col, K) if M[r][col] != 0)
-        M[col], M[pivot] = M[pivot], M[col]
-        pv = M[col][col]
-        M[col] = [v / pv for v in M[col]]
-        for r in range(K):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    inv_cols = [[M[i][K + j] for i in range(K)] for j in range(K)]
-
-    def norm(ray):
-        scale = max(abs(v) for v in ray)
-        return tuple(v / scale for v in ray)
-
-    rays = [norm(c) for c in inv_cols]
-    full = (1 << K) - 1
-    masks = [full & ~(1 << j) for j in range(K)]
-
-    for t in range(K, len(G)):
-        g = G[t]
-        values = [sum(a * b for a, b in zip(g, r)) for r in rays]
-        pos = [i for i, v in enumerate(values) if v > 0]
-        neg = [i for i, v in enumerate(values) if v < 0]
-        zero = [i for i, v in enumerate(values) if v == 0]
-        if not neg:
-            for i in zero:
-                masks[i] |= 1 << t
-            continue
-        new_rays = []
-        new_masks = []
-        for p in pos:
-            for n in neg:
-                if not _adjacent(masks[p], masks[n], masks, p, n):
-                    continue
-                ray = tuple(values[p] * rn - values[n] * rp for rp, rn in zip(rays[p], rays[n]))
-                new_rays.append(norm(ray))
-                new_masks.append((masks[p] & masks[n]) | (1 << t))
-        rays = [rays[i] for i in pos] + [rays[i] for i in zero] + new_rays
-        masks = (
-            [masks[i] for i in pos]
-            + [masks[i] | (1 << t) for i in zero]
-            + new_masks
-        )
-
-    return sorted(set(rays))
+    rays = _double_description(G, _exact_inverse(G[:K]), 0)
+    return sorted({tuple(r) for r in rays})
 
 
 def extremal_effect_vectors(vertices: np.ndarray, tol: float | None = None) -> np.ndarray:

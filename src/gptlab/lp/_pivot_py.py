@@ -47,6 +47,16 @@ def _ratio_test(T: np.ndarray, basis: np.ndarray, m: int, enter: int, tol: float
     return -1
 
 
+def pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Pivot ``T`` in place on the element ``T[row, col]``."""
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+
+
 def run_pivots(T: np.ndarray, basis: np.ndarray, tol: float, max_iter: int) -> tuple[int, int]:
     """Pivot ``T`` in place until optimal/unbounded; returns (status, iterations)."""
     m = T.shape[0] - 1
@@ -70,12 +80,7 @@ def run_pivots(T: np.ndarray, basis: np.ndarray, tol: float, max_iter: int) -> t
             return UNBOUNDED, it
 
         z_before = T[m, -1]
-        T[leave] /= T[leave, enter]
-        factors = T[:, enter].copy()
-        factors[leave] = 0.0
-        T -= np.outer(factors, T[leave])
-        T[:, enter] = 0.0
-        T[leave, enter] = 1.0
+        pivot(T, leave, enter)
         basis[leave] = enter
         it += 1
 

@@ -15,6 +15,7 @@ import numpy as np
 from gptlab.config import resolve_tol
 from gptlab.errors import SolverError
 from gptlab.lp import _kernel
+from gptlab.lp._pivot_py import pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -93,15 +94,6 @@ class LpSolution:
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
-
-
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
 
 
 def _standard_form(prog: LinearProgram):
@@ -201,7 +193,7 @@ def _solve_standard(c_std, rows_eq, rhs_eq, rows_ub, rhs_ub, tol):
             if basis[i] >= n_real:
                 real = np.nonzero(np.abs(T[i, :n_real]) > 1e-7)[0]
                 if real.size:
-                    _pivot(T, i, int(real[0]))
+                    pivot(T, i, int(real[0]))
                     basis[i] = int(real[0])
                 else:
                     keep[i] = False
@@ -235,7 +227,7 @@ def _solve_standard(c_std, rows_eq, rhs_eq, rows_ub, rhs_ub, tol):
     scale = 1.0 + abs(b).max(initial=0.0)
     for _ in range(2):
         residual = b - A @ u
-        if np.max(np.abs(residual)) <= 1e-12 * scale:
+        if np.max(np.abs(residual), initial=0.0) <= 1e-12 * scale:
             break
         delta, *_ = np.linalg.lstsq(A[:, basis], residual, rcond=None)
         u[basis] += delta

@@ -37,9 +37,9 @@ from gptlab.convex import (
 )
 from gptlab.composites import MIN_TENSOR, chsh_value, compose, local_tomography_check
 from gptlab.discrimination import (
+    CapacityResult,
     admissible_bit_dimensions,
     capacity,
-    complete_measurement,
     fit_capacity_exponent,
 )
 from gptlab.lp import LinearProgram, lp_feasible
@@ -198,15 +198,19 @@ def theory_from_dict(data: dict) -> TheoryDefinition:
     )
 
 
-def load_theory(path: str) -> TheoryDefinition:
+def load_json(path: str):
+    """Parse a JSON file; a missing file or malformed JSON is a ValidationError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise ValidationError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return theory_from_dict(data)
+
+
+def load_theory(path: str) -> TheoryDefinition:
+    return theory_from_dict(load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +372,8 @@ def _face_size(space: StateSpace, face) -> int | None:
     return None
 
 
-def _check_p2(space: StateSpace, rng: np.random.Generator, tol: float) -> dict:
-    cap = capacity(space, tol=tol)
+def _check_p2(space: StateSpace, cap: CapacityResult, rng: np.random.Generator,
+              tol: float) -> dict:
     if cap.indeterminate:
         return _status(INDETERMINATE, reason="capacity search budget exhausted")
     n = cap.n
@@ -415,9 +419,8 @@ def _check_p2(space: StateSpace, rng: np.random.Generator, tol: float) -> dict:
     reference = _smaller_reference(space, n - 1)
     if reference is None:
         return _status(INDETERMINATE, reason="no reference state space of capacity N-1")
-    witness = complete_measurement(space, tol=tol)
     unit = unit_effect_vector(space.ambient_dim)
-    for effect in witness.measurement.effects:
+    for effect in cap.witness.measurement.effects:
         face = face_extract(space, unit - effect, tol=tol)
         probe = equivalence_probe(face, reference)
         if not probe:
@@ -588,6 +591,7 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
     space = build_space(theory)
     partner_space = build_space(partner) if partner is not None else space
 
+    cap = capacity(space, tol=tol)
     postulates: dict[str, dict] = {}
 
     def run(key: str, fn, *args) -> None:
@@ -597,13 +601,12 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
             postulates[key] = _status(INDETERMINATE, reason=f"budget exhausted: {exc}")
 
     run("P1", _check_p1, space, partner_space, rule, rng, tol)
-    run("P2", _check_p2, space, rng, tol)
+    run("P2", _check_p2, space, cap, rng, tol)
     run("P3", _check_p3, space, rng, tol)
     run("P3C", _check_p3c, space, rng, tol)
     run("P4", _check_p4, space, theory.allowed_effects, tol)
     run("P4prime", _check_p4_prime, space, rng, tol)
 
-    cap = capacity(space, tol=tol)
     k = space.ambient_dim
     metrics: dict = {
         "K": k,

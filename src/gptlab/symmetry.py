@@ -332,14 +332,14 @@ def continuity_check(space: StateSpace, rng: np.random.Generator | None = None,
 # Maximally mixed state
 # ---------------------------------------------------------------------------
 
-def orbit_states(space: StateSpace, start: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Orbit of a state under a finite group descriptor (BFS, deduplicated)."""
-    tol = resolve_tol(tol)
-    group = space.group
-    matrices = _group_matrices(group)
-    seen: dict[bytes, np.ndarray] = {}
-    frontier = [np.asarray(start, dtype=float)]
-    seen[_round_key(frontier[0])] = frontier[0]
+def _orbit(start: np.ndarray, matrices: list[np.ndarray]) -> list[np.ndarray]:
+    """Orbit of ``start`` under the group generated by ``matrices``.
+
+    Breadth-first search, deduplicated on rounded coordinates; points are
+    returned in the order they were first reached.
+    """
+    seen: dict[bytes, np.ndarray] = {_round_key(start): start}
+    frontier = [start]
     while frontier:
         nxt = []
         for s in frontier:
@@ -350,7 +350,12 @@ def orbit_states(space: StateSpace, start: np.ndarray, tol: float | None = None)
                     seen[k] = t
                     nxt.append(t)
         frontier = nxt
-    return np.array(list(seen.values()))
+    return list(seen.values())
+
+
+def orbit_states(space: StateSpace, start: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Orbit of a state under a finite group descriptor (BFS, deduplicated)."""
+    return np.array(_orbit(np.asarray(start, dtype=float), _group_matrices(space.group)))
 
 
 def maximally_mixed(space: StateSpace, tol: float | None = None) -> np.ndarray:

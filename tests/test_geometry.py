@@ -1,9 +1,12 @@
 """Double description against brute-force oracles."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from gptlab.errors import ValidationError
 from gptlab.geometry import (
@@ -20,10 +23,17 @@ BIT_VERTICES = np.array([[1.0, 0.0], [1.0, 1.0]])
 SQUARE_VERTICES = np.array(
     [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
 )
+CUBE_VERTICES = np.array([[1.0, *signs] for signs in product((-1.0, 1.0), repeat=3)])
+SIMPLEX3_VERTICES = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 
 
 def _as_set(arr, digits=9):
     return {tuple(np.round(row, digits)) for row in np.atleast_2d(arr)}
+
+
+def _same_rows(a, b, tol=1e-9):
+    """Equal row sets up to tol, without rounding rows onto a grid."""
+    return a.shape == b.shape and all(np.min(np.max(np.abs(b - r), axis=1)) <= tol for r in a)
 
 
 def test_affine_dimension():
@@ -132,3 +142,43 @@ def test_exact_enumeration_is_bit_exact():
     # 16 deterministic vertices (0/1 entries) and 8 with half-entries
     deterministic = [r for r in normalized if Fraction(1, 2) not in r]
     assert len(deterministic) == 16
+
+
+@pytest.mark.parametrize(
+    "verts_a, verts_b",
+    [
+        (SQUARE_VERTICES, SQUARE_VERTICES),
+        (SQUARE_VERTICES, CUBE_VERTICES),
+        (SIMPLEX3_VERTICES, SIMPLEX3_VERTICES),
+    ],
+    ids=["square-square", "square-cube", "classical3-classical3"],
+)
+def test_exact_and_float_enumeration_agree(verts_a, verts_b):
+    # the product-facet rows of a max tensor: integral for these parts
+    rows = np.array(
+        [np.kron(f, g) for f in dual_cone_rays(verts_a) for g in dual_cone_rays(verts_b)]
+    )
+    assert np.array_equal(rows, np.round(rows))
+    exact = np.array(
+        [[float(x / r[0]) for x in r] for r in dual_cone_rays_exact(rows.astype(int))]
+    )
+    floats = dual_cone_rays(rows)
+    assert _same_rows(floats / floats[:, :1], exact)
+
+
+@seed(20120321)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=k - 1, max_size=k - 1),
+            min_size=k,
+            max_size=8,
+        )
+    )
+)
+def test_cone_rays_match_bruteforce_on_random_point_sets(coords):
+    points = np.array([[1.0, *c] for c in coords])
+    assume(affine_dimension(points) == points.shape[1] - 1)
+    rays = dual_cone_rays(points)
+    assert _same_rows(rays, brute_force_dual_cone_rays(points), tol=1e-7)

@@ -45,6 +45,14 @@ def test_unbounded():
     assert lp_solve(prog).status == UNBOUNDED
 
 
+def test_no_constraint_rows_optimal_at_bound():
+    # maximize -x subject to x >= 0 only: no constraint row reaches the simplex
+    prog = LinearProgram(objective=np.array([-1.0]), bounds=np.array([[0.0, np.inf]]))
+    sol = lp_solve(prog)
+    assert sol.status == OPTIMAL
+    assert sol.value == 0.0
+
+
 def test_antipodal_ball_distinguishing_effect_exists():
     # feasibility of {E : E(omega_i) = delta_ij} for antipodal ball states,
     # with the effect cone approximated by state-nonnegativity at the poles

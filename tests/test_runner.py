@@ -355,6 +355,20 @@ def test_cli_validation_errors(tmp_path, capsys):
     assert cli_main(["check", wrong]) == 2
     capsys.readouterr()
 
+    # composite JSON handed to `chsh` is validated like a theory file
+    square = _write(tmp_path, "square.json", {"name": "square", "space": {"family": "square"}})
+    good = str(tmp_path / "composite.json")
+    assert cli_main(["compose", square, square, "--rule", "max", "--out", good]) == 0
+    composite = json.loads(open(good).read())
+    x_meas = [[0.0, 1.0, 0.0], [1.0, -1.0, 0.0]]
+    y_meas = [[0.0, 0.0, 1.0], [1.0, 0.0, -1.0]]
+    settings = _write(tmp_path, "settings.json", {"A": [x_meas, y_meas], "B": [x_meas, y_meas]})
+    scaled = dict(composite, vertices=(3.0 * np.array(composite["vertices"])).tolist())
+    narrow = dict(composite, vertices=[row[:-1] for row in composite["vertices"]])
+    for name, payload in (("scaled.json", scaled), ("narrow.json", narrow)):
+        assert cli_main(["chsh", _write(tmp_path, name, payload), "--settings", settings]) == 2
+    capsys.readouterr()
+
 
 def test_cli_budget_exit_code(tmp_path, capsys):
     # 18-vertex polytope: exceeds the auto symmetry-search vertex budget (16)
