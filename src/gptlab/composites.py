@@ -357,8 +357,10 @@ def max_tensor_contains(c: Composite, omega: np.ndarray, tol: float | None = Non
         return False
     rng = rng if rng is not None else np.random.default_rng(0)
     M = omega.reshape(c.k_a, c.k_b)
+    rays_a, rays_b = _polytope_cone_rays(c.part_a), _polytope_cone_rays(c.part_b)
 
-    def min_effect(space: StateSpace, w: np.ndarray) -> tuple[float, np.ndarray]:
+    def min_effect(space: StateSpace, rays: np.ndarray | None,
+                   w: np.ndarray) -> tuple[float, np.ndarray]:
         """Minimize f·w over the normalized extreme effects of the cone."""
         rep = space.rep
         if isinstance(rep, BallRep):
@@ -373,18 +375,17 @@ def max_tensor_contains(c: Composite, omega: np.ndarray, tol: float | None = Non
             v = eigvecs[:, 0]
             f = quantum.effect_coords(np.outer(v, v.conj()), rep.n)
             return float(f @ w), f
-        rays = _part_cone_rays(space, resolve_tol(None))
         values = rays @ w
         k = int(np.argmin(values))
         return float(values[k]), rays[k]
 
     worst = np.inf
     for _ in range(n_starts):
-        g = _random_cone_effect(c.part_b, rng)
+        g = _random_cone_effect(c.part_b, rays_b, rng)
         value = np.inf
         for _ in range(n_iters):
-            _, f = min_effect(c.part_a, M @ g)
-            new_value, g = min_effect(c.part_b, f @ M)
+            _, f = min_effect(c.part_a, rays_a, M @ g)
+            new_value, g = min_effect(c.part_b, rays_b, f @ M)
             if abs(new_value - value) < 1e-13:
                 value = new_value
                 break
@@ -393,14 +394,21 @@ def max_tensor_contains(c: Composite, omega: np.ndarray, tol: float | None = Non
     return worst >= -tol
 
 
-def _random_cone_effect(space: StateSpace, rng: np.random.Generator) -> np.ndarray:
+def _polytope_cone_rays(space: StateSpace) -> np.ndarray | None:
+    """Effect-cone rays of a part with a vertex list; None for ball and quantum parts."""
+    if isinstance(space.rep, (BallRep, QuantumRep)):
+        return None
+    return _part_cone_rays(space, resolve_tol(None))
+
+
+def _random_cone_effect(space: StateSpace, rays: np.ndarray | None,
+                        rng: np.random.Generator) -> np.ndarray:
     rep = space.rep
     if isinstance(rep, BallRep):
         n = rng.normal(size=rep.d)
         return np.concatenate([[1.0], n / np.linalg.norm(n)])
     if isinstance(rep, QuantumRep):
         return quantum.effect_coords(quantum.random_pure_density(rep.n, rng), rep.n)
-    rays = _part_cone_rays(space, resolve_tol(None))
     return rays[rng.integers(rays.shape[0])]
 
 

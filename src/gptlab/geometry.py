@@ -10,6 +10,15 @@ enumeration for two number types: float arrays compared against a tolerance
 compared exactly (``dual_cone_rays_exact``), so that small integral fixtures
 are bit-exact.  The two entry points differ only in set-up (choice of the
 starting rows and inverse of that block) and in the final deduplication.
+
+Before the combinatorial adjacency test, the loop drops every pair of rays
+with fewer than K - 2 common tight rows: such rays cannot be adjacent in a
+pointed K-dimensional cone, and on large inputs most candidate pairs fail
+this count.  The float path's deduplication (``canonicalize_vertices``) walks
+the rows in lexicographic order and keeps a row unless an already kept row
+lies within ``tol`` of it in every coordinate; near pairs are found by array
+comparisons over blocks of rows, and only rows with an earlier near row are
+decided one by one.
 """
 
 from __future__ import annotations
@@ -35,19 +44,35 @@ def affine_dimension(points: np.ndarray, tol: float | None = None) -> int:
     return int(np.sum(svals > tol * max(1.0, scale)))
 
 
+# Rows compared per step in canonicalize_vertices: a step holds a
+# 256 x n boolean matrix and one 256 x n float difference.
+_DEDUP_BLOCK_ROWS = 256
+
+
 def canonicalize_vertices(vertices: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Deduplicate within tol and sort lexicographically (deterministic identity)."""
+    """Deduplicate within tol and sort lexicographically (deterministic identity).
+
+    Rows are visited in lexicographic order and a row is kept unless a row
+    already kept lies within ``tol`` of it in every coordinate, so a chain
+    a≈b≈c with a, c apart keeps a and c.  Near pairs are found in blocks of
+    rows, with memory bounded by block size times the number of rows.
+    """
     tol = resolve_tol(tol)
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     if verts.size == 0:
         return verts.reshape(0, verts.shape[1] if verts.ndim == 2 else 0)
-    order = np.lexsort(verts.T[::-1])
-    verts = verts[order]
-    kept: list[np.ndarray] = []
-    for row in verts:
-        if not any(np.max(np.abs(row - k)) <= tol for k in kept):
-            kept.append(row)
-    return np.array(kept)
+    verts = verts[np.lexsort(verts.T[::-1])]
+    n = verts.shape[0]
+    keep = np.ones(n, dtype=bool)
+    for start in range(0, n, _DEDUP_BLOCK_ROWS):
+        stop = min(start + _DEDUP_BLOCK_ROWS, n)
+        # near[i, j]: block row i and row j < start + i agree within tol everywhere
+        near = np.tri(stop - start, stop, k=start - 1, dtype=bool)
+        for col in verts.T:
+            near &= np.abs(col[start:stop, None] - col[None, :stop]) <= tol
+        for i in np.flatnonzero(near.any(axis=1)):
+            keep[start + i] = not keep[:stop][near[i]].any()
+    return verts[keep]
 
 
 def _independent_rows(G: np.ndarray, tol: float) -> list[int]:
@@ -115,8 +140,11 @@ def _double_description(G: np.ndarray, inverse: np.ndarray, tol: float) -> list[
     The first K rows of ``G`` are independent and ``inverse`` is the inverse
     of that block; its columns are the rays of the starting simplicial cone,
     and each later row cuts the cone once.  A ray's mask holds the rows it
-    makes tight.  The same loop runs on float arrays with a tolerance and on
-    object arrays of ``Fraction`` with ``tol = 0``.
+    makes tight.  Two rays of a pointed cone in K dimensions can only be
+    adjacent when at least K - 2 rows are tight at both, so pairs with fewer
+    common tight rows are dropped before the combinatorial test.  The same
+    loop runs on float arrays with a tolerance and on object arrays of
+    ``Fraction`` with ``tol = 0``.
     """
     K = G.shape[1]
     rays = [r / np.max(np.abs(r)) for r in inverse.T]
@@ -137,7 +165,8 @@ def _double_description(G: np.ndarray, inverse: np.ndarray, tol: float) -> list[
         new_masks: list[int] = []
         for p in pos:
             for n in neg:
-                if not _adjacent(masks[p], masks[n], masks, p, n):
+                if ((masks[p] & masks[n]).bit_count() < K - 2
+                        or not _adjacent(masks[p], masks[n], masks, p, n)):
                     continue
                 ray = values[p] * rays[n] - values[n] * rays[p]
                 ray /= np.max(np.abs(ray))

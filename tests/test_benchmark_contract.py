@@ -1,10 +1,15 @@
-"""The benchmark tracer wraps gptlab functions by name; they must still exist."""
+"""The benchmark tracer wraps gptlab functions by name; they must still exist.
+A tiny benchmark run must still reproduce the golden answers."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -26,3 +31,14 @@ def test_every_traced_function_resolves():
     names = {func_name for entries in traced.values() for _, func_name in entries}
     assert {"dual_cone_rays_exact", "orbit_states", "maximally_mixed_composite",
             "load_theory", "_check_p2", "run_pivots"} <= names
+
+
+def test_tiny_compose_max_run_matches_golden_vertex_counts():
+    # perfbench/run.py checks every composite's vertex count against golden.json
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "compose_max", "--seed", "0",
+           "--seconds", "1", "--trace", "0", "--tiny"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"]
+    assert result["failed"] == 0

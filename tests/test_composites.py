@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import gptlab.composites
 from gptlab.errors import ZeroProbabilityConditioningError
 from gptlab.convex import (
     contains_state,
@@ -26,7 +27,7 @@ from gptlab.composites import (
     reduced_state,
     sample_composite_state,
 )
-from gptlab.geometry import affine_dimension
+from gptlab.geometry import affine_dimension, dual_cone_rays
 from gptlab.models import (
     bell_state,
     classical,
@@ -366,3 +367,26 @@ def test_max_tensor_membership_for_continuous_parts(rng):
     # a vector scaled beyond the state set must be rejected
     bad = product_state(np.array([1.0, 1.4, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]))
     assert not max_tensor_contains(comp, bad, rng=rng)
+
+
+def test_max_tensor_contains_enumerates_each_polytope_part_once(monkeypatch, rng):
+    ball, square = gbit_ball(3), square_gbit()
+    comp = compose(ball, square, "max")
+    assert comp.space is None
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dual_cone_rays(*args, **kwargs)
+
+    monkeypatch.setattr(gptlab.composites, "dual_cone_rays", counting)
+    for _ in range(5):
+        omega = product_state(sample_state(ball, rng), sample_state(square, rng))
+        calls.clear()
+        assert max_tensor_contains(comp, omega, rng=rng)
+        assert len(calls) == 1
+    # the A-marginal of this product vector lies outside the ball
+    stretched = product_state(np.array([1.0, 1.4, 0.0, 0.0]), vertices_of(square)[0])
+    calls.clear()
+    assert not max_tensor_contains(comp, stretched, rng=rng)
+    assert len(calls) == 1

@@ -42,11 +42,56 @@ def test_affine_dimension():
     assert affine_dimension(np.array([[1.0, 2.0]])) == 0
 
 
+def _exact_rays_as_floats(rays):
+    """Exact rays scaled to max-abs 1, as float rows."""
+    return np.array([[float(x / max(abs(y) for y in r)) for x in r] for r in rays])
+
+
+def _greedy_dedup(vertices, tol):
+    """Reference for canonicalize_vertices: the row-by-row greedy rule."""
+    verts = np.atleast_2d(np.asarray(vertices, dtype=float))
+    verts = verts[np.lexsort(verts.T[::-1])]
+    kept = []
+    for row in verts:
+        if not any(np.max(np.abs(row - k)) <= tol for k in kept):
+            kept.append(row)
+    return np.array(kept)
+
+
 def test_canonicalize_sorts_and_dedupes():
     verts = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0 + 1e-12]])
     out = canonicalize_vertices(verts)
     assert out.shape == (2, 2)
     assert np.array_equal(out[0], [1.0, 0.0])
+
+
+# Offsets from a cluster centre in units of tol, on both sides of tol.
+NEAR_OFFSETS = (0.0, 0.5, 0.9, 1.0, 1.1, 2.0)
+
+
+@seed(20120321)
+@settings(max_examples=20, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=4),
+    tol=st.sampled_from([1e-9, 1e-7]),
+    n_centres=st.integers(min_value=1, max_value=80),
+    n_chains=st.integers(min_value=0, max_value=20),
+    data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_canonicalize_matches_greedy_oracle(dim, tol, n_centres, n_chains, data_seed):
+    # Up to about 700 rows, so several blocks of the blocked comparison occur.
+    rng = np.random.default_rng(data_seed)
+    centres = rng.integers(-2, 3, size=(n_centres, dim)) / 2.0
+    rows = np.repeat(centres, rng.integers(1, 9, size=n_centres), axis=0)
+    rows += tol * rng.choice(NEAR_OFFSETS, size=rows.shape) * rng.choice([-1, 1], size=rows.shape)
+    # chains a, b = a + 0.6 tol, c = a + 1.2 tol: a≈b and b≈c but not a≈c
+    starts = centres[rng.integers(n_centres, size=n_chains)]
+    rows = np.vstack([rows] + [starts + step * tol for step in (0.0, 0.6, 1.2)])
+    rows = rows[rng.permutation(rows.shape[0])]
+    out = canonicalize_vertices(rows, tol=tol)
+    expected = _greedy_dedup(rows, tol)
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_bit_effect_cone_rays():
@@ -180,5 +225,16 @@ def test_exact_and_float_enumeration_agree(verts_a, verts_b):
 def test_cone_rays_match_bruteforce_on_random_point_sets(coords):
     points = np.array([[1.0, *c] for c in coords])
     assume(affine_dimension(points) == points.shape[1] - 1)
-    rays = dual_cone_rays(points)
-    assert _same_rows(rays, brute_force_dual_cone_rays(points), tol=1e-7)
+    oracle = brute_force_dual_cone_rays(points)
+    assert _same_rows(dual_cone_rays(points), oracle, tol=1e-7)
+    exact = _exact_rays_as_floats(dual_cone_rays_exact(points.astype(int)))
+    assert _same_rows(exact, oracle, tol=1e-7)
+
+
+def test_cube_facets_exact_and_float_match_bruteforce():
+    # every facet ray of the cube is tight at four vertices, one more than K - 1
+    oracle = brute_force_dual_cone_rays(CUBE_VERTICES)
+    assert oracle.shape == (6, 4)
+    assert _same_rows(dual_cone_rays(CUBE_VERTICES), oracle)
+    exact = _exact_rays_as_floats(dual_cone_rays_exact(CUBE_VERTICES.astype(int)))
+    assert _same_rows(exact, oracle)
