@@ -217,26 +217,29 @@ def contains_state(space: StateSpace, v: np.ndarray, tol: float | None = None) -
         raise DimensionMismatchError(
             f"vector of dimension {v.shape} vs ambient {space.ambient_dim}"
         )
+    if abs(v[0] - 1.0) > tol:
+        return False
     rep = space.rep
     if isinstance(rep, BallRep):
-        return abs(v[0] - 1.0) <= tol and np.linalg.norm(v[1:]) <= 1.0 + tol
+        return np.linalg.norm(v[1:]) <= 1.0 + tol
     if isinstance(rep, SimplexRep):
-        if abs(v[0] - 1.0) > tol:
-            return False
         probs = v[1:]
         return bool(np.all(probs >= -tol) and 1.0 - probs.sum() >= -tol)
     if isinstance(rep, QuantumRep):
-        if abs(v[0] - 1.0) > tol:
-            return False
         rho = quantum.state_matrix(v, rep.n)
         return quantum.min_eigenvalue(rho) >= -tol
-    # Polytope: LP feasibility of a convex-combination representation.
-    verts = rep.vertices
+    # Polytope: a normalized v in the cone of the vertices is a convex combination.
+    return cone_contains(rep.vertices, v, tol)
+
+
+def cone_contains(rows: np.ndarray, target: np.ndarray, tol: float) -> bool:
+    """Is ``target`` a nonnegative combination of ``rows``?  One feasibility LP."""
+    n = rows.shape[0]
     prog = LinearProgram(
-        objective=np.zeros(verts.shape[0]),
-        a_eq=verts.T,
-        b_eq=v,
-        bounds=np.column_stack([np.zeros(verts.shape[0]), np.full(verts.shape[0], np.inf)]),
+        objective=np.zeros(n),
+        a_eq=rows.T,
+        b_eq=target,
+        bounds=np.column_stack([np.zeros(n), np.full(n, np.inf)]),
     )
     feasible, _ = lp_feasible(prog, tol=tol)
     return feasible
@@ -321,22 +324,6 @@ def sample_pure_state(space: StateSpace, rng: np.random.Generator) -> np.ndarray
 # Validation
 # ---------------------------------------------------------------------------
 
-def _vertex_is_extreme(verts: np.ndarray, i: int, tol: float) -> bool:
-    others = np.delete(verts, i, axis=0)
-    if others.shape[0] == 0:
-        return True
-    prog = LinearProgram(
-        objective=np.zeros(others.shape[0]),
-        a_eq=others.T,
-        b_eq=verts[i],
-        bounds=np.column_stack(
-            [np.zeros(others.shape[0]), np.full(others.shape[0], np.inf)]
-        ),
-    )
-    feasible, _ = lp_feasible(prog, tol=tol)
-    return not feasible
-
-
 def validate_space(space: StateSpace, tol: float | None = None, full_dim: bool = True) -> None:
     """Check structural invariants; raises ValidationError on failure.
 
@@ -349,7 +336,8 @@ def validate_space(space: StateSpace, tol: float | None = None, full_dim: bool =
         if np.max(np.abs(verts[:, 0] - 1.0)) > tol:
             raise ValidationError(f"{space.name}: vertex with normalization coordinate != 1")
         for i in range(verts.shape[0]):
-            if not _vertex_is_extreme(verts, i, tol):
+            others = np.delete(verts, i, axis=0)
+            if others.shape[0] and cone_contains(others, verts[i], tol):
                 raise ValidationError(
                     f"{space.name}: vertex {i} is a convex combination of the others"
                 )

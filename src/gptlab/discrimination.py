@@ -67,31 +67,30 @@ def _single_state_witness(space: StateSpace, state: np.ndarray) -> Distinguishab
     return DistinguishabilityWitness(Measurement(unit[None, :]), np.atleast_2d(state))
 
 
+def _delta_equalities(states: np.ndarray, n_var: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and right-hand side of sum_i E_i = unit effect and E_i(omega_j) =
+    delta_ij, over an LP whose first n*K of ``n_var`` variables are E_1..E_n."""
+    n, K = states.shape
+    a_eq = np.zeros((K + n * n, n_var))
+    a_eq[:K, : n * K] = np.tile(np.eye(K), (1, n))
+    for i in range(n):
+        a_eq[K + i * n : K + (i + 1) * n, i * K : (i + 1) * K] = states
+    return a_eq, np.concatenate([unit_effect_vector(K), np.eye(n).reshape(-1)])
+
+
 def _polytope_distinguishable(space: StateSpace, states: np.ndarray,
                               tol: float) -> DistinguishabilityWitness | None:
     verts = vertices_of(space)
     n, K = states.shape
     n_var = n * K
-    # sum_i E_i = unit effect
-    a_eq_sum = np.tile(np.eye(K), (1, n))
-    b_eq_sum = unit_effect_vector(K)
-    # E_i(omega_j) = delta_ij
-    a_eq_delta = np.zeros((n * n, n_var))
-    for i in range(n):
-        for j in range(n):
-            a_eq_delta[i * n + j, i * K : (i + 1) * K] = states[j]
-    b_eq_delta = np.eye(n).reshape(-1)
+    a_eq, b_eq = _delta_equalities(states, n_var)
     # effect cone via the dual description: E_i(v_k) >= 0 for every vertex
     nv = verts.shape[0]
     a_ub = np.zeros((n * nv, n_var))
     for i in range(n):
         a_ub[i * nv : (i + 1) * nv, i * K : (i + 1) * K] = -verts
     prog = LinearProgram(
-        objective=np.zeros(n_var),
-        a_eq=np.vstack([a_eq_sum, a_eq_delta]),
-        b_eq=np.concatenate([b_eq_sum, b_eq_delta]),
-        a_ub=a_ub,
-        b_ub=np.zeros(n * nv),
+        objective=np.zeros(n_var), a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=np.zeros(n * nv)
     )
     feasible, point = lp_feasible(prog, tol=tol)
     if not feasible:
@@ -152,13 +151,7 @@ def _quantum_distinguishable(space: StateSpace, states: np.ndarray, tol: float,
     cuts = _quantum_cut_states(space, states, rng)
 
     n_var = 2 * n * K  # effect coordinates + L1 proxy variables
-    a_eq_sum = np.hstack([np.tile(np.eye(K), (1, n)), np.zeros((K, n * K))])
-    b_eq_sum = unit_effect_vector(K)
-    a_eq_delta = np.zeros((n * n, n_var))
-    for i in range(n):
-        for j in range(n):
-            a_eq_delta[i * n + j, i * K : (i + 1) * K] = states[j]
-    b_eq_delta = np.eye(n).reshape(-1)
+    a_eq, b_eq = _delta_equalities(states, n_var)
     # |z| <= u rows keep LP vertices near the cone instead of at wild corners
     eye = np.eye(n * K)
     a_ub_abs = np.vstack([np.hstack([eye, -eye]), np.hstack([-eye, -eye])])
@@ -174,8 +167,8 @@ def _quantum_distinguishable(space: StateSpace, states: np.ndarray, tol: float,
                 rows.append(row)
         prog = LinearProgram(
             objective=objective,
-            a_eq=np.vstack([a_eq_sum, a_eq_delta]),
-            b_eq=np.concatenate([b_eq_sum, b_eq_delta]),
+            a_eq=a_eq,
+            b_eq=b_eq,
             a_ub=np.vstack([a_ub_abs] + [np.array(rows)]),
             b_ub=np.concatenate([b_ub_abs, np.zeros(len(rows))]),
         )
@@ -208,9 +201,17 @@ def distinguishable(space: StateSpace, states, tol: float | None = None
     for s in states:
         if not contains_state(space, s, tol=max(tol, 1e-7)):
             raise DomainError("state not contained in the space")
-    n = states.shape[0]
-    if n == 0:
+    if states.shape[0] == 0:
         raise DomainError("empty state list")
+    return distinguishable_unchecked(space, states, tol)
+
+
+def distinguishable_unchecked(space: StateSpace, states: np.ndarray, tol: float
+                              ) -> DistinguishabilityWitness | None:
+    """``distinguishable`` without its membership check, for states known to lie
+    in the space, such as its own vertices.  ``states`` is a non-empty 2-D float
+    array and ``tol`` a resolved tolerance."""
+    n = states.shape[0]
     if n == 1:
         return _single_state_witness(space, states[0])
     rep = space.rep
@@ -336,7 +337,7 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
             if lp_calls >= lp_budget:
                 return CapacityResult(None, best_witness, exact=False, lower_bound=best_n)
             lp_calls += 1
-            w = distinguishable(space, verts[sorted(cand)], tol=tol)
+            w = distinguishable_unchecked(space, verts[sorted(cand)], tol)
             if w is not None:
                 next_level.add(cand)
                 witness = witness or w

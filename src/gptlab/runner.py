@@ -17,6 +17,7 @@ import numpy as np
 from gptlab.config import resolve_tol
 from gptlab.errors import (
     BudgetExceededError,
+    GptError,
     UnsupportedRepresentationError,
     ValidationError,
 )
@@ -27,6 +28,7 @@ from gptlab.convex import (
     QuantumRep,
     SimplexRep,
     StateSpace,
+    cone_contains,
     contains_effect,
     effect_range,
     extremal_effects,
@@ -35,14 +37,20 @@ from gptlab.convex import (
     validate_space,
     vertices_of,
 )
-from gptlab.composites import MIN_TENSOR, chsh_value, compose, local_tomography_check
+from gptlab.composites import (
+    MIN_TENSOR,
+    Composite,
+    chsh_value,
+    compose,
+    local_tomography_check,
+)
 from gptlab.discrimination import (
     CapacityResult,
     admissible_bit_dimensions,
     capacity,
+    distinguishable_unchecked,
     fit_capacity_exponent,
 )
-from gptlab.lp import LinearProgram, lp_feasible
 from gptlab.models import (
     classical,
     gbit_ball,
@@ -341,12 +349,21 @@ def _status(status: str, witness=None, reason: str | None = None) -> dict:
     return entry
 
 
-def _check_p1(space: StateSpace, partner: StateSpace, rule: str,
-              rng: np.random.Generator, tol: float) -> dict:
+def _composite(space: StateSpace, partner: StateSpace, rule: str,
+               tol: float) -> Composite | GptError:
+    """The composite that P1 and the CHSH metric share, or the error that
+    stopped its construction."""
     try:
-        comp = compose(space, partner, rule, tol=tol)
-    except UnsupportedRepresentationError as exc:
-        return _status(INDETERMINATE, reason=f"composite construction: {exc}")
+        return compose(space, partner, rule, tol=tol)
+    except (UnsupportedRepresentationError, BudgetExceededError) as exc:
+        return exc
+
+
+def _check_p1(comp: Composite | GptError, rng: np.random.Generator, tol: float) -> dict:
+    if isinstance(comp, BudgetExceededError):
+        raise comp  # reported by check_postulates like any exhausted probe budget
+    if isinstance(comp, UnsupportedRepresentationError):
+        return _status(INDETERMINATE, reason=f"composite construction: {comp}")
     ok = local_tomography_check(comp, rng=rng, tol=tol)
     if ok:
         return _status(PASS)
@@ -446,18 +463,6 @@ def _check_p3c(space: StateSpace, rng: np.random.Generator, tol: float) -> dict:
                    reason="no continuous family achieves the required transitions")
 
 
-def _effect_in_hull(allowed: np.ndarray, f: np.ndarray, tol: float) -> bool:
-    n = allowed.shape[0]
-    prog = LinearProgram(
-        objective=np.zeros(n),
-        a_eq=np.vstack([allowed.T, np.ones((1, n))]),
-        b_eq=np.concatenate([f, [1.0]]),
-        bounds=np.column_stack([np.zeros(n), np.full(n, np.inf)]),
-    )
-    ok, _ = lp_feasible(prog, tol=tol)
-    return ok
-
-
 def _check_p4(space: StateSpace, allowed_effects, tol: float) -> dict:
     if _all_effects_allowed(allowed_effects):
         # Definitional for built-in theories: every functional with values in
@@ -469,34 +474,17 @@ def _check_p4(space: StateSpace, allowed_effects, tol: float) -> dict:
             INDETERMINATE,
             reason="restricted effect list on a continuous space: only listed effects checked",
         )
+    # f is in the convex hull of the allowed effects iff (f, 1) is in the cone
+    # of the rows (a_i, 1)
+    hull_rows = np.column_stack([allowed, np.ones(allowed.shape[0])])
     for f in extremal_effects(space, tol=tol):
-        if not _effect_in_hull(allowed, f, tol):
+        if not cone_contains(hull_rows, np.append(f, 1.0), tol):
             return _status(
                 FAIL,
                 witness={"missing_extremal_effect": f.tolist()},
                 reason="extremal functional not reachable from the allowed effects",
             )
     return _status(PASS)
-
-
-def _polytope_distinguishable_partner(space: StateSpace, omega: np.ndarray,
-                                      tol: float) -> bool:
-    verts = vertices_of(space)
-    nv, k = verts.shape
-    for j in range(nv):
-        if np.max(np.abs(verts[j] - omega)) <= tol:
-            continue
-        prog = LinearProgram(
-            objective=np.zeros(k),
-            a_eq=np.vstack([omega[None, :], verts[j][None, :]]),
-            b_eq=np.array([1.0, 0.0]),
-            a_ub=np.vstack([-verts, verts]),
-            b_ub=np.concatenate([np.zeros(nv), np.ones(nv)]),
-        )
-        ok, _ = lp_feasible(prog, tol=tol)
-        if ok:
-            return True
-    return False
 
 
 def _check_p4_prime(space: StateSpace, rng: np.random.Generator, tol: float) -> dict:
@@ -527,7 +515,11 @@ def _check_p4_prime(space: StateSpace, rng: np.random.Generator, tol: float) -> 
     if verts.shape[0] == 1:
         return _status(PASS, reason="no non-interior states")
     for omega in verts:
-        if not _polytope_distinguishable_partner(space, omega, tol):
+        if not any(
+            distinguishable_unchecked(space, np.vstack([omega, v]), tol) is not None
+            for v in verts
+            if np.max(np.abs(v - omega)) > tol
+        ):
             return _status(FAIL, witness={"state": omega.tolist()})
     return _status(PASS)
 
@@ -560,16 +552,11 @@ def _canonical_binary_measurements(space: StateSpace):
     return None
 
 
-def _chsh_metric(space: StateSpace, partner: StateSpace, rule: str, tol: float) -> float | None:
+def _chsh_metric(space: StateSpace, partner: StateSpace,
+                 comp: Composite | GptError) -> float | None:
     ma = _canonical_binary_measurements(space)
     mb = _canonical_binary_measurements(partner)
-    if ma is None or mb is None:
-        return None
-    try:
-        comp = compose(space, partner, rule, tol=tol)
-    except (UnsupportedRepresentationError, BudgetExceededError):
-        return None
-    if comp.space is None:
+    if ma is None or mb is None or isinstance(comp, GptError) or comp.space is None:
         return None
     best = 0.0
     for vertex in vertices_of(comp.space):
@@ -592,6 +579,7 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
     partner_space = build_space(partner) if partner is not None else space
 
     cap = capacity(space, tol=tol)
+    comp = _composite(space, partner_space, rule, tol)
     postulates: dict[str, dict] = {}
 
     def run(key: str, fn, *args) -> None:
@@ -600,7 +588,7 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
         except BudgetExceededError as exc:
             postulates[key] = _status(INDETERMINATE, reason=f"budget exhausted: {exc}")
 
-    run("P1", _check_p1, space, partner_space, rule, rng, tol)
+    run("P1", _check_p1, comp, rng, tol)
     run("P2", _check_p2, space, cap, rng, tol)
     run("P3", _check_p3, space, rng, tol)
     run("P3C", _check_p3c, space, rng, tol)
@@ -617,7 +605,7 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
         "bit_dimension": None,
         "bit_dimension_admissible": None,
         "g2_exception": None,
-        "chsh_max": _chsh_metric(space, partner_space, rule, tol),
+        "chsh_max": _chsh_metric(space, partner_space, comp),
     }
     if cap.n == 2:
         d = k - 1

@@ -35,7 +35,8 @@ from gptlab.convex import (
     unit_effect_vector,
     vertices_of,
 )
-from gptlab.geometry import affine_dimension
+from gptlab.discrimination import capacity, distinguishable_unchecked
+from gptlab.geometry import affine_dimension, dual_cone_rays
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +416,6 @@ def strict_convexity_check(space: StateSpace, tol: float | None = None) -> Stric
     if affine_dimension(verts, tol) <= 1:
         return StrictConvexityResult(True)
     # affine dimension >= 2: some exposing hyperplane contains two vertices
-    from gptlab.geometry import dual_cone_rays
-
     rays = dual_cone_rays(verts, tol=tol)
     for f in rays:
         values = verts @ f
@@ -501,8 +500,6 @@ def space_invariants(obj: StateSpace | Face) -> dict:
 
     Values may be None when not finitely computable for the representation.
     """
-    from gptlab.discrimination import capacity
-
     if isinstance(obj, Face):
         if obj.kind == "all":
             return space_invariants(obj.parent)
@@ -589,8 +586,6 @@ def maximally_mixed_decomposition(space: StateSpace):
     quantum systems (an orthonormal basis); for polytopes, searched among
     capacity witnesses.  Returns a DistinguishabilityWitness.
     """
-    from gptlab.discrimination import capacity, distinguishable
-
     rep = space.rep
     if isinstance(rep, (SimplexRep, BallRep, QuantumRep)):
         return capacity(space).witness
@@ -602,7 +597,7 @@ def maximally_mixed_decomposition(space: StateSpace):
         states = verts[list(subset)]
         if np.max(np.abs(states.mean(axis=0) - mu)) > tol:
             continue
-        witness = distinguishable(space, states)
+        witness = distinguishable_unchecked(space, states, tol)
         if witness is not None:
             return witness
     return None

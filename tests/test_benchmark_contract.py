@@ -1,5 +1,5 @@
 """The benchmark tracer wraps gptlab functions by name; they must still exist.
-A tiny benchmark run must still reproduce the golden answers."""
+Tiny benchmark runs must still reproduce the golden answers."""
 
 import importlib
 import importlib.util
@@ -7,6 +7,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -33,12 +35,31 @@ def test_every_traced_function_resolves():
             "load_theory", "_check_p2", "run_pivots"} <= names
 
 
-def test_tiny_compose_max_run_matches_golden_vertex_counts():
-    # perfbench/run.py checks every composite's vertex count against golden.json
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "compose_max", "--seed", "0",
+def _tiny_run(workload: str) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
            "--seconds", "1", "--trace", "0", "--tiny"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_tiny_compose_max_run_matches_golden_vertex_counts():
+    # perfbench/run.py checks every composite's vertex count against golden.json
+    result = _tiny_run("compose_max")
     assert result["correct"]
     assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["capacity_ns", "membership"])
+def test_tiny_run_matches_golden_answers(workload):
+    # capacity witnesses on no-signalling faces; membership and
+    # distinguishability answers
+    result = _tiny_run(workload)
+    assert result["correct"]
+    assert result["failed"] == 0
+
+
+def test_tiny_check_corpus_run_matches_golden_report_digests():
+    # at seed 0 every report must hash to its recorded digest; classical(4)
+    # is a known failure, counted as failed but not as incorrect
+    assert _tiny_run("check_corpus")["correct"]

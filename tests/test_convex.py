@@ -122,6 +122,15 @@ def test_contains_state_polytope_and_simplex(rng):
     assert not contains_state(tri, np.array([1.0, 0.8, 0.9]))  # sums beyond 1
 
 
+def test_contains_state_polytope_rejects_unnormalized_cone_points():
+    # both vectors are nonnegative combinations of the square's vertices, but
+    # neither has normalization coordinate 1
+    square = square_gbit()
+    assert not contains_state(square, np.array([2.0, 0.0, 0.0]))
+    assert not contains_state(square, np.array([0.5, 0.25, 0.25]))
+    assert contains_state(square, np.array([1.0, 0.25, 0.25]))
+
+
 def test_contains_effect_examples():
     for space in (classical(3), gbit_ball(3), square_gbit(), quantum(2)):
         unit = space.unit_effect

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from gptlab import discrimination
+from gptlab.composites import compose
 from gptlab.errors import BudgetExceededError, DomainError
-from gptlab.convex import Measurement, vertices_of
+from gptlab.convex import Measurement, PolytopeRep, StateSpace, vertices_of
 from gptlab.discrimination import (
     DistinguishabilityWitness,
     admissible_bit_dimensions,
@@ -16,7 +18,7 @@ from gptlab.discrimination import (
 )
 from gptlab.lp import LinearProgram, lp_feasible
 from gptlab.models import classical, gbit_ball, quantum, square_gbit
-from gptlab.symmetry import maximally_mixed
+from gptlab.symmetry import maximally_mixed, maximally_mixed_decomposition
 from gptlab import quantum as qc
 
 
@@ -98,6 +100,39 @@ def test_state_outside_space_rejected():
     space = gbit_ball(3)
     with pytest.raises(DomainError):
         distinguishable(space, [np.array([1.0, 2.0, 0.0, 0.0])])
+
+
+@pytest.mark.parametrize(
+    "states",
+    [
+        [[1.0, 1.5, 0.5], [1.0, 0.0, 0.0]],  # normalized, outside the square
+        [[2.0, 0.0, 0.0], [2.0, 2.0, 2.0]],  # in the cone over the square, unnormalized
+    ],
+)
+def test_polytope_state_outside_space_rejected(states):
+    with pytest.raises(DomainError):
+        distinguishable(square_gbit(), states)
+
+
+def test_capacity_of_own_vertices_runs_no_membership_check(monkeypatch):
+    # the 8-vertex face of the no-signalling polytope on which the facets
+    # x*x' >= 0 and x*(1 - x') >= 0 are tight (coordinates 4 and 3 - 4 vanish):
+    # capacity and the decomposition search pass only the space's own
+    # vertices to the distinguishability core, which must not re-prove them
+    sq = square_gbit()
+    verts = vertices_of(compose(sq, sq, "max").space)
+    face = verts[(np.abs(verts[:, 3]) <= 1e-9) & (np.abs(verts[:, 4]) <= 1e-9)]
+    assert face.shape[0] == 8
+    space = StateSpace(name="ns-face", rep=PolytopeRep(face))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership re-checked")
+
+    monkeypatch.setattr(discrimination, "contains_state", refuse)
+    result = capacity(space)
+    assert result.n == 4 and result.exact
+    assert verify_witness(space, result.witness)
+    assert maximally_mixed_decomposition(sq).n == 2
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
-"""LP engine: spec examples, random constructed-feasible systems, kernel parity."""
+"""LP engine: spec examples, random constructed-feasible systems, kernel parity,
+and the shared membership and distinguishability LPs against HiGHS."""
 
 import numpy as np
 import pytest
 
+from gptlab.convex import PolytopeRep, StateSpace, cone_contains
+from gptlab.discrimination import distinguishable_unchecked
 from gptlab.lp import OPTIMAL, UNBOUNDED, LinearProgram, lp_feasible, lp_solve
 from gptlab.lp import _kernel, _pivot_py
 
@@ -172,3 +175,53 @@ def test_dimension_validation():
         LinearProgram(objective=np.array([1.0, 2.0]), a_eq=[[1.0]], b_eq=[1.0])
     with pytest.raises(ValueError):
         LinearProgram(objective=np.array([1.0]), bounds=np.array([[2.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# Differential test against scipy's HiGHS (a test-only oracle)
+# ---------------------------------------------------------------------------
+
+def _highs_feasible(a_eq, b_eq, a_ub=None, b_ub=None, bounds=(None, None)) -> bool:
+    """HiGHS feasibility verdict; "infeasible" and "unbounded" are one class,
+    since HiGHS may report either for an infeasible system."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    res = linprog(np.zeros(a_eq.shape[1]), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    assert res.status in (0, 2, 3), res.message
+    return res.status == 0
+
+
+def test_cone_lp_matches_highs():
+    # small integer data keeps every instance well-posed: a target outside
+    # the cone is separated from it by a margin far above the tolerance
+    rng = np.random.default_rng(20120321)
+    verdicts = []
+    for _ in range(200):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(2, 5))
+        rows = rng.integers(-3, 4, size=(n, k)).astype(float)
+        target = rng.integers(-1, 3, size=n) @ rows
+        ours = cone_contains(rows, target, 1e-9)
+        assert ours == _highs_feasible(rows.T, target, bounds=(0, None)), (rows, target)
+        verdicts.append(ours)
+    assert 40 <= sum(verdicts) <= 160  # both answers are exercised
+
+
+def test_pair_distinguishability_lp_matches_highs():
+    rng = np.random.default_rng(20120322)
+    verdicts = []
+    for _ in range(80):
+        k = int(rng.integers(3, 5))
+        points = np.unique(rng.integers(-2, 3, size=(int(rng.integers(k, k + 5)), k - 1)), axis=0)
+        verts = np.column_stack([np.ones(len(points)), points]).astype(float)
+        space = StateSpace(name="random", rep=PolytopeRep(verts))
+        n = int(rng.integers(2, 4)) if len(verts) >= 3 else 2
+        states = verts[rng.choice(len(verts), size=n, replace=False)]
+        ours = distinguishable_unchecked(space, states, 1e-9) is not None
+        # variables E_1..E_n: sum_a E_a = unit, E_a(states_b) = delta_ab,
+        # E_a(v) >= 0 on every listed point
+        a_eq = np.vstack([np.kron(np.ones(n), np.eye(k)), np.kron(np.eye(n), states)])
+        b_eq = np.concatenate([np.eye(k)[0], np.eye(n).ravel()])
+        a_ub = np.kron(np.eye(n), -verts)
+        assert ours == _highs_feasible(a_eq, b_eq, a_ub, np.zeros(len(a_ub))), states
+        verdicts.append(ours)
+    assert 10 <= sum(verdicts) <= 70  # both answers are exercised

@@ -5,8 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from gptlab.errors import ValidationError
+from gptlab import runner
+from gptlab.composites import compose
+from gptlab.convex import extremal_effects
+from gptlab.errors import BudgetExceededError, UnsupportedRepresentationError, ValidationError
 from gptlab.cli import main as cli_main
+from gptlab.discrimination import distinguishable
+from gptlab.models import square_gbit
 from gptlab.runner import (
     FAIL,
     INDETERMINATE,
@@ -121,6 +126,54 @@ def test_postulate_landscape_square():
     assert report_max.metrics["chsh_max"] == pytest.approx(4.0, abs=1e-9)
 
 
+def test_check_postulates_builds_the_composite_once(monkeypatch):
+    # P1 and the CHSH metric share one composite (the square's fiducial
+    # readouts are effects, so the metric needs the composite too)
+    rules = []
+
+    def counting_compose(a, b, rule, **kwargs):
+        rules.append(rule)
+        return compose(a, b, rule, **kwargs)
+
+    monkeypatch.setattr(runner, "compose", counting_compose)
+    report = check_postulates(SQUARE, rule="max", seed=0)
+    assert rules == ["max"]
+    assert report.postulates["P1"]["status"] == PASS
+    assert report.metrics["chsh_max"] == pytest.approx(4.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "error,reason",
+    [
+        (UnsupportedRepresentationError("no vertex list"), "composite construction: no vertex list"),
+        (BudgetExceededError("too many vertices"), "budget exhausted: too many vertices"),
+    ],
+)
+def test_composite_construction_error_is_reported_by_p1_and_chsh(monkeypatch, error, reason):
+    def failing_compose(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(runner, "compose", failing_compose)
+    report = check_postulates(SQUARE, seed=0)
+    assert report.postulates["P1"] == {"status": INDETERMINATE, "reason": reason}
+    assert report.metrics["chsh_max"] is None
+    assert report.postulates["P2"]["status"] == FAIL  # the other probes still run
+
+
+def test_p4_prime_finds_a_partner_for_each_pentagon_vertex():
+    # adjacent pentagon vertices are not perfectly distinguishable, so each
+    # vertex passes only through a partner further round the polygon
+    angles = 2 * np.pi * np.arange(5) / 5
+    corners = np.column_stack([np.ones(5), np.cos(angles), np.sin(angles)])
+    pentagon = TheoryDefinition(
+        name="5-gon", space_spec={"family": "polytope", "vertices": corners.tolist()}
+    )
+    space = build_space(pentagon)
+    assert distinguishable(space, corners[:2]) is None
+    assert distinguishable(space, corners[[0, 2]]) is not None
+    assert check_postulates(pentagon, seed=0).postulates["P4prime"]["status"] == PASS
+
+
 def test_fail_witnesses_replay():
     # P2 witness for the square: the face of the witness effect has 2 states
     report = check_postulates(SQUARE, seed=0)
@@ -149,6 +202,16 @@ def test_p4_restricted_effect_list_fails():
     assert report.postulates["P4"]["status"] == FAIL
     missing = np.array(report.postulates["P4"]["witness"]["missing_extremal_effect"])
     assert missing.shape == (3,)
+
+
+def test_p4_restricted_to_the_extremal_effects_passes():
+    # every extremal effect is in the hull of a list that contains it
+    listed = TheoryDefinition(
+        name="listed-square",
+        space_spec={"family": "square"},
+        allowed_effects=extremal_effects(square_gbit()),
+    )
+    assert check_postulates(listed, seed=0).postulates["P4"]["status"] == PASS
 
 
 def test_report_round_trip_and_determinism():
