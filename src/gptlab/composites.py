@@ -52,6 +52,8 @@ MIN_TENSOR = "min"
 MAX_TENSOR = "max"
 
 MAX_COMPOSITE_VERTICES = 4096
+MAX_TENSOR_STARTS = 8        # alternating minimizations per membership query
+MAX_TENSOR_ITERATIONS = 60   # alternating steps per start
 
 
 def product_state(omega_a: np.ndarray, omega_b: np.ndarray) -> np.ndarray:
@@ -108,8 +110,7 @@ def _integral(arr: np.ndarray) -> bool:
     return bool(np.max(np.abs(arr - np.round(arr))) < 1e-12)
 
 
-def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None,
-            exact: bool | None = None) -> Composite:
+def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None) -> Composite:
     """Build the min- or max-tensor composite of two state spaces.
 
     Min tensor: convex hull of all products of part vertices (separable
@@ -135,9 +136,7 @@ def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None,
     rays_a = _part_cone_rays(a, tol)
     rays_b = _part_cone_rays(b, tol)
     rows = np.array([np.kron(f, g) for f in rays_a for g in rays_b])
-    if exact is None:
-        exact = _integral(rows) and rows.shape[1] <= 16
-    if exact:
+    if _integral(rows) and rows.shape[1] <= 16:
         fracs = dual_cone_rays_exact(np.round(rows).astype(int))
         rays = np.array([[float(x / r[0]) for x in r] for r in fracs])
     else:
@@ -341,8 +340,7 @@ def capacity_multiplicativity_check(c: Composite, full_search: bool = False,
 # ---------------------------------------------------------------------------
 
 def max_tensor_contains(c: Composite, omega: np.ndarray, tol: float | None = None,
-                        rng: np.random.Generator | None = None, n_starts: int = 8,
-                        n_iters: int = 60) -> bool:
+                        rng: np.random.Generator | None = None) -> bool:
     """Membership query for max-tensor composites without a vertex list.
 
     Minimizes product-effect values by alternating exact one-sided
@@ -380,10 +378,10 @@ def max_tensor_contains(c: Composite, omega: np.ndarray, tol: float | None = Non
         return float(values[k]), rays[k]
 
     worst = np.inf
-    for _ in range(n_starts):
+    for _ in range(MAX_TENSOR_STARTS):
         g = _random_cone_effect(c.part_b, rays_b, rng)
         value = np.inf
-        for _ in range(n_iters):
+        for _ in range(MAX_TENSOR_ITERATIONS):
             _, f = min_effect(c.part_a, rays_a, M @ g)
             new_value, g = min_effect(c.part_b, rays_b, f @ M)
             if abs(new_value - value) < 1e-13:

@@ -324,11 +324,11 @@ def sample_pure_state(space: StateSpace, rng: np.random.Generator) -> np.ndarray
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate_space(space: StateSpace, tol: float | None = None, full_dim: bool = True) -> None:
+def validate_space(space: StateSpace, tol: float | None = None) -> None:
     """Check structural invariants; raises ValidationError on failure.
 
     For polytopes: vertices normalized and extreme; K = 1 + affine dimension
-    of the state set when ``full_dim``.
+    of the state set.
     """
     tol = resolve_tol(tol)
     if isinstance(space.rep, PolytopeRep):
@@ -341,7 +341,7 @@ def validate_space(space: StateSpace, tol: float | None = None, full_dim: bool =
                 raise ValidationError(
                     f"{space.name}: vertex {i} is a convex combination of the others"
                 )
-        if full_dim and affine_dimension(verts, tol) != space.ambient_dim - 1:
+        if affine_dimension(verts, tol) != space.ambient_dim - 1:
             raise ValidationError(
                 f"{space.name}: ambient dimension {space.ambient_dim} does not equal "
                 f"1 + affine dimension {affine_dimension(verts, tol)}"

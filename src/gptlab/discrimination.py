@@ -140,9 +140,8 @@ def _quantum_cut_states(space: StateSpace, states: np.ndarray, rng: np.random.Ge
     return cuts
 
 
-def _quantum_distinguishable(space: StateSpace, states: np.ndarray, tol: float,
-                             max_rounds: int = CUTTING_PLANE_ROUNDS
-                             ) -> DistinguishabilityWitness | None:
+def _quantum_distinguishable(space: StateSpace, states: np.ndarray,
+                             tol: float) -> DistinguishabilityWitness | None:
     """Outer linear relaxation of the positive-semidefinite effect cone,
     tightened by eigenvector cuts until the returned effects verify exactly."""
     n_level = space.rep.n
@@ -158,7 +157,7 @@ def _quantum_distinguishable(space: StateSpace, states: np.ndarray, tol: float,
     b_ub_abs = np.zeros(2 * n * K)
     objective = np.concatenate([np.zeros(n * K), -np.ones(n * K)])
 
-    for _ in range(max_rounds):
+    for _ in range(CUTTING_PLANE_ROUNDS):
         rows = []
         for s in cuts:
             for i in range(n):
@@ -234,6 +233,7 @@ class CapacityResult:
     witness: DistinguishabilityWitness | None
     exact: bool
     lower_bound: int
+    pairs: frozenset[tuple[int, int]] | None = None  # see capacity()
 
     @property
     def indeterminate(self) -> bool:
@@ -249,7 +249,8 @@ def _simplex_capacity(space: StateSpace) -> CapacityResult:
     for j in range(1, n):
         effects[j, j] = 1.0
     witness = DistinguishabilityWitness(Measurement(effects), verts)
-    return CapacityResult(n, witness, exact=True, lower_bound=n)
+    pairs = frozenset((i, j) for i in range(n) for j in range(i + 1, n))
+    return CapacityResult(n, witness, exact=True, lower_bound=n, pairs=pairs)
 
 
 def _ball_capacity(space: StateSpace) -> CapacityResult:
@@ -289,7 +290,9 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     Closed form with a verified certificate for simplices, balls and quantum
     systems; subset search over extreme points (monotonicity-pruned,
     distance-ordered) for polytopes.  Exceeding the LP budget yields an
-    indeterminate result carrying the best lower bound.
+    indeterminate result carrying the best lower bound.  ``pairs`` holds the
+    distinguishable vertex-index pairs ``(i, j)``, ``i < j``; it is None for
+    balls and quantum systems, and when the budget ran out among the pairs.
     """
     tol = resolve_tol(tol)
     rep = space.rep
@@ -308,6 +311,7 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
         )
     best_witness = _single_state_witness(space, verts[0])
     best_n = 1
+    pairs = None  # decided by the size-2 level
     level = {frozenset([i]) for i in range(nv)}
     lp_calls = 0
     size = 2
@@ -319,8 +323,6 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
                 cand = subset | {j}
                 if all(frozenset(cand - {x}) in level for x in cand):
                     candidates.add(frozenset(cand))
-        if not candidates:
-            break
 
         def min_pairwise(subset: frozenset) -> float:
             pts = verts[sorted(subset)]
@@ -335,19 +337,22 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
         witness = None
         for cand in ordered:
             if lp_calls >= lp_budget:
-                return CapacityResult(None, best_witness, exact=False, lower_bound=best_n)
+                return CapacityResult(None, best_witness, exact=False,
+                                      lower_bound=best_n, pairs=pairs)
             lp_calls += 1
             w = distinguishable_unchecked(space, verts[sorted(cand)], tol)
             if w is not None:
                 next_level.add(cand)
                 witness = witness or w
+        if size == 2:
+            pairs = frozenset(tuple(sorted(c)) for c in next_level)
         if not next_level:
             break
         best_n = size
         best_witness = witness
         level = next_level
         size += 1
-    return CapacityResult(best_n, best_witness, exact=True, lower_bound=best_n)
+    return CapacityResult(best_n, best_witness, exact=True, lower_bound=best_n, pairs=pairs)
 
 
 def complete_measurement(space: StateSpace, tol: float | None = None) -> DistinguishabilityWitness:

@@ -17,7 +17,6 @@ import numpy as np
 from gptlab.config import resolve_tol
 from gptlab.errors import (
     BudgetExceededError,
-    GptError,
     UnsupportedRepresentationError,
     ValidationError,
 )
@@ -38,6 +37,7 @@ from gptlab.convex import (
     vertices_of,
 )
 from gptlab.composites import (
+    MAX_TENSOR,
     MIN_TENSOR,
     Composite,
     chsh_value,
@@ -48,7 +48,6 @@ from gptlab.discrimination import (
     CapacityResult,
     admissible_bit_dimensions,
     capacity,
-    distinguishable_unchecked,
     fit_capacity_exponent,
 )
 from gptlab.models import (
@@ -79,6 +78,8 @@ INDETERMINATE = "indeterminate"
 POSTULATE_KEYS = ("P1", "P2", "P3", "P3C", "P4", "P4prime")
 
 SYMMETRY_SEARCH_VERTEX_BUDGET = 16
+SYMMETRY_SEARCH_NODE_BUDGET = 200_000
+CAPACITY_EXHAUSTED = "capacity search budget exhausted"
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +99,7 @@ class TheoryDefinition:
         return build_space(self)
 
 
-def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None,
-                            vertex_budget: int = SYMMETRY_SEARCH_VERTEX_BUDGET,
-                            node_budget: int = 200_000) -> FiniteMatrixGroup:
+def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None) -> FiniteMatrixGroup:
     """Vertex permutations extendable to linear maps.
 
     Backtracking over vertex images, pruned by the pairwise-distance
@@ -110,8 +109,10 @@ def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None,
     tol = resolve_tol(tol)
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     nv = verts.shape[0]
-    if nv > vertex_budget:
-        raise BudgetExceededError(f"{nv} vertices exceed symmetry budget {vertex_budget}")
+    if nv > SYMMETRY_SEARCH_VERTEX_BUDGET:
+        raise BudgetExceededError(
+            f"{nv} vertices exceed symmetry budget {SYMMETRY_SEARCH_VERTEX_BUDGET}"
+        )
     # distance comparisons at the run tolerance: coarser tol admits symmetry
     # groups of approximately symmetric vertex data
     digits = max(1, int(np.floor(-np.log10(100.0 * tol))))
@@ -137,9 +138,9 @@ def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None,
             if any(dist[i, k] != dist[j, assignment[k]] for k in range(i)):
                 continue
             nodes += 1
-            if nodes > node_budget:
+            if nodes > SYMMETRY_SEARCH_NODE_BUDGET:
                 raise BudgetExceededError(
-                    f"symmetry search exceeded {node_budget} nodes"
+                    f"symmetry search exceeded {SYMMETRY_SEARCH_NODE_BUDGET} nodes"
                 )
             used[j] = True
             assignment[i] = j
@@ -349,25 +350,11 @@ def _status(status: str, witness=None, reason: str | None = None) -> dict:
     return entry
 
 
-def _composite(space: StateSpace, partner: StateSpace, rule: str,
-               tol: float) -> Composite | GptError:
-    """The composite that P1 and the CHSH metric share, or the error that
-    stopped its construction."""
-    try:
-        return compose(space, partner, rule, tol=tol)
-    except (UnsupportedRepresentationError, BudgetExceededError) as exc:
-        return exc
-
-
-def _check_p1(comp: Composite | GptError, rng: np.random.Generator, tol: float) -> dict:
-    if isinstance(comp, BudgetExceededError):
-        raise comp  # reported by check_postulates like any exhausted probe budget
-    if isinstance(comp, UnsupportedRepresentationError):
-        return _status(INDETERMINATE, reason=f"composite construction: {comp}")
-    ok = local_tomography_check(comp, rng=rng, tol=tol)
-    if ok:
+def _check_p1(separable: Composite, rng: np.random.Generator, tol: float) -> dict:
+    # P1 tests only the span of the joint states, and min ⊆ max have the same span
+    if local_tomography_check(separable, rng=rng, tol=tol):
         return _status(PASS)
-    return _status(FAIL, witness={"expected_dim": comp.ambient_dim - 1})
+    return _status(FAIL, witness={"expected_dim": separable.ambient_dim - 1})
 
 
 def _smaller_reference(space: StateSpace, n: int) -> StateSpace | None:
@@ -392,7 +379,7 @@ def _face_size(space: StateSpace, face) -> int | None:
 def _check_p2(space: StateSpace, cap: CapacityResult, rng: np.random.Generator,
               tol: float) -> dict:
     if cap.indeterminate:
-        return _status(INDETERMINATE, reason="capacity search budget exhausted")
+        return _status(INDETERMINATE, reason=CAPACITY_EXHAUSTED)
     n = cap.n
     if n == 1:
         return _status(PROBES_PASS, reason="trivial state space")
@@ -487,7 +474,8 @@ def _check_p4(space: StateSpace, allowed_effects, tol: float) -> dict:
     return _status(PASS)
 
 
-def _check_p4_prime(space: StateSpace, rng: np.random.Generator, tol: float) -> dict:
+def _check_p4_prime(space: StateSpace, cap: CapacityResult, rng: np.random.Generator,
+                    tol: float) -> dict:
     rep = space.rep
     if isinstance(rep, BallRep):
         # boundary states are distinguished from their antipodes
@@ -514,13 +502,11 @@ def _check_p4_prime(space: StateSpace, rng: np.random.Generator, tol: float) -> 
     verts = vertices_of(space)
     if verts.shape[0] == 1:
         return _status(PASS, reason="no non-interior states")
-    for omega in verts:
-        if not any(
-            distinguishable_unchecked(space, np.vstack([omega, v]), tol) is not None
-            for v in verts
-            if np.max(np.abs(v - omega)) > tol
-        ):
-            return _status(FAIL, witness={"state": omega.tolist()})
+    if cap.pairs is None:
+        return _status(INDETERMINATE, reason=CAPACITY_EXHAUSTED)
+    unpartnered = set(range(verts.shape[0])) - {i for pair in cap.pairs for i in pair}
+    if unpartnered:
+        return _status(FAIL, witness={"state": verts[min(unpartnered)].tolist()})
     return _status(PASS)
 
 
@@ -552,11 +538,17 @@ def _canonical_binary_measurements(space: StateSpace):
     return None
 
 
-def _chsh_metric(space: StateSpace, partner: StateSpace,
-                 comp: Composite | GptError) -> float | None:
+def _chsh_metric(space: StateSpace, partner: StateSpace, rule: str,
+                 separable: Composite, tol: float) -> float | None:
     ma = _canonical_binary_measurements(space)
     mb = _canonical_binary_measurements(partner)
-    if ma is None or mb is None or isinstance(comp, GptError) or comp.space is None:
+    if ma is None or mb is None:
+        return None
+    try:
+        comp = separable if rule == MIN_TENSOR else compose(space, partner, rule, tol=tol)
+    except (UnsupportedRepresentationError, BudgetExceededError):
+        return None
+    if comp.space is None:
         return None
     best = 0.0
     for vertex in vertices_of(comp.space):
@@ -573,13 +565,15 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
                      tol: float | None = None) -> PostulateReport:
     """Run all postulate probes for a theory (composite checks against
     ``partner``, which defaults to the theory itself)."""
+    if rule not in (MIN_TENSOR, MAX_TENSOR):
+        raise ValueError(f"unknown composition rule {rule!r}")
     tol = resolve_tol(tol)
     rng = np.random.default_rng(seed)
     space = build_space(theory)
     partner_space = build_space(partner) if partner is not None else space
 
     cap = capacity(space, tol=tol)
-    comp = _composite(space, partner_space, rule, tol)
+    separable = compose(space, partner_space, MIN_TENSOR, tol=tol)
     postulates: dict[str, dict] = {}
 
     def run(key: str, fn, *args) -> None:
@@ -588,12 +582,12 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
         except BudgetExceededError as exc:
             postulates[key] = _status(INDETERMINATE, reason=f"budget exhausted: {exc}")
 
-    run("P1", _check_p1, comp, rng, tol)
+    run("P1", _check_p1, separable, rng, tol)
     run("P2", _check_p2, space, cap, rng, tol)
     run("P3", _check_p3, space, rng, tol)
     run("P3C", _check_p3c, space, rng, tol)
     run("P4", _check_p4, space, theory.allowed_effects, tol)
-    run("P4prime", _check_p4_prime, space, rng, tol)
+    run("P4prime", _check_p4_prime, space, cap, rng, tol)
 
     k = space.ambient_dim
     metrics: dict = {
@@ -605,7 +599,7 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
         "bit_dimension": None,
         "bit_dimension_admissible": None,
         "g2_exception": None,
-        "chsh_max": _chsh_metric(space, partner_space, comp),
+        "chsh_max": _chsh_metric(space, partner_space, rule, separable, tol),
     }
     if cap.n == 2:
         d = k - 1

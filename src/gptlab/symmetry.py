@@ -252,8 +252,11 @@ def _group_matrices(group: GroupDescriptor) -> list[np.ndarray]:
     raise UnsupportedRepresentationError("finite element list requested for a parametric group")
 
 
+TRANSITIVITY_SAMPLES = 10  # sampled state pairs for parametric groups
+
+
 def transitivity_check(space: StateSpace, rng: np.random.Generator | None = None,
-                       n_samples: int = 10, tol: float | None = None) -> TransitivityResult:
+                       tol: float | None = None) -> TransitivityResult:
     """Does the group act transitively on the pure states?
 
     Finite groups: orbit computation on the extreme points.  Parametric
@@ -279,7 +282,7 @@ def transitivity_check(space: StateSpace, rng: np.random.Generator | None = None
     if isinstance(group, RotationGroup):
         d = group.d
         witnesses = []
-        for _ in range(n_samples):
+        for _ in range(TRANSITIVITY_SAMPLES):
             a = sample_pure_state(space, rng)
             b = sample_pure_state(space, rng)
             rot = np.eye(d + 1)
@@ -292,7 +295,7 @@ def transitivity_check(space: StateSpace, rng: np.random.Generator | None = None
     if isinstance(group, UnitaryGroup):
         n = group.n
         witnesses = []
-        for _ in range(n_samples):
+        for _ in range(TRANSITIVITY_SAMPLES):
             psi = rng.normal(size=n) + 1j * rng.normal(size=n)
             psi /= np.linalg.norm(psi)
             phi = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -413,10 +416,13 @@ def strict_convexity_check(space: StateSpace, tol: float | None = None) -> Stric
         witness = tuple(quantum.state_coords(m, rep.n) for m in (a, b, diag))
         return StrictConvexityResult(False, witness=witness)
     verts = vertices_of(space)
-    if affine_dimension(verts, tol) <= 1:
+    dim = affine_dimension(verts, tol)
+    if dim <= 1:
         return StrictConvexityResult(True)
-    # affine dimension >= 2: some exposing hyperplane contains two vertices
-    rays = dual_cone_rays(verts, tol=tol)
+    # affine dimension >= 2: some exposing hyperplane contains two vertices.
+    # A face's vertices need not span the space, so enumerate in their span.
+    basis = np.linalg.svd(verts, full_matrices=False)[2][: dim + 1]
+    rays = dual_cone_rays(verts @ basis.T, tol=tol) @ basis
     for f in rays:
         values = verts @ f
         flat = np.nonzero(np.abs(values) <= tol)[0]

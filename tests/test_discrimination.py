@@ -1,5 +1,7 @@
 """Distinguishability, capacity, and the K = N^r structure."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -114,16 +116,27 @@ def test_polytope_state_outside_space_rejected(states):
         distinguishable(square_gbit(), states)
 
 
-def test_capacity_of_own_vertices_runs_no_membership_check(monkeypatch):
-    # the 8-vertex face of the no-signalling polytope on which the facets
-    # x*x' >= 0 and x*(1 - x') >= 0 are tight (coordinates 4 and 3 - 4 vanish):
-    # capacity and the decomposition search pass only the space's own
-    # vertices to the distinguishability core, which must not re-prove them
+def _ns_face() -> StateSpace:
+    """The 8-vertex face of the no-signalling polytope on which the facets
+    x*x' >= 0 and x*(1 - x') >= 0 are tight (coordinates 4 and 3 - 4 vanish)."""
     sq = square_gbit()
     verts = vertices_of(compose(sq, sq, "max").space)
     face = verts[(np.abs(verts[:, 3]) <= 1e-9) & (np.abs(verts[:, 4]) <= 1e-9)]
     assert face.shape[0] == 8
-    space = StateSpace(name="ns-face", rep=PolytopeRep(face))
+    return StateSpace(name="ns-face", rep=PolytopeRep(face))
+
+
+def _pentagon() -> StateSpace:
+    angles = 2 * np.pi * np.arange(5) / 5
+    corners = np.column_stack([np.ones(5), np.cos(angles), np.sin(angles)])
+    return StateSpace(name="5-gon", rep=PolytopeRep(corners))
+
+
+def test_capacity_of_own_vertices_runs_no_membership_check(monkeypatch):
+    # capacity and the decomposition search pass only the space's own
+    # vertices to the distinguishability core, which must not re-prove them
+    sq = square_gbit()
+    space = _ns_face()
 
     def refuse(*args, **kwargs):
         raise AssertionError("membership re-checked")
@@ -152,10 +165,26 @@ def test_capacity_values(space, expected):
     assert verify_witness(space, result.witness)
 
 
+@pytest.mark.parametrize(
+    "space", [square_gbit(), _pentagon(), _ns_face(), classical(4)],
+    ids=["square", "5-gon", "ns-face", "simplex4"],
+)
+def test_capacity_pairs_are_the_distinguishable_vertex_pairs(space):
+    verts = vertices_of(space)
+    expected = {
+        (i, j) for i, j in combinations(range(verts.shape[0]), 2)
+        if distinguishable(space, verts[[i, j]]) is not None
+    }
+    assert capacity(space).pairs == expected
+
+
+def test_capacity_pairs_unknown_for_continuous_spaces():
+    assert capacity(gbit_ball(3)).pairs is None
+    assert capacity(quantum(2)).pairs is None
+
+
 def test_square_capacity_matches_bruteforce():
     # oracle: try every subset of the 4 vertices directly by LP
-    from itertools import combinations
-
     space = square_gbit()
     verts = vertices_of(space)
     largest = 1
@@ -210,6 +239,7 @@ def test_capacity_lp_budget_gives_lower_bound():
     result = capacity(square_gbit(), lp_budget=2)
     assert result.indeterminate
     assert result.lower_bound >= 1
+    assert result.pairs is None  # the budget ran out among the 6 pairs
 
 
 def test_uniform_decomposition_size_equals_capacity():

@@ -1,21 +1,23 @@
 """Theory I/O, postulate checker, report determinism, CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gptlab import runner
+from gptlab import discrimination, runner
 from gptlab.composites import compose
 from gptlab.convex import extremal_effects
 from gptlab.errors import BudgetExceededError, UnsupportedRepresentationError, ValidationError
 from gptlab.cli import main as cli_main
-from gptlab.discrimination import distinguishable
+from gptlab.discrimination import capacity, distinguishable
 from gptlab.models import square_gbit
 from gptlab.runner import (
     FAIL,
     INDETERMINATE,
     PASS,
+    POSTULATE_KEYS,
     PROBES_PASS,
     PostulateReport,
     TheoryDefinition,
@@ -32,6 +34,14 @@ from gptlab.symmetry import continuity_check, face_extract, transitivity_check
 QUANTUM2 = TheoryDefinition(name="quantum(2)", space_spec={"family": "quantum", "N": 2})
 CLASSICAL3 = TheoryDefinition(name="classical(3)", space_spec={"family": "classical", "N": 3})
 SQUARE = TheoryDefinition(name="square", space_spec={"family": "square"})
+_ANGLES = 2 * np.pi * np.arange(5) / 5
+PENTAGON_CORNERS = np.column_stack([np.ones(5), np.cos(_ANGLES), np.sin(_ANGLES)])
+PENTAGON = TheoryDefinition(
+    name="5-gon", space_spec={"family": "polytope", "vertices": PENTAGON_CORNERS.tolist()}
+)
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_REPORTS = json.loads((ROOT / "perfbench" / "golden.json").read_text())[
+    "check_corpus"]["theories"]
 
 
 def test_build_space_families():
@@ -127,35 +137,45 @@ def test_postulate_landscape_square():
 
 
 def test_check_postulates_builds_the_composite_once(monkeypatch):
-    # P1 and the CHSH metric share one composite (the square's fiducial
-    # readouts are effects, so the metric needs the composite too)
-    rules = []
+    # P1 reads the min tensor; the max tensor is built only for the CHSH
+    # metric, which needs fiducial readouts that are effects of both parts
+    # (the square has them, the pentagon does not)
+    built = []
 
     def counting_compose(a, b, rule, **kwargs):
-        rules.append(rule)
+        built.append(rule)
         return compose(a, b, rule, **kwargs)
 
     monkeypatch.setattr(runner, "compose", counting_compose)
     report = check_postulates(SQUARE, rule="max", seed=0)
-    assert rules == ["max"]
+    assert built == ["min", "max"]
     assert report.postulates["P1"]["status"] == PASS
     assert report.metrics["chsh_max"] == pytest.approx(4.0, abs=1e-9)
+    built.clear()
+    report = check_postulates(PENTAGON, rule="max", seed=0)
+    assert built == ["min"]
+    assert report.postulates["P1"]["status"] == PASS
+    assert report.metrics["chsh_max"] is None
+
+
+def test_check_postulates_rejects_unknown_rule():
+    with pytest.raises(ValueError):
+        check_postulates(SQUARE, rule="maximal", seed=0)
 
 
 @pytest.mark.parametrize(
-    "error,reason",
-    [
-        (UnsupportedRepresentationError("no vertex list"), "composite construction: no vertex list"),
-        (BudgetExceededError("too many vertices"), "budget exhausted: too many vertices"),
-    ],
+    "error",
+    [UnsupportedRepresentationError("no vertex list"), BudgetExceededError("too many vertices")],
 )
-def test_composite_construction_error_is_reported_by_p1_and_chsh(monkeypatch, error, reason):
-    def failing_compose(*args, **kwargs):
-        raise error
+def test_max_tensor_construction_error_leaves_only_chsh_unset(monkeypatch, error):
+    def failing_max_compose(a, b, rule, **kwargs):
+        if rule == "max":
+            raise error
+        return compose(a, b, rule, **kwargs)
 
-    monkeypatch.setattr(runner, "compose", failing_compose)
-    report = check_postulates(SQUARE, seed=0)
-    assert report.postulates["P1"] == {"status": INDETERMINATE, "reason": reason}
+    monkeypatch.setattr(runner, "compose", failing_max_compose)
+    report = check_postulates(SQUARE, rule="max", seed=0)
+    assert report.postulates["P1"] == {"status": PASS}
     assert report.metrics["chsh_max"] is None
     assert report.postulates["P2"]["status"] == FAIL  # the other probes still run
 
@@ -163,15 +183,69 @@ def test_composite_construction_error_is_reported_by_p1_and_chsh(monkeypatch, er
 def test_p4_prime_finds_a_partner_for_each_pentagon_vertex():
     # adjacent pentagon vertices are not perfectly distinguishable, so each
     # vertex passes only through a partner further round the polygon
-    angles = 2 * np.pi * np.arange(5) / 5
-    corners = np.column_stack([np.ones(5), np.cos(angles), np.sin(angles)])
-    pentagon = TheoryDefinition(
-        name="5-gon", space_spec={"family": "polytope", "vertices": corners.tolist()}
+    space = build_space(PENTAGON)
+    assert distinguishable(space, PENTAGON_CORNERS[:2]) is None
+    assert distinguishable(space, PENTAGON_CORNERS[[0, 2]]) is not None
+    assert check_postulates(PENTAGON, seed=0).postulates["P4prime"]["status"] == PASS
+
+
+def test_p4_prime_reads_the_pairs_of_the_capacity_search(monkeypatch):
+    # the capacity search has decided every vertex pair, so P4' solves no LP
+    calls = []
+    solve = discrimination._polytope_distinguishable
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(discrimination, "_polytope_distinguishable", counting_solve)
+    capacity(build_space(PENTAGON))
+    alone = len(calls)
+    calls.clear()
+    check_postulates(PENTAGON, seed=0)
+    assert len(calls) == alone
+
+
+def test_p4_prime_is_indeterminate_without_the_pair_level(monkeypatch):
+    def no_pairs(space, **kwargs):
+        return discrimination.CapacityResult(None, None, exact=False, lower_bound=1)
+
+    monkeypatch.setattr(runner, "capacity", no_pairs)
+    report = check_postulates(PENTAGON, seed=0)
+    assert report.postulates["P4prime"] == report.postulates["P2"] == {
+        "status": INDETERMINATE, "reason": "capacity search budget exhausted"
+    }
+
+
+@pytest.mark.parametrize("rule", ["min", "max"])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_check_postulates_on_larger_simplices_matches_golden(n, rule):
+    # P2 probes each facet, a simplex that does not span the ambient space
+    theory = TheoryDefinition(name=f"classical({n})", space_spec={"family": "classical", "N": n})
+    report = check_postulates(theory, rule=rule, seed=0)
+    expected = GOLDEN_REPORTS[f"classical({n})|{rule}"]
+    assert {k: v["status"] for k, v in report.postulates.items()} == expected["statuses"]
+    assert (report.metrics["N"], report.metrics["K"]) == (expected["N"], expected["K"])
+
+
+def _sweep_theories() -> list[TheoryDefinition]:
+    theories = (
+        [TheoryDefinition(f"classical({n})", {"family": "classical", "N": n}) for n in range(1, 9)]
+        + [TheoryDefinition(f"ball({d})", {"family": "ball", "d": d}) for d in range(1, 9)]
+        + [TheoryDefinition(f"quantum({n})", {"family": "quantum", "N": n}) for n in range(1, 5)]
     )
-    space = build_space(pentagon)
-    assert distinguishable(space, corners[:2]) is None
-    assert distinguishable(space, corners[[0, 2]]) is not None
-    assert check_postulates(pentagon, seed=0).postulates["P4prime"]["status"] == PASS
+    names = {td.name for td in theories}
+    paths = sorted((ROOT / "perfbench" / "corpus").glob("*.json"))
+    corpus = [load_theory(str(path)) for path in paths]
+    return theories + [td for td in corpus if td.name not in names]
+
+
+@pytest.mark.parametrize("rule", ["min", "max"])
+@pytest.mark.parametrize("theory", _sweep_theories(), ids=lambda td: td.name)
+def test_every_family_and_corpus_theory_completes_check(theory, rule):
+    report = check_postulates(theory, rule=rule, seed=0)
+    assert report_parse(report_render(report, format="json")) == report
+    assert report_render(report, format="md").count("\n| P") == len(POSTULATE_KEYS)
 
 
 def test_fail_witnesses_replay():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptlab.errors import NoFaceError
-from gptlab.convex import contains_state, vertices_of
+from gptlab.convex import PolytopeRep, StateSpace, contains_state, vertices_of
 from gptlab.models import classical, gbit_ball, quantum, square_gbit
 from gptlab.symmetry import (
     FiniteMatrixGroup,
@@ -161,6 +161,19 @@ def test_strict_convexity():
     assert np.allclose(rho, np.diag([0.5, 0.5, 0.0]), atol=1e-12)
     # the witness midpoint is a mixed state on the topological boundary
     assert qc.min_eigenvalue(rho) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_strict_convexity_of_a_face_that_does_not_span_the_space():
+    # the facet of classical(4) opposite the last vertex is a triangle in a
+    # four-dimensional ambient space
+    face = face_extract(classical(4), np.array([1.0, 0.0, 0.0, -1.0]))
+    assert face.vertices.shape == (3, 4)
+    result = strict_convexity_check(StateSpace(name="face", rep=PolytopeRep(face.vertices)))
+    assert not result.strictly_convex
+    a, b, mid = result.witness
+    corners = {tuple(v) for v in face.vertices}
+    assert tuple(a) in corners and tuple(b) in corners and tuple(a) != tuple(b)
+    assert np.allclose(mid, 0.5 * (a + b), atol=1e-12)
 
 
 def test_face_extract_ball_exposed_point():
