@@ -11,6 +11,7 @@ systems (the engine stays purely LP-based).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -29,11 +30,16 @@ from gptlab.convex import (
     unit_effect_vector,
     vertices_of,
 )
+from gptlab.geometry import vertex_symmetries
 from gptlab.lp import LinearProgram, lp_feasible, lp_solve
 
 DEFAULT_VERTEX_BUDGET = 64
 DEFAULT_LP_BUDGET = 4000
 CUTTING_PLANE_ROUNDS = 50
+# Orbit keys of the capacity search need only some verified symmetries, so
+# the vertex-symmetry search stops at this many elements or nodes.
+SYMMETRY_ELEMENT_CAP = 512
+SYMMETRY_NODE_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -283,16 +289,40 @@ def _quantum_capacity(space: StateSpace) -> CapacityResult:
     return CapacityResult(n, witness, exact=True, lower_bound=n)
 
 
+def _vertex_permutations(verts: np.ndarray, tol: float) -> np.ndarray:
+    """Vertex permutations of linear symmetries, one per row.
+
+    The search stops at SYMMETRY_ELEMENT_CAP permutations or after
+    SYMMETRY_NODE_BUDGET nodes and keeps what it found: any set of verified
+    symmetries gives sound orbit keys, only fewer merged orbits.
+    """
+    found = []
+    try:
+        for perm in vertex_symmetries(verts, tol, SYMMETRY_NODE_BUDGET):
+            found.append(perm)
+            if len(found) == SYMMETRY_ELEMENT_CAP:
+                break
+    except BudgetExceededError:
+        pass
+    return np.array(found or [np.arange(verts.shape[0])])
+
+
 def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
              lp_budget: int = DEFAULT_LP_BUDGET, tol: float | None = None) -> CapacityResult:
     """Maximal number of jointly perfectly distinguishable states.
 
     Closed form with a verified certificate for simplices, balls and quantum
-    systems; subset search over extreme points (monotonicity-pruned,
-    distance-ordered) for polytopes.  Exceeding the LP budget yields an
-    indeterminate result carrying the best lower bound.  ``pairs`` holds the
-    distinguishable vertex-index pairs ``(i, j)``, ``i < j``; it is None for
-    balls and quantum systems, and when the budget ran out among the pairs.
+    systems.  For polytopes, a subset search over the vertices, level by
+    level (monotonicity-pruned, distance-ordered).  A linear map that
+    permutes the vertices maps distinguishable sets to distinguishable sets,
+    so one LP decides each orbit of candidates under the vertex symmetries
+    that ``geometry.vertex_symmetries`` finds; the space's own ``group`` is
+    not trusted.  Linearly independent vertices span a simplex, and then only
+    the LP on all of them runs.  Every candidate counts against ``lp_budget``,
+    decided by LP or not; running out yields an indeterminate result carrying
+    the best lower bound.  ``pairs`` holds the distinguishable vertex-index
+    pairs ``(i, j)``, ``i < j``; it is None for balls and quantum systems,
+    and when the budget ran out among the pairs.
     """
     tol = resolve_tol(tol)
     rep = space.rep
@@ -309,11 +339,23 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
         raise BudgetExceededError(
             f"{nv} vertices exceed the budget of {vertex_budget}", lower_bound=1
         )
+    if 2**nv - nv - 1 <= lp_budget and np.linalg.matrix_rank(verts) == nv:
+        # the search would decide every subset and end with this LP
+        w = distinguishable_unchecked(space, verts.copy(), tol)
+        if w is not None:
+            pairs = frozenset(combinations(range(nv), 2))
+            return CapacityResult(nv, w, exact=True, lower_bound=nv, pairs=pairs)
+    perms = _vertex_permutations(verts, tol)
+    dist = {(i, j): np.linalg.norm(verts[i] - verts[j]) for i, j in combinations(range(nv), 2)}
+
+    def min_pairwise(subset: list[int]) -> float:
+        return min(dist[pair] for pair in combinations(subset, 2))
+
     best_witness = _single_state_witness(space, verts[0])
     best_n = 1
     pairs = None  # decided by the size-2 level
     level = {frozenset([i]) for i in range(nv)}
-    lp_calls = 0
+    spent = 0  # candidates decided, by LP or by the orbit memo
     size = 2
     while level:
         candidates = set()
@@ -324,26 +366,24 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
                 if all(frozenset(cand - {x}) in level for x in cand):
                     candidates.add(frozenset(cand))
 
-        def min_pairwise(subset: frozenset) -> float:
-            pts = verts[sorted(subset)]
-            return min(
-                np.linalg.norm(pts[i] - pts[j])
-                for i in range(len(pts))
-                for j in range(i + 1, len(pts))
-            )
-
-        ordered = sorted(candidates, key=lambda s: (-min_pairwise(s), sorted(s)))
+        ordered = sorted(map(sorted, candidates), key=lambda s: (-min_pairwise(s), s))
         next_level = set()
         witness = None
+        decided: dict[bytes, bool] = {}  # orbit key -> distinguishable
         for cand in ordered:
-            if lp_calls >= lp_budget:
+            if spent >= lp_budget:
                 return CapacityResult(None, best_witness, exact=False,
                                       lower_bound=best_n, pairs=pairs)
-            lp_calls += 1
-            w = distinguishable_unchecked(space, verts[sorted(cand)], tol)
-            if w is not None:
-                next_level.add(cand)
+            spent += 1
+            # orbit key: the lexicographically least sorted image of cand
+            images = np.sort(perms[:, cand], axis=1)
+            key = images[np.lexsort(images.T[::-1])[0]].tobytes()
+            if key not in decided:
+                w = distinguishable_unchecked(space, verts[cand], tol)
+                decided[key] = w is not None
                 witness = witness or w
+            if decided[key]:
+                next_level.add(frozenset(cand))
         if size == 2:
             pairs = frozenset(tuple(sorted(c)) for c in next_level)
         if not next_level:

@@ -19,17 +19,22 @@ the rows in lexicographic order and keeps a row unless an already kept row
 lies within ``tol`` of it in every coordinate; near pairs are found by array
 comparisons over blocks of rows, and only rows with an earlier near row are
 decided one by one.
+
+``vertex_symmetries`` finds the vertex permutations that linear maps induce on
+a polytope; the postulate checker builds its automatic groups from them and
+the capacity search its orbits of vertex subsets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from gptlab.config import resolve_tol
-from gptlab.errors import ValidationError
+from gptlab.errors import BudgetExceededError, ValidationError
 
 
 def affine_dimension(points: np.ndarray, tol: float | None = None) -> int:
@@ -243,6 +248,72 @@ def extremal_effect_vectors(vertices: np.ndarray, tol: float | None = None) -> n
         raise ValidationError("effect polytope enumeration produced a recession ray")
     effects = rays[:, :K] / rays[:, K : K + 1]
     return canonicalize_vertices(effects, tol=tol)
+
+
+def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int
+                      ) -> Iterator[np.ndarray]:
+    """Vertex permutations induced by invertible linear maps, as a generator.
+
+    Backtracking over the images of a basis among the vertices, on the
+    whitened vertices: the rows of U in the thin SVD V = U S Wᵀ, with the
+    rank cut at ``tol``.  Their Gram matrix U Uᵀ = V (VᵀV)⁺ Vᵀ is invariant
+    under every linear map that permutes the vertices, so the search prunes
+    on its rounded entries (Bremner, Dutour Sikirić, Pasechnik, Rehn &
+    Schürmann, LMS J. Comput. Math. 17, 2014).  The images of the basis fix
+    the linear map, which sends every other vertex to its nearest vertex.
+    The permutation ``p`` so found is yielded only if that map, in the
+    original coordinates, sends each vertex i to within ``100 * tol`` of
+    vertex p[i] in every coordinate.  BudgetExceededError is raised once the
+    search passes ``node_budget`` nodes.
+    """
+    tol = resolve_tol(tol)
+    verts = np.atleast_2d(np.asarray(vertices, dtype=float))
+    u, svals, _ = np.linalg.svd(verts, full_matrices=False)
+    white = u[:, : int(np.sum(svals > tol * max(1.0, svals[0])))]
+    # comparisons at the run tolerance: coarser tol admits symmetries of
+    # approximately symmetric vertex data
+    digits = max(1, int(np.floor(-np.log10(100.0 * tol))))
+    gram = np.round(white @ white.T, digits) + 0.0
+    signature = np.column_stack([np.diag(gram), np.sort(gram, axis=1)])
+    basis = _independent_rows(white, tol)
+    basis_pinv = np.linalg.pinv(verts[basis].T)
+    alike = [(signature == signature[a]).all(axis=1) for a in basis]
+    nv = verts.shape[0]
+    used = np.zeros(nv, dtype=bool)
+
+    def fits(images: list[int]) -> list[int]:
+        """Unused vertices that may be the image of the next basis vertex."""
+        i = len(images)
+        ok = alike[i] & ~used & (gram[:, images] == gram[basis[i], basis[:i]]).all(axis=1)
+        return np.flatnonzero(ok)[::-1].tolist()
+
+    def search() -> Iterator[np.ndarray]:
+        nodes = 0
+        images: list[int] = []
+        pending = [fits(images)]  # untried images, one list per basis vertex
+        while pending:
+            if not pending[-1]:
+                pending.pop()
+                if images:
+                    used[images.pop()] = False
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceededError(f"symmetry search exceeded {node_budget} nodes")
+            j = pending[-1].pop()
+            if len(images) + 1 < len(basis):
+                used[j] = True
+                images.append(j)
+                pending.append(fits(images))
+                continue
+            mapped = verts @ (verts[images + [j]].T @ basis_pinv).T
+            error = np.abs(mapped[:, None, :] - verts[None]).max(axis=2)
+            perm = error.argmin(axis=1)
+            if (error[np.arange(nv), perm].max() <= 100 * tol
+                    and np.bincount(perm, minlength=nv).max() == 1):
+                yield perm
+
+    return search()
 
 
 def brute_force_dual_cone_rays(generators: np.ndarray, tol: float | None = None) -> np.ndarray:

@@ -50,6 +50,7 @@ from gptlab.discrimination import (
     capacity,
     fit_capacity_exponent,
 )
+from gptlab.geometry import vertex_symmetries
 from gptlab.models import (
     classical,
     gbit_ball,
@@ -100,56 +101,18 @@ class TheoryDefinition:
 
 
 def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None) -> FiniteMatrixGroup:
-    """Vertex permutations extendable to linear maps.
-
-    Backtracking over vertex images, pruned by the pairwise-distance
-    structure; each complete permutation is accepted only if it extends to a
-    linear map on the ambient space (solve, then check the residual).
-    """
-    tol = resolve_tol(tol)
+    """The linear maps that permute the vertices, one matrix per permutation
+    found by ``geometry.vertex_symmetries``, in lexicographic order of the
+    permutations (the identity first)."""
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     nv = verts.shape[0]
     if nv > SYMMETRY_SEARCH_VERTEX_BUDGET:
         raise BudgetExceededError(
             f"{nv} vertices exceed symmetry budget {SYMMETRY_SEARCH_VERTEX_BUDGET}"
         )
-    # distance comparisons at the run tolerance: coarser tol admits symmetry
-    # groups of approximately symmetric vertex data
-    digits = max(1, int(np.floor(-np.log10(100.0 * tol))))
-    dist = np.round(np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=2), digits)
-    signature = [tuple(sorted(dist[i])) for i in range(nv)]
     pinv = np.linalg.pinv(verts.T)
-
-    found: list[np.ndarray] = []
-    assignment = np.full(nv, -1, dtype=int)
-    used = np.zeros(nv, dtype=bool)
-    nodes = 0
-
-    def extend(i: int) -> None:
-        nonlocal nodes
-        if i == nv:
-            M = verts[assignment].T @ pinv
-            if np.max(np.abs(M @ verts.T - verts[assignment].T)) <= 100 * tol:
-                found.append(M)
-            return
-        for j in range(nv):
-            if used[j] or signature[i] != signature[j]:
-                continue
-            if any(dist[i, k] != dist[j, assignment[k]] for k in range(i)):
-                continue
-            nodes += 1
-            if nodes > SYMMETRY_SEARCH_NODE_BUDGET:
-                raise BudgetExceededError(
-                    f"symmetry search exceeded {SYMMETRY_SEARCH_NODE_BUDGET} nodes"
-                )
-            used[j] = True
-            assignment[i] = j
-            extend(i + 1)
-            used[j] = False
-            assignment[i] = -1
-
-    extend(0)
-    return FiniteMatrixGroup(np.array(found))
+    perms = sorted(map(tuple, vertex_symmetries(verts, tol, SYMMETRY_SEARCH_NODE_BUDGET)))
+    return FiniteMatrixGroup(np.array([verts[list(p)].T @ pinv for p in perms]))
 
 
 def build_space(td: TheoryDefinition) -> StateSpace:
@@ -546,7 +509,7 @@ def _chsh_metric(space: StateSpace, partner: StateSpace, rule: str,
         return None
     try:
         comp = separable if rule == MIN_TENSOR else compose(space, partner, rule, tol=tol)
-    except (UnsupportedRepresentationError, BudgetExceededError):
+    except UnsupportedRepresentationError:
         return None
     if comp.space is None:
         return None
@@ -554,6 +517,14 @@ def _chsh_metric(space: StateSpace, partner: StateSpace, rule: str,
     for vertex in vertices_of(comp.space):
         best = max(best, chsh_value(comp, vertex, ma, mb))
     return best
+
+
+def _metric(fn, *args):
+    """A metric's value, or None when computing it runs out of budget."""
+    try:
+        return fn(*args)
+    except BudgetExceededError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +566,11 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
         "N": cap.n,
         "capacity_exact": cap.exact,
         "r": fit_capacity_exponent([(cap.n, k)]) if cap.n is not None else None,
-        "strictly_convex": bool(strict_convexity_check(space, tol=tol)),
+        "strictly_convex": _metric(lambda: bool(strict_convexity_check(space, tol=tol))),
         "bit_dimension": None,
         "bit_dimension_admissible": None,
         "g2_exception": None,
-        "chsh_max": _chsh_metric(space, partner_space, rule, separable, tol),
+        "chsh_max": _metric(_chsh_metric, space, partner_space, rule, separable, tol),
     }
     if cap.n == 2:
         d = k - 1

@@ -1,15 +1,19 @@
 """Distinguishability, capacity, and the K = N^r structure."""
 
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from gptlab import discrimination
 from gptlab.composites import compose
 from gptlab.errors import BudgetExceededError, DomainError
 from gptlab.convex import Measurement, PolytopeRep, StateSpace, vertices_of
 from gptlab.discrimination import (
+    CapacityResult,
     DistinguishabilityWitness,
     admissible_bit_dimensions,
     capacity,
@@ -19,7 +23,9 @@ from gptlab.discrimination import (
     verify_witness,
 )
 from gptlab.lp import LinearProgram, lp_feasible
+from gptlab.geometry import affine_dimension
 from gptlab.models import classical, gbit_ball, quantum, square_gbit
+from gptlab.runner import build_space, load_theory
 from gptlab.symmetry import maximally_mixed, maximally_mixed_decomposition
 from gptlab import quantum as qc
 
@@ -227,6 +233,150 @@ def test_complete_measurement_examples():
     # effects are an orthonormal projector pair
     e = witness.measurement.effects
     assert np.allclose(qc.effect_matrix(e[0], 2) @ qc.effect_matrix(e[1], 2), 0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Orbits of the capacity search
+# ---------------------------------------------------------------------------
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+CORPUS_POLYTOPES = ["square"] + [f"{n}-gon" for n in range(3, 13)] + [
+    "cube", "octahedron", "tesseract"]
+
+
+def _ns_faces() -> list[StateSpace]:
+    """The 16 faces of the no-signalling polytope with 8 vertices, each cut
+    out by two of its 16 positivity facets, vertices in seeded order."""
+    sq = square_gbit()
+    verts = vertices_of(compose(sq, sq, "max").space)
+    facets = np.array([[0.0, 1, 0], [1, -1, 0], [0, 0, 1], [1, 0, -1]])
+    tight = np.abs(verts @ np.array([np.kron(f, g) for f in facets for g in facets]).T) <= 1e-9
+    rng = np.random.default_rng(0)
+    faces = []
+    for a, b in combinations(range(16), 2):
+        face = verts[tight[:, a] & tight[:, b]]
+        if face.shape[0] == 8:
+            faces.append(StateSpace(name=f"ns-face-{a}-{b}",
+                                    rep=PolytopeRep(face[rng.permutation(8)])))
+    assert len(faces) == 16
+    return faces
+
+
+def _cross_polytope(d: int) -> StateSpace:
+    e = np.eye(d)
+    return StateSpace(name=f"{d}-cross",
+                      rep=PolytopeRep(np.column_stack([np.ones(2 * d), np.vstack([e, -e])])))
+
+
+def _identical(a: CapacityResult, b: CapacityResult) -> bool:
+    if (a.n, a.exact, a.lower_bound, a.pairs) != (b.n, b.exact, b.lower_bound, b.pairs):
+        return False
+    return (a.witness.states.tobytes() == b.witness.states.tobytes()
+            and a.witness.measurement.effects.tobytes()
+            == b.witness.measurement.effects.tobytes())
+
+
+def _identity_only(verts, tol):
+    return np.arange(verts.shape[0])[None, :]
+
+
+def _assert_orbits_change_nothing(monkeypatch, space, **kwargs):
+    with_orbits = capacity(space, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(discrimination, "_vertex_permutations", _identity_only)
+        every_lp = capacity(space, **kwargs)
+    assert _identical(with_orbits, every_lp), space.name
+
+
+def _count_pair_lps(monkeypatch) -> list:
+    calls = []
+    solve = discrimination._polytope_distinguishable
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(discrimination, "_polytope_distinguishable", counting_solve)
+    return calls
+
+
+@pytest.mark.parametrize("name", CORPUS_POLYTOPES)
+def test_orbit_memo_matches_an_lp_per_candidate_on_the_corpus(monkeypatch, name):
+    # with the identity as the only symmetry, every candidate gets its own LP
+    _assert_orbits_change_nothing(monkeypatch, build_space(load_theory(str(CORPUS / f"{name}.json"))))
+
+
+def test_orbit_memo_matches_an_lp_per_candidate_on_the_no_signalling_faces(monkeypatch):
+    for face in _ns_faces():
+        _assert_orbits_change_nothing(monkeypatch, face, lp_budget=100_000)
+
+
+@pytest.mark.parametrize("lp_budget", [2, 30, 60])
+def test_orbit_memo_stops_at_the_same_candidate_within_the_lp_budget(monkeypatch, lp_budget):
+    # memo hits count against the budget like LPs, so the bound is unchanged
+    _assert_orbits_change_nothing(monkeypatch, _ns_face(), lp_budget=lp_budget)
+
+
+def test_orbit_memo_with_a_capped_symmetry_search(monkeypatch):
+    # the 5-cross-polytope has 3840 symmetries, more than the search keeps
+    space = _cross_polytope(5)
+    assert len(discrimination._vertex_permutations(vertices_of(space), 1e-9)) == (
+        discrimination.SYMMETRY_ELEMENT_CAP)
+    _assert_orbits_change_nothing(monkeypatch, space)
+
+
+# Integer points on a circle and on a sphere: every subset is in convex position.
+CIRCLE = [p for p in product(range(-5, 6), repeat=2) if p[0] ** 2 + p[1] ** 2 == 25]
+SPHERE = [p for p in product(range(-3, 4), repeat=3) if sum(x * x for x in p) == 9]
+
+
+@seed(20120321)
+@settings(max_examples=25, deadline=None)
+@given(
+    points=st.sampled_from([CIRCLE, SPHERE]).flatmap(
+        lambda pts: st.lists(st.sampled_from(pts), min_size=3, max_size=9, unique=True)),
+    map_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_orbit_memo_on_integer_polytopes_and_their_linear_images(points, map_seed):
+    verts = np.array([[1.0, *p] for p in points])
+    k = verts.shape[1]
+    assume(affine_dimension(verts) == k - 1)
+    a = np.eye(k)
+    a[1:] = np.random.default_rng(map_seed).uniform(-1.0, 1.0, size=(k - 1, k))
+    a[1:, 1:] += 1.5 * np.eye(k - 1)
+    assume(np.linalg.cond(a) < 20)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for v in (verts, verts @ a.T):
+            _assert_orbits_change_nothing(monkeypatch, StateSpace(name="p", rep=PolytopeRep(v)))
+
+
+def test_one_lp_per_orbit_on_the_no_signalling_polytope(monkeypatch):
+    # each 8-vertex face has 128 linear symmetries and 9 orbits of candidates;
+    # the whole polytope has 91 (10, 33, 39 and 9 by level)
+    calls = _count_pair_lps(monkeypatch)
+    for face in _ns_faces():
+        calls.clear()
+        assert capacity(face, lp_budget=100_000).n == 4
+        assert len(calls) == 9
+    calls.clear()
+    sq = square_gbit()
+    assert capacity(compose(sq, sq, "max").space, lp_budget=100_000).n == 4
+    assert len(calls) <= 91
+
+
+def test_linearly_independent_vertices_take_one_lp(monkeypatch):
+    # a facet of classical(8) is a simplex with 7 vertices: the search would
+    # decide all 120 subsets and end with the LP on all of them
+    facet = StateSpace(name="facet", rep=PolytopeRep(vertices_of(classical(8))[1:]))
+    calls = _count_pair_lps(monkeypatch)
+    result = capacity(facet)
+    assert len(calls) == 1
+    assert result.n == 7 and result.pairs == set(combinations(range(7), 2))
+    with monkeypatch.context() as m:
+        m.setattr(discrimination.np.linalg, "matrix_rank", lambda verts: -1)
+        m.setattr(discrimination, "_vertex_permutations", _identity_only)
+        assert _identical(capacity(facet), result)
+    assert len(calls) == 1 + 120
 
 
 def test_capacity_vertex_budget():

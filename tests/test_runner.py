@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from gptlab import discrimination, runner
 from gptlab.composites import compose
@@ -67,9 +69,53 @@ def test_polytope_symmetry_group_generic_polytope_is_trivial():
     verts = np.array([[1.0, 0, 0], [1.0, 1, 0], [1.0, 0.3, 0.9]])
     group = polytope_symmetry_group(verts)
     assert group.order >= 1
-    # an asymmetric triangle admits only the identity
+    # every triangle is a linear image of the regular one: its group is S3
     verts = np.array([[1.0, 0, 0], [1.0, 1.1, 0], [1.0, 0.2, 0.7]])
+    assert polytope_symmetry_group(verts).order == 6
+    # a generic pentagon admits only the identity
+    verts = np.array([[1.0, 0, 0], [1, 1.1, 0], [1, 1.5, 0.8], [1, 0.6, 1.3], [1, -0.3, 0.7]])
     assert polytope_symmetry_group(verts).order == 1
+
+
+# A unit-fixing linear map: (A v)[0] = v[0] for every v.
+UNIT_FIXING_MAP = np.array([[1.0, 0, 0], [0.3, 2, 0.5], [-0.2, 0.1, 0.7]])
+
+
+def test_linear_image_of_the_square_keeps_its_group_and_p3():
+    # postulate (iii) concerns reversible linear maps, so the group and the
+    # statuses must not depend on the coordinates of the vertices
+    verts = np.array([[1.0, 0, 0], [1.0, 1, 0], [1.0, 0, 1], [1.0, 1, 1]]) @ UNIT_FIXING_MAP.T
+    assert polytope_symmetry_group(verts).order == 8
+    td = TheoryDefinition(name="square-image",
+                          space_spec={"family": "polytope", "vertices": verts.tolist()})
+    assert check_postulates(td, seed=0).postulates["P3"]["status"] == PASS
+
+
+def _unit_fixing_map(k: int, rng: np.random.Generator) -> np.ndarray:
+    """A random invertible map on K = k coordinates that fixes coordinate 0."""
+    a = np.eye(k)
+    a[1:, 0] = rng.uniform(-0.5, 0.5, size=k - 1)
+    a[1:, 1:] = rng.uniform(-1.0, 1.0, size=(k - 1, k - 1)) + 1.5 * np.eye(k - 1)
+    return a
+
+
+@seed(20120321)
+@settings(max_examples=12, deadline=None)
+@given(
+    name=st.sampled_from(["4-gon", "5-gon", "6-gon", "cube", "octahedron"]),
+    map_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_statuses_invariant_under_unit_fixing_linear_maps(name, map_seed):
+    theory = load_theory(str(ROOT / "perfbench" / "corpus" / f"{name}.json"))
+    verts = np.asarray(theory.space_spec["vertices"], dtype=float)
+    a = _unit_fixing_map(verts.shape[1], np.random.default_rng(map_seed))
+    assume(np.linalg.cond(a) < 20)
+    image = TheoryDefinition(name=name, space_spec={"family": "polytope",
+                                                    "vertices": (verts @ a.T).tolist()})
+    report = check_postulates(image, seed=0)
+    expected = GOLDEN_REPORTS[f"{name}|min"]
+    assert {k: v["status"] for k, v in report.postulates.items()} == expected["statuses"]
+    assert (report.metrics["N"], report.metrics["K"]) == (expected["N"], expected["K"])
 
 
 def test_user_polytope_theory_with_auto_group():
@@ -178,6 +224,20 @@ def test_max_tensor_construction_error_leaves_only_chsh_unset(monkeypatch, error
     assert report.postulates["P1"] == {"status": PASS}
     assert report.metrics["chsh_max"] is None
     assert report.postulates["P2"]["status"] == FAIL  # the other probes still run
+
+
+def test_metric_out_of_budget_is_unset_and_the_report_completes(monkeypatch):
+    # the metrics run after the postulate probes; running out of budget in
+    # one of them leaves that metric unset instead of aborting the report
+    def exhausted(*args, **kwargs):
+        raise BudgetExceededError("too many vertices")
+
+    expected = check_postulates(SQUARE, seed=0)
+    monkeypatch.setattr(runner, "strict_convexity_check", exhausted)
+    monkeypatch.setattr(runner, "chsh_value", exhausted)
+    report = check_postulates(SQUARE, seed=0)
+    assert report.metrics == {**expected.metrics, "strictly_convex": None, "chsh_max": None}
+    assert report.postulates == expected.postulates
 
 
 def test_p4_prime_finds_a_partner_for_each_pentagon_vertex():
