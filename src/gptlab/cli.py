@@ -119,14 +119,10 @@ def cmd_chsh(args) -> int:
         value = chsh_value(comp, state, a_meas, b_meas)
         print(dump_json({"chsh": value}))
         return EXIT_OK
-    best = -1.0
-    best_vertex = None
-    for vertex in vertices_of(comp.space):
-        value = chsh_value(comp, vertex, a_meas, b_meas)
-        if value > best:
-            best = value
-            best_vertex = vertex
-    print(dump_json({"chsh_max": best, "argmax_vertex": best_vertex.tolist()}))
+    verts = vertices_of(comp.space)
+    values = chsh_value(comp, verts, a_meas, b_meas)
+    best = int(np.argmax(values))  # the first vertex attaining the maximum
+    print(dump_json({"chsh_max": float(values[best]), "argmax_vertex": verts[best].tolist()}))
     return EXIT_OK
 
 

@@ -56,14 +56,23 @@ MAX_TENSOR_STARTS = 8        # alternating minimizations per membership query
 MAX_TENSOR_ITERATIONS = 60   # alternating steps per start
 
 
+def _kron_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kronecker product of the last axes, broadcast over the leading ones."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    outer = x[..., :, None] * y[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (-1,))
+
+
 def product_state(omega_a: np.ndarray, omega_b: np.ndarray) -> np.ndarray:
-    """Independent preparation: the Kronecker product of the coordinate vectors."""
-    return np.kron(np.asarray(omega_a, dtype=float), np.asarray(omega_b, dtype=float))
+    """Independent preparation: the Kronecker product of the coordinate
+    vectors, taken row by row over any leading axes."""
+    return _kron_last(omega_a, omega_b)
 
 
 def product_effect(effect_a: np.ndarray, effect_b: np.ndarray) -> np.ndarray:
-    """Independent local measurement outcome; evaluation factorizes exactly."""
-    return np.kron(np.asarray(effect_a, dtype=float), np.asarray(effect_b, dtype=float))
+    """Independent local measurement outcome; evaluation factorizes exactly.
+    Broadcasts over leading axes like ``product_state``."""
+    return _kron_last(effect_a, effect_b)
 
 
 def _is_finite(space: StateSpace) -> bool:
@@ -101,8 +110,11 @@ class Composite:
         return unit_effect_vector(self.ambient_dim)
 
 
-def _part_cone_rays(space: StateSpace, tol: float) -> np.ndarray:
-    """Extreme rays of the part's effect cone (facets of its state cone)."""
+def _cone_rays(space: StateSpace, tol: float) -> np.ndarray | None:
+    """Extreme rays of a part's effect cone (facets of its state cone); None
+    for ball and quantum parts, whose cones are not polyhedral."""
+    if isinstance(space.rep, (BallRep, QuantumRep)):
+        return None
     return dual_cone_rays(vertices_of(space), tol=tol)
 
 
@@ -122,20 +134,16 @@ def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None) -
     tol = resolve_tol(tol)
     if rule not in (MIN_TENSOR, MAX_TENSOR):
         raise ValueError(f"unknown composition rule {rule!r}")
-    name = f"{rule}({a.name},{b.name})"
-
-    if rule == MIN_TENSOR:
-        if not (_is_finite(a) and _is_finite(b)):
-            return Composite(a, b, rule, space=None)
-        va, vb = vertices_of(a), vertices_of(b)
-        prods = np.array([np.kron(x, y) for x in va for y in vb])
-        return Composite(a, b, rule, space=StateSpace(name=name, rep=PolytopeRep(prods)))
-
     if not (_is_finite(a) and _is_finite(b)):
         return Composite(a, b, rule, space=None)
-    rays_a = _part_cone_rays(a, tol)
-    rays_b = _part_cone_rays(b, tol)
-    rows = np.array([np.kron(f, g) for f in rays_a for g in rays_b])
+    name = f"{rule}({a.name},{b.name})"
+    k = a.ambient_dim * b.ambient_dim
+
+    if rule == MIN_TENSOR:
+        prods = product_state(vertices_of(a)[:, None], vertices_of(b)[None]).reshape(-1, k)
+        return Composite(a, b, rule, space=StateSpace(name=name, rep=PolytopeRep(prods)))
+
+    rows = product_effect(_cone_rays(a, tol)[:, None], _cone_rays(b, tol)[None]).reshape(-1, k)
     if _integral(rows) and rows.shape[1] <= 16:
         fracs = dual_cone_rays_exact(np.round(rows).astype(int))
         rays = np.array([[float(x / r[0]) for x in r] for r in fracs])
@@ -223,28 +231,38 @@ def no_signalling_check(c: Composite, omega: np.ndarray, measurements_b,
     return True
 
 
-def chsh_value(c: Composite, omega: np.ndarray, a_measurements, b_measurements) -> float:
-    """|<A0B0> + <A0B1> + <A1B0> - <A1B1>| with the first effect of each
-    two-outcome measurement valued +1."""
-    omega = _check_dim(c, omega)
-    if len(a_measurements) != 2 or len(b_measurements) != 2:
+def _observables(measurements, k: int, side: str) -> np.ndarray:
+    """Rows e_0 - e_1: the +-1 observable of each two-outcome setting."""
+    if len(measurements) != 2:
         raise ValueError("CHSH needs two settings per side")
-
-    def correlator(ma: Measurement, mb: Measurement) -> float:
-        if ma.n_outcomes != 2 or mb.n_outcomes != 2:
+    for m in measurements:
+        if m.n_outcomes != 2:
             raise ValueError("CHSH settings must be two-outcome measurements")
-        total = 0.0
-        for i, ea in enumerate(ma.effects):
-            for j, eb in enumerate(mb.effects):
-                sign = 1.0 if i == j else -1.0
-                total += sign * float(product_effect(ea, eb) @ omega)
-        return total
+        if m.ambient_dim != k:
+            raise DimensionMismatchError(
+                f"setting of length {m.ambient_dim} does not act on part {side} (K = {k})"
+            )
+    return np.array([m.effects[0] - m.effects[1] for m in measurements])
 
-    c00 = correlator(a_measurements[0], b_measurements[0])
-    c01 = correlator(a_measurements[0], b_measurements[1])
-    c10 = correlator(a_measurements[1], b_measurements[0])
-    c11 = correlator(a_measurements[1], b_measurements[1])
-    return abs(c00 + c01 + c10 - c11)
+
+def chsh_value(c: Composite, omega: np.ndarray, a_measurements, b_measurements):
+    """|<A0B0> + <A0B1> + <A1B0> - <A1B1>| with the first effect of each
+    two-outcome measurement valued +1.
+
+    With Omega the K_A x K_B matrix of ``omega``, <AxBy> = alpha_x^T Omega
+    beta_y.  One state gives a float; a stack of states, one per row, gives
+    an array of values.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if omega.ndim not in (1, 2) or omega.shape[-1] != c.ambient_dim:
+        raise DimensionMismatchError(
+            f"bipartite vector of shape {omega.shape}, expected (..., {c.ambient_dim})"
+        )
+    alpha = _observables(a_measurements, c.k_a, "A")
+    beta = _observables(b_measurements, c.k_b, "B")
+    corr = alpha @ omega.reshape(omega.shape[:-1] + (c.k_a, c.k_b)) @ beta.T
+    value = np.abs(corr[..., 0, 0] + corr[..., 0, 1] + corr[..., 1, 0] - corr[..., 1, 1])
+    return float(value) if omega.ndim == 1 else value
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +278,9 @@ def local_tomography_check(c: Composite, rng: np.random.Generator | None = None,
     if c.space is not None:
         return affine_dimension(vertices_of(c.space), tol) == target
     rng = rng if rng is not None else np.random.default_rng(0)
-    samples = np.array([
-        product_state(sample_state(c.part_a, rng), sample_state(c.part_b, rng))
-        for _ in range(2 * c.ambient_dim + 8)
-    ])
+    draws = [(sample_state(c.part_a, rng), sample_state(c.part_b, rng))
+             for _ in range(2 * c.ambient_dim + 8)]
+    samples = product_state(*map(np.array, zip(*draws)))
     return affine_dimension(samples, tol=max(tol, 1e-7)) == target
 
 
@@ -310,12 +327,11 @@ def capacity_multiplicativity_check(c: Composite, full_search: bool = False,
     tol = resolve_tol(tol)
     wa = complete_measurement(c.part_a, tol=tol)
     wb = complete_measurement(c.part_b, tol=tol)
-    states = np.array([
-        product_state(sa, sb) for sa in wa.states for sb in wb.states
-    ])
-    effects = np.array([
-        product_effect(ea, eb) for ea in wa.measurement.effects for eb in wb.measurement.effects
-    ])
+    k = c.ambient_dim
+    states = product_state(wa.states[:, None], wb.states[None]).reshape(-1, k)
+    effects = product_effect(
+        wa.measurement.effects[:, None], wb.measurement.effects[None]
+    ).reshape(-1, k)
     witness = DistinguishabilityWitness(Measurement(effects), states)
     delta = effects @ states.T
     ok = bool(np.max(np.abs(delta - np.eye(states.shape[0]))) <= 10 * tol)
@@ -355,7 +371,7 @@ def max_tensor_contains(c: Composite, omega: np.ndarray, tol: float | None = Non
         return False
     rng = rng if rng is not None else np.random.default_rng(0)
     M = omega.reshape(c.k_a, c.k_b)
-    rays_a, rays_b = _polytope_cone_rays(c.part_a), _polytope_cone_rays(c.part_b)
+    rays_a, rays_b = _cone_rays(c.part_a, tol), _cone_rays(c.part_b, tol)
 
     def min_effect(space: StateSpace, rays: np.ndarray | None,
                    w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -392,13 +408,6 @@ def max_tensor_contains(c: Composite, omega: np.ndarray, tol: float | None = Non
     return worst >= -tol
 
 
-def _polytope_cone_rays(space: StateSpace) -> np.ndarray | None:
-    """Effect-cone rays of a part with a vertex list; None for ball and quantum parts."""
-    if isinstance(space.rep, (BallRep, QuantumRep)):
-        return None
-    return _part_cone_rays(space, resolve_tol(None))
-
-
 def _random_cone_effect(space: StateSpace, rays: np.ndarray | None,
                         rng: np.random.Generator) -> np.ndarray:
     rep = space.rep
@@ -415,8 +424,6 @@ def sample_composite_state(c: Composite, rng: np.random.Generator) -> np.ndarray
     if c.space is not None:
         return sample_state(c.space, rng)
     weights = rng.dirichlet(np.ones(8))
-    parts = [
-        product_state(sample_pure_state(c.part_a, rng), sample_pure_state(c.part_b, rng))
-        for _ in range(8)
-    ]
-    return weights @ np.array(parts)
+    draws = [(sample_pure_state(c.part_a, rng), sample_pure_state(c.part_b, rng))
+             for _ in range(8)]
+    return weights @ product_state(*map(np.array, zip(*draws)))

@@ -1,11 +1,12 @@
 """State distinguishability, capacity, complete measurements and K = N^r fits.
 
-Distinguishability of n states is a feasibility problem over n effect
-vectors: they must sum to the unit effect, evaluate to the Kronecker delta on
-the given states, and lie in the effect cone.  The cone constraint is the
-vertex-dual description for polytopes, an exact geometric criterion for
-balls, and a cutting-plane loop with eigenvalue separation for quantum
-systems (the engine stays purely LP-based).
+Distinguishability of n states asks for n effect vectors that sum to the
+unit effect, evaluate to the Kronecker delta on the given states, and lie in
+the effect cone.  For polytopes this is an LP over the vertex-dual
+description of the cone.  Balls and quantum systems have exact criteria and
+solve no LP: on a ball, only a pair of antipodal boundary points is
+distinguishable; quantum states are distinguishable iff their supports are
+pairwise orthogonal, and then the support projectors are the witness.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from gptlab.convex import (
     vertices_of,
 )
 from gptlab.geometry import vertex_symmetries
-from gptlab.lp import LinearProgram, lp_feasible, lp_solve
+from gptlab.lp import LinearProgram, lp_feasible
 
 DEFAULT_VERTEX_BUDGET = 64
 DEFAULT_LP_BUDGET = 4000
-CUTTING_PLANE_ROUNDS = 50
 # Orbit keys of the capacity search need only some verified symmetries, so
 # the vertex-symmetry search stops at this many elements or nodes.
 SYMMETRY_ELEMENT_CAP = 512
@@ -73,12 +73,12 @@ def _single_state_witness(space: StateSpace, state: np.ndarray) -> Distinguishab
     return DistinguishabilityWitness(Measurement(unit[None, :]), np.atleast_2d(state))
 
 
-def _delta_equalities(states: np.ndarray, n_var: int) -> tuple[np.ndarray, np.ndarray]:
+def _delta_equalities(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows and right-hand side of sum_i E_i = unit effect and E_i(omega_j) =
-    delta_ij, over an LP whose first n*K of ``n_var`` variables are E_1..E_n."""
+    delta_ij, over the n*K variables E_1..E_n."""
     n, K = states.shape
-    a_eq = np.zeros((K + n * n, n_var))
-    a_eq[:K, : n * K] = np.tile(np.eye(K), (1, n))
+    a_eq = np.zeros((K + n * n, n * K))
+    a_eq[:K] = np.tile(np.eye(K), (1, n))
     for i in range(n):
         a_eq[K + i * n : K + (i + 1) * n, i * K : (i + 1) * K] = states
     return a_eq, np.concatenate([unit_effect_vector(K), np.eye(n).reshape(-1)])
@@ -89,7 +89,7 @@ def _polytope_distinguishable(space: StateSpace, states: np.ndarray,
     verts = vertices_of(space)
     n, K = states.shape
     n_var = n * K
-    a_eq, b_eq = _delta_equalities(states, n_var)
+    a_eq, b_eq = _delta_equalities(states)
     # effect cone via the dual description: E_i(v_k) >= 0 for every vertex
     nv = verts.shape[0]
     a_ub = np.zeros((n * nv, n_var))
@@ -127,75 +127,21 @@ def _ball_distinguishable(space: StateSpace, states: np.ndarray,
     return DistinguishabilityWitness(Measurement(np.vstack([e1, e2])), states)
 
 
-def _quantum_cut_states(space: StateSpace, states: np.ndarray, rng: np.random.Generator
-                        ) -> list[np.ndarray]:
-    n_level = space.rep.n
-    cuts: list[np.ndarray] = []
-    for s in states:
-        rho = quantum.state_matrix(s, n_level)
-        _, vecs = np.linalg.eigh(rho)
-        for k in range(n_level):
-            v = vecs[:, k]
-            cuts.append(quantum.state_coords(np.outer(v, v.conj()), n_level))
-    for k in range(n_level):
-        v = np.zeros(n_level, dtype=complex)
-        v[k] = 1.0
-        cuts.append(quantum.state_coords(np.outer(v, v.conj()), n_level))
-    for _ in range(4 * n_level):
-        cuts.append(quantum.state_coords(quantum.random_pure_density(n_level, rng), n_level))
-    return cuts
-
-
 def _quantum_distinguishable(space: StateSpace, states: np.ndarray,
                              tol: float) -> DistinguishabilityWitness | None:
-    """Outer linear relaxation of the positive-semidefinite effect cone,
-    tightened by eigenvector cuts until the returned effects verify exactly."""
+    """Exact criterion: quantum states are perfectly distinguishable iff their
+    supports are pairwise orthogonal.  The effects are the support projectors
+    of all states but the last (eigenvalues above ``tol``) and the identity
+    minus their sum; they verify exactly when the supports are orthogonal."""
     n_level = space.rep.n
-    n, K = states.shape
-    rng = np.random.default_rng(0)
-    cuts = _quantum_cut_states(space, states, rng)
-
-    n_var = 2 * n * K  # effect coordinates + L1 proxy variables
-    a_eq, b_eq = _delta_equalities(states, n_var)
-    # |z| <= u rows keep LP vertices near the cone instead of at wild corners
-    eye = np.eye(n * K)
-    a_ub_abs = np.vstack([np.hstack([eye, -eye]), np.hstack([-eye, -eye])])
-    b_ub_abs = np.zeros(2 * n * K)
-    objective = np.concatenate([np.zeros(n * K), -np.ones(n * K)])
-
-    for _ in range(CUTTING_PLANE_ROUNDS):
-        rows = []
-        for s in cuts:
-            for i in range(n):
-                row = np.zeros(n_var)
-                row[i * K : (i + 1) * K] = -s
-                rows.append(row)
-        prog = LinearProgram(
-            objective=objective,
-            a_eq=a_eq,
-            b_eq=b_eq,
-            a_ub=np.vstack([a_ub_abs] + [np.array(rows)]),
-            b_ub=np.concatenate([b_ub_abs, np.zeros(len(rows))]),
-        )
-        sol = lp_solve(prog, tol=tol)
-        if not sol.optimal:
-            return None
-        effects = sol.point[: n * K].reshape(n, K)
-        effects[-1] = unit_effect_vector(K) - effects[:-1].sum(axis=0)
-        violations = 0
-        for i in range(n):
-            mat = quantum.effect_matrix(effects[i], n_level)
-            eigvals, eigvecs = np.linalg.eigh(mat)
-            if eigvals[0] < -tol:
-                violations += 1
-                v = eigvecs[:, 0]
-                cuts.append(quantum.state_coords(np.outer(v, v.conj()), n_level))
-        if violations == 0:
-            witness = DistinguishabilityWitness(Measurement(effects), states)
-            if verify_witness(space, witness, tol=tol):
-                return witness
-            return None
-    return None
+    effects = []
+    for s in states[:-1]:
+        eigvals, eigvecs = np.linalg.eigh(quantum.state_matrix(s, n_level))
+        support = eigvecs[:, eigvals > tol]
+        effects.append(quantum.effect_coords(support @ support.conj().T, n_level))
+    effects.append(unit_effect_vector(states.shape[1]) - np.sum(effects, axis=0))
+    witness = DistinguishabilityWitness(Measurement(np.array(effects)), states)
+    return witness if verify_witness(space, witness, tol=tol) else None
 
 
 def distinguishable(space: StateSpace, states, tol: float | None = None

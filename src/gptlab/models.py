@@ -142,12 +142,6 @@ def bloch_map(omega: np.ndarray) -> np.ndarray:
     return _BLOCH_COORD_MAP @ omega
 
 
-def bloch_matrix(omega: np.ndarray) -> np.ndarray:
-    """The 2x2 Hermitian image (w0*I + what.sigma)/2 itself."""
-    omega = np.asarray(omega, dtype=float)
-    return np.einsum("k,kij->ij", omega, _BLOCH_MATS)
-
-
 def bloch2_matrix(x: np.ndarray) -> np.ndarray:
     """Apply the tensor square of the Bloch map to a 16-vector."""
     x = np.asarray(x, dtype=float)

@@ -22,7 +22,6 @@ from gptlab.errors import (
 )
 from gptlab.convex import (
     BallRep,
-    Measurement,
     PolytopeRep,
     QuantumRep,
     SimplexRep,
@@ -32,6 +31,7 @@ from gptlab.convex import (
     effect_range,
     extremal_effects,
     sample_pure_state,
+    two_outcome,
     unit_effect_vector,
     validate_space,
     vertices_of,
@@ -483,20 +483,12 @@ def _canonical_binary_measurements(space: StateSpace):
                 return None  # the fiducial readouts are not effects of this polytope
         return candidates
     if isinstance(rep, BallRep) and rep.d >= 2:
-        k = space.ambient_dim
-        m = []
-        for axis in (1, 2):
-            e = np.zeros(k)
-            e[0] = 0.5
-            e[axis] = 0.5
-            m.append(Measurement(np.vstack([e, unit_effect_vector(k) - e])))
-        return m
+        half = 0.5 * np.eye(space.ambient_dim)
+        return [two_outcome(half[0] + half[axis]) for axis in (1, 2)]
     if isinstance(rep, QuantumRep) and rep.n == 2:
         return [qubit_measurement([0, 0, 1]), qubit_measurement([1, 0, 0])]
     if isinstance(rep, SimplexRep) and rep.n >= 2:
-        e = np.zeros(space.ambient_dim)
-        e[1] = 1.0
-        m = Measurement(np.vstack([e, unit_effect_vector(space.ambient_dim) - e]))
+        m = two_outcome(np.eye(space.ambient_dim)[1])
         return [m, m]
     return None
 
@@ -513,10 +505,7 @@ def _chsh_metric(space: StateSpace, partner: StateSpace, rule: str,
         return None
     if comp.space is None:
         return None
-    best = 0.0
-    for vertex in vertices_of(comp.space):
-        best = max(best, chsh_value(comp, vertex, ma, mb))
-    return best
+    return float(np.max(chsh_value(comp, vertices_of(comp.space), ma, mb)))
 
 
 def _metric(fn, *args):

@@ -1,5 +1,6 @@
 """The benchmark tracer wraps gptlab functions by name; they must still exist.
-Tiny benchmark runs must still reproduce the golden answers."""
+Tiny benchmark runs must still reproduce the golden answers, and every seed-0
+corpus report its golden digest."""
 
 import importlib
 import importlib.util
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from gptlab.runner import check_postulates, report_render
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -65,3 +68,22 @@ def test_tiny_check_corpus_run_matches_golden_report_digests():
     result = _tiny_run("check_corpus")
     assert result["correct"]
     assert result["failed"] == 0
+
+
+def test_every_seed0_corpus_report_matches_its_golden_digest(monkeypatch):
+    # the refactor gate: every check of the check_corpus workload renders the
+    # report bytes recorded in golden.json (statuses, N and K where no digest
+    # is recorded)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    expected = golden["check_corpus"]["theories"]
+    seed = workloads.GOLDEN_SEED
+    mismatched = []
+    for name, rule in workloads.CORPUS_OPS:
+        key = f"{name}|{rule}"
+        text = report_render(check_postulates(workloads.corpus_theory(name), rule=rule, seed=seed))
+        if not workloads._report_matches(text, expected[key], seed):
+            mismatched.append(key)
+    assert mismatched == []
+    assert sum("digest" in expected[f"{n}|{r}"] for n, r in workloads.CORPUS_OPS) == 41

@@ -4,13 +4,18 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import gptlab.composites
-from gptlab.errors import ZeroProbabilityConditioningError
+from gptlab.errors import DimensionMismatchError, ZeroProbabilityConditioningError
 from gptlab.convex import (
+    BallRep,
+    QuantumRep,
     contains_state,
     extremal_effects,
     sample_state,
+    two_outcome,
     vertices_of,
 )
 from gptlab.composites import (
@@ -33,6 +38,7 @@ from gptlab.models import (
     classical,
     gbit_ball,
     pr_box_state,
+    qubit_measurement,
     quantum,
     square_gbit,
     square_measurements,
@@ -269,6 +275,101 @@ def test_chsh_bell_tsirelson():
     assert value == pytest.approx(oracle, abs=1e-12)
     assert value == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
 
+
+
+
+def _chsh_oracle(omega, a_measurements, b_measurements) -> float:
+    """Per-term CHSH: one Kronecker product effect per pair of outcomes."""
+
+    def correlator(ma, mb) -> float:
+        total = 0.0
+        for i, ea in enumerate(ma.effects):
+            for j, eb in enumerate(mb.effects):
+                sign = 1.0 if i == j else -1.0
+                total += sign * float(np.kron(ea, eb) @ omega)
+        return total
+
+    (a0, a1), (b0, b1) = a_measurements, b_measurements
+    return abs(correlator(a0, b0) + correlator(a0, b1) + correlator(a1, b0) - correlator(a1, b1))
+
+
+def _random_settings(space, rng):
+    """Two random two-outcome measurements whose first effect is an effect of ``space``."""
+    if isinstance(space.rep, QuantumRep):
+        return tuple(qubit_measurement(rng.normal(size=3)) for _ in range(2))
+    if isinstance(space.rep, BallRep):
+        directions = rng.normal(size=(2, space.rep.d))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        return tuple(two_outcome(np.concatenate([[0.5], 0.5 * n])) for n in directions)
+    effects = extremal_effects(space)
+    return tuple(two_outcome(rng.dirichlet(np.ones(len(effects))) @ effects) for _ in range(2))
+
+
+def _chsh_cases():
+    sq, ball, q2 = square_gbit(), gbit_ball(3), quantum(2)
+    return [compose(sq, sq, "max"), compose(sq, ball, "min"), compose(q2, q2, "min")]
+
+
+@seed(20240607)
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_chsh_stacked_call_matches_rows_and_per_term_oracle(draw):
+    rng = np.random.default_rng(draw)
+    for comp in _chsh_cases():
+        a_settings = _random_settings(comp.part_a, rng)
+        b_settings = _random_settings(comp.part_b, rng)
+        if comp.space is not None:
+            verts = vertices_of(comp.space)
+            stack = rng.dirichlet(np.ones(len(verts)), size=5) @ verts
+        elif isinstance(comp.part_a.rep, QuantumRep):
+            stack = np.array([qc.composite_state_coords(qc.random_density(4, rng), 2, 2)
+                              for _ in range(5)])
+        else:
+            stack = np.array([sample_composite_state(comp, rng) for _ in range(5)])
+        values = chsh_value(comp, stack, a_settings, b_settings)
+        assert values.shape == (5,)
+        for omega, value in zip(stack, values):
+            row = chsh_value(comp, omega, a_settings, b_settings)
+            assert isinstance(row, float)
+            assert abs(row - value) <= 1e-12
+            assert abs(value - _chsh_oracle(omega, a_settings, b_settings)) <= 1e-12
+
+
+def test_chsh_stack_reaches_pr_box_and_tsirelson(square_pair):
+    mx, my = square_measurements()
+    values = chsh_value(square_pair, vertices_of(square_pair.space), (mx, my), (mx, my))
+    assert values.max() == pytest.approx(4.0, abs=1e-12)
+    assert chsh_value(square_pair, pr_box_state()[None], (mx, my), (mx, my))[0] == 4.0
+    q2 = quantum(2)
+    comp = compose(q2, q2, "min")
+    a_settings, b_settings = tsirelson_settings()
+    product = product_state(np.eye(4)[0], np.eye(4)[0])
+    values = chsh_value(comp, np.vstack([product, bell_state()]), a_settings, b_settings)
+    assert values[1] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
+    assert values[0] <= 2.0 + 1e-12
+
+
+def test_product_maps_broadcast_over_leading_axes(rng):
+    a, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 2))
+    stacked = product_state(a[:, None], b[None])
+    assert stacked.shape == (4, 5, 6)
+    for i, j in product(range(4), range(5)):
+        assert np.array_equal(stacked[i, j], np.kron(a[i], b[j]))
+        assert np.array_equal(product_effect(a[i], b[j]), np.kron(a[i], b[j]))
+
+def test_chsh_rejects_settings_given_for_the_wrong_side():
+    # K_A * K_B = 12 either way round, so only the setting lengths tell the
+    # sides apart: the square's readouts act on A, the ball's on B
+    sq, ball = square_gbit(), gbit_ball(3)
+    comp = compose(sq, ball, "min")
+    square_settings = square_measurements()
+    ball_settings = tuple(two_outcome(0.5 * np.eye(4)[0] + 0.5 * np.eye(4)[k]) for k in (1, 2))
+    omega = product_state(np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0, 0.0]))
+    assert chsh_value(comp, omega, square_settings, ball_settings) == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(DimensionMismatchError):
+        chsh_value(comp, omega, ball_settings, square_settings)
+    with pytest.raises(DimensionMismatchError):
+        chsh_value(comp, omega, square_settings, square_settings)
 
 def test_local_tomography_sampled_for_quantum_min_tensor(rng):
     q2 = quantum(2)

@@ -1,5 +1,6 @@
 """Distinguishability, capacity, and the K = N^r structure."""
 
+import sys
 from itertools import combinations, product
 from pathlib import Path
 
@@ -103,6 +104,77 @@ def test_quantum_nonorthogonal_not_distinguishable():
     plus = qc.state_coords(np.full((2, 2), 0.5, dtype=complex), 2)
     assert distinguishable(space, [zero, plus]) is None
 
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Every lp_solve / lp_feasible call made through any gptlab module."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {}  # one wrapper per original function, shared by every binding
+    for name, module in list(sys.modules.items()):
+        if name == "gptlab" or name.startswith("gptlab."):
+            for fname in ("lp_solve", "lp_feasible"):
+                fn = getattr(module, fname, None)
+                if callable(fn):
+                    monkeypatch.setattr(module, fname, wrappers.setdefault(fn, counting(fn)))
+    return calls
+
+
+def _block_states(n_level: int, n_states: int, rng: np.random.Generator):
+    """States mixed within disjoint blocks of columns of a random unitary."""
+    u = qc.random_unitary(n_level, rng)
+    cuts = np.sort(rng.choice(np.arange(1, n_level), size=n_states - 1, replace=False))
+    blocks = np.split(rng.permutation(n_level), cuts)
+    states = []
+    for block in blocks:
+        weights = rng.dirichlet(np.ones(len(block)))
+        cols = u[:, block]
+        states.append(qc.state_coords((cols * weights) @ cols.conj().T, n_level))
+    return np.array(states), u, blocks
+
+
+@pytest.mark.parametrize("n_level", [2, 3, 4])
+def test_quantum_states_on_orthogonal_supports_are_distinguishable(n_level, lp_calls):
+    rng = np.random.default_rng(100 + n_level)
+    space = quantum(n_level)
+    for n_states in range(2, n_level + 1):
+        states, _, _ = _block_states(n_level, n_states, rng)
+        witness = distinguishable(space, states)
+        assert witness is not None and witness.n == n_states
+        assert verify_witness(space, witness)
+    assert lp_calls == []
+
+
+@pytest.mark.parametrize("n_level", [2, 3, 4])
+def test_quantum_states_with_overlapping_supports_are_not_distinguishable(n_level, lp_calls):
+    rng = np.random.default_rng(200 + n_level)
+    space = quantum(n_level)
+    eps = 1e-3
+    for n_states in range(2, n_level + 1):
+        states, u, blocks = _block_states(n_level, n_states, rng)
+        for i in range(n_states):
+            # leak eps of a column of another block into state i
+            other = blocks[(i + 1) % n_states][0]
+            leak = qc.state_coords(np.outer(u[:, other], u[:, other].conj()), n_level)
+            leaky = states.copy()
+            leaky[i] = (1 - eps) * states[i] + eps * leak
+            assert distinguishable(space, leaky) is None
+        # the maximally mixed state overlaps every support
+        mixed = maximally_mixed(space)
+        assert distinguishable(space, np.vstack([states[:-1], mixed])) is None
+        assert distinguishable(space, np.vstack([mixed, states[1:]])) is None
+    # more states than levels
+    basis = np.array([qc.state_coords(np.outer(c, c.conj()), n_level) for c in np.eye(n_level)])
+    extra = qc.state_coords(qc.random_pure_density(n_level, rng), n_level)
+    assert distinguishable(space, np.vstack([basis, extra])) is None
+    assert lp_calls == []
 
 def test_state_outside_space_rejected():
     space = gbit_ball(3)

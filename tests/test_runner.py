@@ -204,6 +204,25 @@ def test_check_postulates_builds_the_composite_once(monkeypatch):
     assert report.metrics["chsh_max"] is None
 
 
+
+@pytest.mark.parametrize(
+    "theory, rule",
+    [(TheoryDefinition("classical(8)", {"family": "classical", "N": 8}), "min"), (SQUARE, "max")],
+    ids=["classical(8)|min", "square|max"],
+)
+def test_chsh_metric_evaluates_all_vertices_in_one_call(monkeypatch, theory, rule):
+    calls = []
+    chsh = runner.chsh_value
+
+    def counting_chsh(*args):
+        calls.append(args)
+        return chsh(*args)
+
+    monkeypatch.setattr(runner, "chsh_value", counting_chsh)
+    report = check_postulates(theory, rule=rule, seed=0)
+    assert len(calls) == 1
+    assert report.metrics["chsh_max"] is not None
+
 def test_check_postulates_rejects_unknown_rule():
     with pytest.raises(ValueError):
         check_postulates(SQUARE, rule="maximal", seed=0)
@@ -487,6 +506,24 @@ def test_cli_compose_and_chsh(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["chsh_max"] == pytest.approx(4.0, abs=1e-9)
 
+
+
+def test_cli_chsh_rejects_settings_for_the_wrong_side(tmp_path, capsys):
+    # classical(4) (x) square has K_A * K_B = 12 = K_B * K_A: settings given
+    # for the wrong side must be refused, not evaluated
+    bit4 = _write(tmp_path, "c4.json", {"name": "c4", "space": {"family": "classical", "N": 4}})
+    square = _write(tmp_path, "square.json", {"name": "square", "space": {"family": "square"}})
+    out_file = str(tmp_path / "composite.json")
+    assert cli_main(["compose", bit4, square, "--rule", "min", "--out", out_file]) == 0
+    bit_meas = [[0.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]]
+    x_meas = [[0.0, 1.0, 0.0], [1.0, -1.0, 0.0]]
+    y_meas = [[0.0, 0.0, 1.0], [1.0, 0.0, -1.0]]
+    right = _write(tmp_path, "right.json", {"A": [bit_meas, bit_meas], "B": [x_meas, y_meas]})
+    swapped = _write(tmp_path, "swapped.json", {"A": [x_meas, y_meas], "B": [bit_meas, bit_meas]})
+    assert cli_main(["chsh", out_file, "--settings", right]) == 0
+    assert json.loads(capsys.readouterr().out)["chsh_max"] == pytest.approx(2.0, abs=1e-12)
+    assert cli_main(["chsh", out_file, "--settings", swapped]) == 2
+    assert "error" in capsys.readouterr().err
 
 def test_finite_group_override_for_family_space():
     td = TheoryDefinition(
