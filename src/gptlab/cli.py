@@ -13,7 +13,14 @@ import numpy as np
 from gptlab import config
 from gptlab.errors import BudgetExceededError, GptError, ValidationError
 from gptlab.composites import Composite, chsh_value, compose
-from gptlab.convex import Measurement, PolytopeRep, StateSpace, validate_space, vertices_of
+from gptlab.convex import (
+    Measurement,
+    PolytopeRep,
+    StateSpace,
+    contains_state,
+    validate_space,
+    vertices_of,
+)
 from gptlab.discrimination import capacity
 from gptlab.runner import (
     PostulateReport,
@@ -116,6 +123,8 @@ def cmd_chsh(args) -> int:
     a_meas, b_meas = _parse_settings(load_json(args.settings))
     if args.state:
         state = np.asarray(load_json(args.state)["state"], dtype=float)
+        if not contains_state(comp.space, state):
+            raise ValidationError("state is not in the composite state space")
         value = chsh_value(comp, state, a_meas, b_meas)
         print(dump_json({"chsh": value}))
         return EXIT_OK

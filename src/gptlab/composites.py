@@ -27,6 +27,7 @@ from gptlab.convex import (
     QuantumRep,
     SimplexRep,
     StateSpace,
+    affine_dim_of,
     contains_state,
     sample_pure_state,
     sample_state,
@@ -269,19 +270,14 @@ def chsh_value(c: Composite, omega: np.ndarray, a_measurements, b_measurements):
 # Structural checks
 # ---------------------------------------------------------------------------
 
-def local_tomography_check(c: Composite, rng: np.random.Generator | None = None,
-                           tol: float | None = None) -> bool:
+def local_tomography_check(c: Composite, tol: float | None = None) -> bool:
     """Product effects separate states iff the composite spans K_A*K_B - 1
     affine dimensions."""
     tol = resolve_tol(tol)
-    target = c.ambient_dim - 1
     if c.space is not None:
-        return affine_dimension(vertices_of(c.space), tol) == target
-    rng = rng if rng is not None else np.random.default_rng(0)
-    draws = [(sample_state(c.part_a, rng), sample_state(c.part_b, rng))
-             for _ in range(2 * c.ambient_dim + 8)]
-    samples = product_state(*map(np.array, zip(*draws)))
-    return affine_dimension(samples, tol=max(tol, 1e-7)) == target
+        return affine_dimension(vertices_of(c.space), tol) == c.ambient_dim - 1
+    # the product states span span(S_A) ⊗ span(S_B)
+    return all(affine_dim_of(part) == part.ambient_dim - 1 for part in (c.part_a, c.part_b))
 
 
 def maximally_mixed_composite(c: Composite, tol: float | None = None) -> np.ndarray:

@@ -28,7 +28,6 @@ from gptlab.convex import (
     StateSpace,
     cone_contains,
     contains_effect,
-    effect_range,
     extremal_effects,
     sample_pure_state,
     two_outcome,
@@ -313,9 +312,9 @@ def _status(status: str, witness=None, reason: str | None = None) -> dict:
     return entry
 
 
-def _check_p1(separable: Composite, rng: np.random.Generator, tol: float) -> dict:
+def _check_p1(separable: Composite, tol: float) -> dict:
     # P1 tests only the span of the joint states, and min ⊆ max have the same span
-    if local_tomography_check(separable, rng=rng, tol=tol):
+    if local_tomography_check(separable, tol=tol):
         return _status(PASS)
     return _status(FAIL, witness={"expected_dim": separable.ambient_dim - 1})
 
@@ -328,12 +327,10 @@ def _smaller_reference(space: StateSpace, n: int) -> StateSpace | None:
     return None
 
 
-def _face_size(space: StateSpace, face) -> int | None:
-    """Number of extreme points of a face, when finite."""
+def _face_size(face) -> int | None:
+    """Number of extreme points of a ball or quantum face, when finite."""
     if face.kind == "point":
         return 1
-    if face.kind == "vertices":
-        return int(face.vertices.shape[0])
     if face.kind == "quantum":
         return 1 if face.quantum_rank == 1 else None
     return None
@@ -351,22 +348,20 @@ def _check_p2(space: StateSpace, cap: CapacityResult, rng: np.random.Generator,
         # Every two-outcome measurement attaining {0, 1} is complete, so each
         # exposed face must contain a single state.
         if isinstance(space.rep, (PolytopeRep, SimplexRep)):
-            for f in extremal_effects(space, tol=tol):
-                lo, hi = effect_range(space, f)
-                if lo > tol or hi < 1.0 - tol:
-                    continue
-                face = face_extract(space, f, tol=tol)
-                size = _face_size(space, face)
-                if size is not None and size > 1:
-                    return _status(
-                        FAIL,
-                        witness={
-                            "effect": f.tolist(),
-                            "face_extreme_points": int(size),
-                            "required": 1,
-                        },
-                        reason="a complete-measurement face has more than one state",
-                    )
+            effects = extremal_effects(space, tol=tol)
+            values = vertices_of(space) @ effects.T  # one column per effect
+            sizes = np.sum(values >= 1.0 - tol, axis=0)
+            bad = np.nonzero((values.min(axis=0) <= tol) & (sizes > 1))[0]
+            if bad.size:
+                return _status(
+                    FAIL,
+                    witness={
+                        "effect": effects[bad[0]].tolist(),
+                        "face_extreme_points": int(sizes[bad[0]]),
+                        "required": 1,
+                    },
+                    reason="a complete-measurement face has more than one state",
+                )
             return _status(PROBES_PASS)
         # ball / quantum(2): strict convexity plus sampled exposing effects
         if not strict_convexity_check(space, tol=tol):
@@ -379,7 +374,7 @@ def _check_p2(space: StateSpace, cap: CapacityResult, rng: np.random.Generator,
                 rho = qc.state_matrix(pure, space.rep.n)
                 f = qc.effect_coords(rho, space.rep.n)
             face = face_extract(space, f, tol=tol)
-            if _face_size(space, face) != 1:
+            if _face_size(face) != 1:
                 return _status(FAIL, witness={"effect": f.tolist()})
         return _status(PROBES_PASS)
 
@@ -542,7 +537,7 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
         except BudgetExceededError as exc:
             postulates[key] = _status(INDETERMINATE, reason=f"budget exhausted: {exc}")
 
-    run("P1", _check_p1, separable, rng, tol)
+    run("P1", _check_p1, separable, tol)
     run("P2", _check_p2, space, cap, rng, tol)
     run("P3", _check_p3, space, rng, tol)
     run("P3C", _check_p3c, space, rng, tol)

@@ -36,7 +36,7 @@ from gptlab.convex import (
     vertices_of,
 )
 from gptlab.discrimination import capacity, distinguishable_unchecked
-from gptlab.geometry import affine_dimension, dual_cone_rays
+from gptlab.geometry import affine_dimension
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +214,13 @@ class TransitivityResult:
 
 def _vertex_orbits(space: StateSpace, matrices: list[np.ndarray], tol: float):
     verts = vertices_of(space)
-    nv = verts.shape[0]
-
-    def vertex_index(x: np.ndarray) -> int:
-        dists = np.max(np.abs(verts - x), axis=1)
-        j = int(np.argmin(dists))
-        if dists[j] > 100 * tol:
+    # table[m][i]: index of the image of vertex i under matrices[m]
+    table = []
+    for mat in matrices:
+        dists = np.max(np.abs((verts @ mat.T)[:, None] - verts[None]), axis=2)
+        if np.any(np.min(dists, axis=1) > 100 * tol):
             raise ValidationError("group element maps a vertex off the vertex set")
-        return j
+        table.append(np.argmin(dists, axis=1).tolist())
 
     # BFS from vertex 0, recording a transporter matrix per reached vertex
     transporter: dict[int, np.ndarray] = {0: np.eye(space.ambient_dim)}
@@ -229,13 +228,13 @@ def _vertex_orbits(space: StateSpace, matrices: list[np.ndarray], tol: float):
     while frontier:
         nxt = []
         for i in frontier:
-            for mat in matrices:
-                j = vertex_index(mat @ verts[i])
+            for mat, images in zip(matrices, table):
+                j = images[i]
                 if j not in transporter:
                     transporter[j] = mat @ transporter[i]
                     nxt.append(j)
         frontier = nxt
-    return transporter, nv
+    return transporter, verts.shape[0]
 
 
 def _group_matrices(group: GroupDescriptor) -> list[np.ndarray]:
@@ -416,21 +415,15 @@ def strict_convexity_check(space: StateSpace, tol: float | None = None) -> Stric
         witness = tuple(quantum.state_coords(m, rep.n) for m in (a, b, diag))
         return StrictConvexityResult(False, witness=witness)
     verts = vertices_of(space)
-    dim = affine_dimension(verts, tol)
-    if dim <= 1:
+    if affine_dimension(verts, tol) <= 1:
         return StrictConvexityResult(True)
-    # affine dimension >= 2: some exposing hyperplane contains two vertices.
-    # A face's vertices need not span the space, so enumerate in their span.
-    basis = np.linalg.svd(verts, full_matrices=False)[2][: dim + 1]
-    rays = dual_cone_rays(verts @ basis.T, tol=tol) @ basis
-    for f in rays:
-        values = verts @ f
-        flat = np.nonzero(np.abs(values) <= tol)[0]
-        if flat.size >= 2:
-            i, j = int(flat[0]), int(flat[1])
-            mid = 0.5 * (verts[i] + verts[j])
-            return StrictConvexityResult(False, witness=(verts[i], verts[j], mid))
-    return StrictConvexityResult(True)
+    # The two lexicographically largest vertices rank first and second under
+    # the functional (0, 1, eps, eps^2, ...) for small eps > 0.  The second is
+    # not optimal, so it has an improving neighbour, which can only be the
+    # first: the two span an edge, a proper face when the dimension is >= 2.
+    first, second = np.lexsort(verts[:, :0:-1].T)[:-3:-1]
+    a, b = verts[first], verts[second]
+    return StrictConvexityResult(False, witness=(a, b, 0.5 * (a + b)))
 
 
 # ---------------------------------------------------------------------------

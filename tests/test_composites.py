@@ -11,7 +11,9 @@ import gptlab.composites
 from gptlab.errors import DimensionMismatchError, ZeroProbabilityConditioningError
 from gptlab.convex import (
     BallRep,
+    PolytopeRep,
     QuantumRep,
+    StateSpace,
     contains_state,
     extremal_effects,
     sample_state,
@@ -19,6 +21,7 @@ from gptlab.convex import (
     vertices_of,
 )
 from gptlab.composites import (
+    Composite,
     capacity_multiplicativity_check,
     chsh_value,
     compose,
@@ -371,12 +374,54 @@ def test_chsh_rejects_settings_given_for_the_wrong_side():
     with pytest.raises(DimensionMismatchError):
         chsh_value(comp, omega, square_settings, square_settings)
 
-def test_local_tomography_sampled_for_quantum_min_tensor(rng):
+def test_local_tomography_sampled_for_quantum_min_tensor():
     q2 = quantum(2)
     comp = compose(q2, q2, "min")
     assert comp.space is None
     assert comp.ambient_dim == 16
-    assert local_tomography_check(comp, rng=rng)
+    assert local_tomography_check(comp)
+
+
+def _sampled_local_tomography(c: Composite, rng: np.random.Generator, tol: float = 1e-9) -> bool:
+    """Oracle: the affine span of sampled product states, which
+    local_tomography_check computed for composites without a vertex list
+    before it read the parts' own spans."""
+    draws = [(sample_state(c.part_a, rng), sample_state(c.part_b, rng))
+             for _ in range(2 * c.ambient_dim + 8)]
+    samples = product_state(*map(np.array, zip(*draws)))
+    return affine_dimension(samples, tol=max(tol, 1e-7)) == c.ambient_dim - 1
+
+
+@pytest.mark.parametrize("pair", [
+    (quantum(2), quantum(2)),
+    (gbit_ball(3), square_gbit()),
+    (gbit_ball(2), gbit_ball(3)),
+    (classical(3), quantum(2)),
+], ids=lambda p: f"{p[0].name}-{p[1].name}")
+def test_local_tomography_from_the_parts_spans_matches_sampling(pair, rng):
+    comp = compose(*pair, "min")
+    assert comp.space is None
+    assert _sampled_local_tomography(comp, rng)
+    assert local_tomography_check(comp)
+
+
+def test_local_tomography_fails_when_a_part_does_not_span_its_space(rng):
+    # an unvalidated triangle in K = 4: its states span a plane, not the space
+    flat = StateSpace(name="flat", rep=PolytopeRep(np.array([
+        [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]])))
+    comp = Composite(gbit_ball(2), flat, "min", None)
+    assert not _sampled_local_tomography(comp, rng)
+    assert not local_tomography_check(comp)
+
+
+def test_local_tomography_draws_no_states(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("local tomography sampled a state")
+
+    monkeypatch.setattr(gptlab.composites, "sample_state", no_sampling)
+    q2 = quantum(2)
+    assert local_tomography_check(compose(q2, q2, "min"))
+    assert local_tomography_check(compose(gbit_ball(3), square_gbit(), "min"))
 
 
 def test_maximally_mixed_composite_multiplicative(rng):

@@ -555,6 +555,17 @@ def test_cli_chsh_single_state(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["chsh"] == pytest.approx(4.0, abs=1e-12)
 
+    # vectors outside the composite are refused: 3 x the PR box (CHSH 12) is
+    # not normalized, and 2 PR - e_0 (CHSH 6) is normalized but leaves the
+    # state set, above the no-signalling maximum of 4
+    unit = np.eye(9)[0]
+    for vector in (3.0 * pr_box_state(), 2.0 * pr_box_state() - unit):
+        outside = _write(tmp_path, "outside.json", {"state": vector.tolist()})
+        assert cli_main(["chsh", out_file, "--settings", settings, "--state", outside]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
+
 
 def test_cli_compose_to_stdout(tmp_path, capsys):
     bit = {"name": "bit", "space": {"family": "classical", "N": 2}}

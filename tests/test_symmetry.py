@@ -1,11 +1,27 @@
 """Groups, transitivity, invariant states, strict convexity, faces, probes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
-from gptlab.errors import NoFaceError
-from gptlab.convex import PolytopeRep, StateSpace, contains_state, vertices_of
+from gptlab import geometry, symmetry
+from gptlab.composites import compose
+from gptlab.errors import NoFaceError, ValidationError
+from gptlab.convex import (
+    PolytopeRep,
+    SimplexRep,
+    StateSpace,
+    cone_contains,
+    contains_state,
+    validate_space,
+    vertices_of,
+)
+from gptlab.geometry import brute_force_dual_cone_rays, dual_cone_rays
 from gptlab.models import classical, gbit_ball, quantum, square_gbit
+from gptlab.runner import build_space, load_theory
 from gptlab.symmetry import (
     FiniteMatrixGroup,
     apply,
@@ -98,6 +114,30 @@ def test_transitivity_fails_with_trivial_group(rng):
     assert result.stranded is not None
 
 
+def test_transitivity_by_the_quarter_turn_alone():
+    # (x, y) -> (1 - y, x) cycles the square's vertices 0 -> 1 -> 3 -> 2
+    square = square_gbit()
+    quarter = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    space = StateSpace(name="square-c4", rep=square.rep, group=FiniteMatrixGroup(quarter[None]))
+    result = transitivity_check(space)
+    assert result.transitive
+    verts = vertices_of(space)
+    assert len(result.witnesses) == 4
+    for j, (source, target, mat) in enumerate(result.witnesses):
+        assert np.array_equal(source, verts[0]) and np.array_equal(target, verts[j])
+        assert np.allclose(mat @ verts[0], verts[j], atol=1e-12)
+
+
+def test_transitivity_rejects_an_element_that_leaves_the_vertex_set_anywhere():
+    # the matrix fixes vertex 0, so the orbit of vertex 0 is {0}, but it
+    # stretches vertex 1 = (1, 1, 0) to (1, 2, 0), which is no vertex
+    square = square_gbit()
+    stretch = np.diag([1.0, 2.0, 1.0])
+    space = StateSpace(name="square-bad", rep=square.rep, group=FiniteMatrixGroup(stretch[None]))
+    with pytest.raises(ValidationError):
+        transitivity_check(space)
+
+
 def test_continuity_examples(rng):
     assert continuity_check(gbit_ball(3), rng)
     assert not continuity_check(classical(3), rng)
@@ -174,6 +214,83 @@ def test_strict_convexity_of_a_face_that_does_not_span_the_space():
     corners = {tuple(v) for v in face.vertices}
     assert tuple(a) in corners and tuple(b) in corners and tuple(a) != tuple(b)
     assert np.allclose(mid, 0.5 * (a + b), atol=1e-12)
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+
+
+def _assert_edge_witness(verts: np.ndarray, facets: np.ndarray, tol: float) -> None:
+    """The witness endpoints are two vertices, and the only vertices on every
+    facet through both of them are those two: they span an edge."""
+    result = strict_convexity_check(StateSpace(name="p", rep=PolytopeRep(verts)))
+    assert not result.strictly_convex
+    a, b, mid = result.witness
+    ends = [int(np.nonzero(np.all(verts == x, axis=1))[0][0]) for x in (a, b)]
+    assert ends[0] != ends[1]
+    assert np.array_equal(mid, 0.5 * (a + b))
+    tight = np.abs(verts @ facets.T) <= tol * np.max(np.abs(facets), axis=1)
+    through_both = tight[ends[0]] & tight[ends[1]]
+    assert set(np.nonzero(np.all(tight[:, through_both], axis=1))[0]) == set(ends)
+
+
+def _corpus_polytopes():
+    spaces = []
+    for path in sorted(CORPUS.glob("*.json")):
+        space = build_space(load_theory(str(path)))
+        if isinstance(space.rep, (PolytopeRep, SimplexRep)) and space.ambient_dim >= 3:
+            spaces.append(space)
+    square = square_gbit()
+    pentagon = build_space(load_theory(str(CORPUS / "5-gon.json")))
+    composites = [compose(square, square, "min"), compose(square, square, "max"),
+                  compose(pentagon, pentagon, "min")]
+    return spaces + [c.space for c in composites]
+
+
+@pytest.mark.parametrize("space", _corpus_polytopes(), ids=lambda s: s.name)
+def test_strict_convexity_witness_is_an_edge_of_every_corpus_polytope(space):
+    verts = vertices_of(space)
+    _assert_edge_witness(verts, dual_cone_rays(verts), 1e-9)
+
+
+@seed(20120321)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=5).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(min_value=-4, max_value=4), min_size=k - 1, max_size=k - 1),
+            min_size=k,
+            max_size=9,
+        )
+    )
+)
+def test_strict_convexity_witness_is_an_edge_of_random_polytopes(coords):
+    # half-integer coordinates tie often, which the lexicographic order must break
+    points = np.unique([[2.0, *c] for c in coords], axis=0) / 2.0
+    assume(points.shape[0] >= points.shape[1])
+    keep = [i for i in range(points.shape[0])
+            if not cone_contains(np.delete(points, i, axis=0), points[i], 1e-9)]
+    verts = points[keep]
+    try:
+        validate_space(StateSpace(name="p", rep=PolytopeRep(verts)))
+    except ValidationError:
+        assume(False)
+    _assert_edge_witness(verts, brute_force_dual_cone_rays(verts), 1e-7)
+
+
+def test_strict_convexity_runs_no_facet_enumeration(monkeypatch):
+    pentagon = build_space(load_theory(str(CORPUS / "5-gon.json")))
+    space = compose(pentagon, pentagon, "max").space
+    calls = []
+
+    def counting(generators, tol=None):
+        calls.append(generators)
+        return np.zeros((0, generators.shape[1]))
+
+    monkeypatch.setattr(geometry, "dual_cone_rays", counting)
+    monkeypatch.setattr(symmetry, "dual_cone_rays", counting, raising=False)
+    assert vertices_of(space).shape == (135, 9)
+    assert not strict_convexity_check(space).strictly_convex
+    assert calls == []
 
 
 def test_face_extract_ball_exposed_point():
