@@ -129,8 +129,9 @@ def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None) -
     Min tensor: convex hull of all products of part vertices (separable
     states).  Max tensor: every normalized vector that is nonnegative on all
     product effects; vertices enumerated by double description from the
-    product-effect inequalities, with exact rational arithmetic on small
-    integral cases.
+    product-effect inequalities.  Integral cases up to K = 16 run the exact
+    path on primitive integer rays; dividing by the first (normalization)
+    entry with ``int / int`` rounds each coordinate correctly.
     """
     tol = resolve_tol(tol)
     if rule not in (MIN_TENSOR, MAX_TENSOR):
@@ -146,8 +147,8 @@ def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None) -
 
     rows = product_effect(_cone_rays(a, tol)[:, None], _cone_rays(b, tol)[None]).reshape(-1, k)
     if _integral(rows) and rows.shape[1] <= 16:
-        fracs = dual_cone_rays_exact(np.round(rows).astype(int))
-        rays = np.array([[float(x / r[0]) for x in r] for r in fracs])
+        ints = dual_cone_rays_exact(np.round(rows).astype(int))
+        rays = np.array([[x / r[0] for x in r] for r in ints])
     else:
         raw = dual_cone_rays(rows, tol=tol)
         if np.any(raw[:, 0] <= tol):

@@ -233,8 +233,11 @@ def contains_state(space: StateSpace, v: np.ndarray, tol: float | None = None) -
 
 
 def cone_contains(rows: np.ndarray, target: np.ndarray, tol: float) -> bool:
-    """Is ``target`` a nonnegative combination of ``rows``?  One feasibility LP."""
+    """Is ``target`` a nonnegative combination of ``rows``?  One feasibility LP;
+    with no rows, whether ``target`` is zero within ``tol``."""
     n = rows.shape[0]
+    if n == 0:
+        return bool(np.all(np.abs(target) <= tol))
     prog = LinearProgram(
         objective=np.zeros(n),
         a_eq=rows.T,
@@ -337,7 +340,7 @@ def validate_space(space: StateSpace, tol: float | None = None) -> None:
             raise ValidationError(f"{space.name}: vertex with normalization coordinate != 1")
         for i in range(verts.shape[0]):
             others = np.delete(verts, i, axis=0)
-            if others.shape[0] and cone_contains(others, verts[i], tol):
+            if cone_contains(others, verts[i], tol):
                 raise ValidationError(
                     f"{space.name}: vertex {i} is a convex combination of the others"
                 )

@@ -264,11 +264,12 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     so one LP decides each orbit of candidates under the vertex symmetries
     that ``geometry.vertex_symmetries`` finds; the space's own ``group`` is
     not trusted.  Linearly independent vertices span a simplex, and then only
-    the LP on all of them runs.  Every candidate counts against ``lp_budget``,
-    decided by LP or not; running out yields an indeterminate result carrying
-    the best lower bound.  ``pairs`` holds the distinguishable vertex-index
-    pairs ``(i, j)``, ``i < j``; it is None for balls and quantum systems,
-    and when the budget ran out among the pairs.
+    the LP on all of them runs.  Only the LPs solved count against
+    ``lp_budget``, not the candidates the orbit memo decides; running out
+    yields an indeterminate result carrying the best lower bound.  ``pairs``
+    holds the distinguishable vertex-index pairs ``(i, j)``, ``i < j``; it is
+    None for balls and quantum systems, and when the budget ran out among the
+    pairs.
     """
     tol = resolve_tol(tol)
     rep = space.rep
@@ -301,7 +302,7 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     best_n = 1
     pairs = None  # decided by the size-2 level
     level = {frozenset([i]) for i in range(nv)}
-    spent = 0  # candidates decided, by LP or by the orbit memo
+    spent = 0  # LPs solved
     size = 2
     while level:
         candidates = set()
@@ -317,14 +318,14 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
         witness = None
         decided: dict[bytes, bool] = {}  # orbit key -> distinguishable
         for cand in ordered:
-            if spent >= lp_budget:
-                return CapacityResult(None, best_witness, exact=False,
-                                      lower_bound=best_n, pairs=pairs)
-            spent += 1
             # orbit key: the lexicographically least sorted image of cand
             images = np.sort(perms[:, cand], axis=1)
             key = images[np.lexsort(images.T[::-1])[0]].tobytes()
             if key not in decided:
+                if spent >= lp_budget:
+                    return CapacityResult(None, best_witness, exact=False,
+                                          lower_bound=best_n, pairs=pairs)
+                spent += 1
                 w = distinguishable_unchecked(space, verts[cand], tol)
                 decided[key] = w is not None
                 witness = witness or w

@@ -6,10 +6,14 @@ give composite-state vertices when ``G`` holds product-effect functionals.
 
 One incremental double-description loop (Fukuda & Prodon, 1996) does the
 enumeration for two number types: float arrays compared against a tolerance
-(``dual_cone_rays``) and numpy object arrays of ``fractions.Fraction``
-compared exactly (``dual_cone_rays_exact``), so that small integral fixtures
-are bit-exact.  The two entry points differ only in set-up (choice of the
-starting rows and inverse of that block) and in the final deduplication.
+(``dual_cone_rays``) and numpy object arrays of Python ints compared exactly
+(``dual_cone_rays_exact``), so that small integral fixtures are bit-exact.
+The exact path is fraction-free from input to output: rational rows are
+scaled to integers, the starting rows are picked and inverted by Bareiss
+elimination (adjugate instead of inverse), and rays are kept primitive,
+divided by the gcd of their entries where the float path scales them to unit
+max-abs.  The two entry points differ only in that set-up and in the final
+deduplication.
 
 Before the combinatorial adjacency test, the loop drops every pair of rays
 with fewer than K - 2 common tight rows: such rays cannot be adjacent in a
@@ -27,7 +31,8 @@ the capacity search its orbits of vertex subsets.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import combinations
 
@@ -97,38 +102,77 @@ def _independent_rows(G: np.ndarray, tol: float) -> list[int]:
     return chosen
 
 
-def _exact_independent_rows(G: np.ndarray) -> list[int]:
-    """Greedy pick of linearly independent rows via exact elimination."""
+def _integer_rows(generators) -> list[list[int]]:
+    """Rational generator rows, each scaled to a primitive integer row.
+
+    A positive scale leaves the cone ``{x : G x >= 0}`` unchanged.  Entries
+    are read as the nearest fraction with denominator at most 10**12.
+    """
+    rows = []
+    for row in np.atleast_2d(generators).tolist():
+        fracs = [Fraction(x).limit_denominator(10**12) for x in row]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (scale // f.denominator) for f in fracs]
+        divisor = math.gcd(*ints) or 1
+        rows.append([x // divisor for x in ints])
+    return rows
+
+
+def _bareiss_independent_rows(G: list[list[int]]) -> list[int]:
+    """Greedy pick of linearly independent integer rows by fraction-free
+    (Bareiss) elimination.
+
+    Each row is reduced against the rows already chosen, in order; after the
+    j-th step its entries are minors of order j + 1 of ``G``, so the division
+    by the previous pivot is exact and every entry stays an integer.
+    """
+    K = len(G[0])
     chosen: list[int] = []
-    work: list[np.ndarray] = []
-    pivots: list[int] = []
+    echelon: list[tuple[list[int], int]] = []  # (reduced row, pivot column)
     for i, row in enumerate(G):
-        r = row
-        for w, pc in zip(work, pivots):
-            if r[pc] != 0:
-                r = r - (r[pc] / w[pc]) * w
-        pivot_col = next((c for c, v in enumerate(r) if v != 0), None)
+        prev = 1
+        for w, c in echelon:
+            row = [(w[c] * x - row[c] * y) // prev for x, y in zip(row, w)]
+            prev = w[c]
+        pivot_col = next((c for c, x in enumerate(row) if x), None)
         if pivot_col is not None:
-            work.append(r)
-            pivots.append(pivot_col)
+            echelon.append((row, pivot_col))
             chosen.append(i)
-            if len(chosen) == G.shape[1]:
+            if len(chosen) == K:
                 break
     return chosen
 
 
-def _exact_inverse(A: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inverse of a square object array of ``Fraction``."""
-    K = A.shape[0]
-    M = np.hstack([A, np.array([[Fraction(int(i == j)) for j in range(K)] for i in range(K)])])
-    for col in range(K):
-        pivot = next(r for r in range(col, K) if M[r, col] != 0)
-        M[[col, pivot]] = M[[pivot, col]]
-        M[col] = M[col] / M[col, col]
-        for r in range(K):
-            if r != col and M[r, col] != 0:
-                M[r] = M[r] - M[r, col] * M[col]
-    return M[:, K:]
+def _bareiss_start_rays(B: np.ndarray) -> np.ndarray:
+    """Columns spanning the simplicial cone ``{x : B x >= 0}`` of a
+    nonsingular integer block: the adjugate of ``B`` times the sign of its
+    determinant, that is |det B| times the inverse.
+
+    Fraction-free Gauss-Jordan elimination on ``[B | I]`` ends with
+    ``[d I | d B^-1]``, d = ±det B, every division exact.
+    """
+    K = B.shape[0]
+    M = [list(row) + [int(i == j) for j in range(K)] for i, row in enumerate(B.tolist())]
+    prev = 1
+    for k in range(K):
+        pivot = next(r for r in range(k, K) if M[r][k])
+        M[k], M[pivot] = M[pivot], M[k]
+        p = M[k][k]
+        for i in range(K):
+            if i != k:
+                f = M[i][k]
+                M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], M[k])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return np.array([[sign * x for x in row[K:]] for row in M], dtype=object)
+
+
+def _unit_max_abs(ray: np.ndarray) -> np.ndarray:
+    return ray / np.max(np.abs(ray))
+
+
+def _primitive(ray: np.ndarray) -> np.ndarray:
+    return ray // math.gcd(*ray)
 
 
 def _adjacent(mask_p: int, mask_n: int, masks: list[int], p: int, n: int) -> bool:
@@ -139,20 +183,24 @@ def _adjacent(mask_p: int, mask_n: int, masks: list[int], p: int, n: int) -> boo
     return True
 
 
-def _double_description(G: np.ndarray, inverse: np.ndarray, tol: float) -> list[np.ndarray]:
+def _double_description(G: np.ndarray, start: np.ndarray, tol: float,
+                        normalize: Callable[[np.ndarray], np.ndarray]) -> list[np.ndarray]:
     """Incremental double description of the cone ``{x : G x >= 0}``.
 
-    The first K rows of ``G`` are independent and ``inverse`` is the inverse
-    of that block; its columns are the rays of the starting simplicial cone,
-    and each later row cuts the cone once.  A ray's mask holds the rows it
-    makes tight.  Two rays of a pointed cone in K dimensions can only be
-    adjacent when at least K - 2 rows are tight at both, so pairs with fewer
-    common tight rows are dropped before the combinatorial test.  The same
-    loop runs on float arrays with a tolerance and on object arrays of
-    ``Fraction`` with ``tol = 0``.
+    The first K rows of ``G`` are independent and the columns of ``start``,
+    a positive multiple of the inverse of that block, are the rays of the
+    starting simplicial cone; each later row cuts the cone once.  A ray's
+    mask holds the rows it makes tight.  Two rays of a pointed cone in K
+    dimensions can only be adjacent when at least K - 2 rows are tight at
+    both, so pairs with fewer common tight rows are dropped before the
+    combinatorial test.  The same loop runs on float arrays with a
+    tolerance, rays scaled to unit max-abs, and on object arrays of Python
+    ints with ``tol = 0``, rays divided by the gcd of their entries: a
+    combination of two integer rays is an integer ray, so no entry is ever
+    a fraction.  ``normalize`` puts a ray in that form.
     """
     K = G.shape[1]
-    rays = [r / np.max(np.abs(r)) for r in inverse.T]
+    rays = [normalize(r) for r in start.T]
     full = (1 << K) - 1
     masks = [full & ~(1 << j) for j in range(K)]
 
@@ -173,9 +221,7 @@ def _double_description(G: np.ndarray, inverse: np.ndarray, tol: float) -> list[
                 if ((masks[p] & masks[n]).bit_count() < K - 2
                         or not _adjacent(masks[p], masks[n], masks, p, n)):
                     continue
-                ray = values[p] * rays[n] - values[n] * rays[p]
-                ray /= np.max(np.abs(ray))
-                new_rays.append(ray)
+                new_rays.append(normalize(values[p] * rays[n] - values[n] * rays[p]))
                 new_masks.append((masks[p] & masks[n]) | (1 << t))
         rays = [rays[i] for i in pos] + [rays[i] for i in zero] + new_rays
         masks = (
@@ -206,26 +252,29 @@ def dual_cone_rays(generators: np.ndarray, tol: float | None = None) -> np.ndarr
         raise ValidationError("generators do not span the space; dual cone is not pointed")
     G = G[chosen + [i for i in range(G.shape[0]) if i not in chosen]]
 
-    rays = _double_description(G, np.linalg.inv(G[:K]), tol)
+    rays = _double_description(G, np.linalg.inv(G[:K]), tol, _unit_max_abs)
     if not rays:
         return np.zeros((0, K))
     return canonicalize_vertices(np.array(rays), tol=tol)
 
 
-def dual_cone_rays_exact(generators) -> list[tuple[Fraction, ...]]:
-    """Exact-rational double description for integral/rational generators."""
-    G = np.array(
-        [[Fraction(x).limit_denominator(10**12) for x in row]
-         for row in np.atleast_2d(generators).tolist()],
-        dtype=object,
-    )
-    K = G.shape[1]
-    chosen = _exact_independent_rows(G)
+def dual_cone_rays_exact(generators) -> list[tuple[int, ...]]:
+    """Exact double description for integral or rational generators.
+
+    Every step runs on Python ints, which do not overflow: rows scaled to
+    integers, independent rows picked by Bareiss elimination, the starting
+    cone from the signed adjugate of that block.  Returns the extreme rays
+    as primitive integer tuples (entries with gcd 1), sorted.
+    """
+    G = _integer_rows(generators)
+    K = len(G[0])
+    chosen = _bareiss_independent_rows(G)
     if len(chosen) < K:
         raise ValidationError("generators do not span the space; dual cone is not pointed")
-    G = G[chosen + [i for i in range(G.shape[0]) if i not in chosen]]
+    G = np.array([G[i] for i in chosen + [i for i in range(len(G)) if i not in chosen]],
+                 dtype=object)
 
-    rays = _double_description(G, _exact_inverse(G[:K]), 0)
+    rays = _double_description(G, _bareiss_start_rays(G[:K]), 0, _primitive)
     return sorted({tuple(r) for r in rays})
 
 

@@ -1,5 +1,6 @@
 """Tensor composition, marginals, conditioning, no-signalling and CHSH."""
 
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -84,6 +85,37 @@ def test_max_tensor_square_square(square_pair):
     # 16 deterministic vertices (binary entries) + 8 PR-type vertices
     binary = sum(1 for v in verts if np.all(np.isin(np.round(v, 9), (0.0, 1.0))))
     assert binary == 16
+
+
+def _polytope(name: str, vertices) -> StateSpace:
+    return StateSpace(name=name, rep=PolytopeRep(np.array(vertices, dtype=float)))
+
+
+CUBE = _polytope("cube", [[1, *signs] for signs in product((-1, 1), repeat=3)])
+OCTAHEDRON = _polytope("octahedron",
+                       np.column_stack([np.ones(6), np.vstack([np.eye(3), -np.eye(3)])]))
+
+
+@pytest.mark.parametrize(
+    "part_a, part_b, count, digest",
+    [
+        (square_gbit(), square_gbit(), 24,
+         "c4c8abc052af702a55a8b7aec29a226a158335a3db8bc8edd0d3b80fd68550ba"),
+        (square_gbit(), CUBE, 128,
+         "1a02045f330ae89308f663fb58e0af600270f0d57a8b835ba267e1fead1c8a14"),
+        (classical(3), square_gbit(), 12,
+         "3abcc976bb25bcafd8d59b0c760a9da67d33879a06267626d3a66b3e9272e610"),
+        (square_gbit(), OCTAHEDRON, 48,
+         "cac159359afc6b3fa6f22ea64ffdd123515aa4def79146baec449d38e9dd5d7f"),
+    ],
+    ids=["square-square", "square-cube", "classical3-square", "square-octahedron"],
+)
+def test_exact_max_tensor_vertex_bytes_are_pinned(part_a, part_b, count, digest):
+    # digests recorded from the Fraction-based exact path; int / int rounds
+    # each coordinate correctly, as float(Fraction) does, so the bytes stay
+    verts = vertices_of(compose(part_a, part_b, "max").space)
+    assert verts.shape[0] == count
+    assert hashlib.sha256(np.ascontiguousarray(verts).tobytes()).hexdigest() == digest
 
 
 def test_min_tensor_classical_bit_with_three_level():

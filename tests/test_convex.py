@@ -15,6 +15,7 @@ from gptlab.convex import (
     Measurement,
     PolytopeRep,
     StateSpace,
+    cone_contains,
     contains_effect,
     contains_state,
     evaluate,
@@ -129,6 +130,13 @@ def test_contains_state_polytope_rejects_unnormalized_cone_points():
     assert not contains_state(square, np.array([2.0, 0.0, 0.0]))
     assert not contains_state(square, np.array([0.5, 0.25, 0.25]))
     assert contains_state(square, np.array([1.0, 0.25, 0.25]))
+
+
+def test_cone_of_no_rows_holds_only_zero():
+    no_rows = np.zeros((0, 3))
+    assert not cone_contains(no_rows, np.array([1.0, 0.0, 0.0]), 1e-9)
+    assert cone_contains(no_rows, np.zeros(3), 1e-9)
+    assert cone_contains(no_rows, np.array([1e-12, 0.0, -1e-12]), 1e-9)
 
 
 def test_contains_effect_examples():

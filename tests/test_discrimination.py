@@ -384,9 +384,21 @@ def test_orbit_memo_matches_an_lp_per_candidate_on_the_no_signalling_faces(monke
 
 
 @pytest.mark.parametrize("lp_budget", [2, 30, 60])
-def test_orbit_memo_stops_at_the_same_candidate_within_the_lp_budget(monkeypatch, lp_budget):
-    # memo hits count against the budget like LPs, so the bound is unchanged
-    _assert_orbits_change_nothing(monkeypatch, _ns_face(), lp_budget=lp_budget)
+def test_lp_budget_counts_only_the_lps_solved(monkeypatch, lp_budget):
+    # candidates the orbit memo decides are free, so the orbit search gets at
+    # least as far as one LP per candidate on the same budget
+    face = _ns_face()
+    calls = _count_pair_lps(monkeypatch)
+    with_orbits = capacity(face, lp_budget=lp_budget)
+    assert len(calls) == lp_budget if with_orbits.indeterminate else len(calls) <= lp_budget
+    with monkeypatch.context() as m:
+        m.setattr(discrimination, "_vertex_permutations", _identity_only)
+        calls.clear()
+        every_lp = capacity(face, lp_budget=lp_budget)
+    assert len(calls) == lp_budget and every_lp.indeterminate
+    assert with_orbits.lower_bound >= every_lp.lower_bound
+    if with_orbits.exact:
+        assert _identical(with_orbits, capacity(face, lp_budget=100_000))
 
 
 def test_orbit_memo_with_a_capped_symmetry_search(monkeypatch):
@@ -436,6 +448,23 @@ def test_one_lp_per_orbit_on_the_no_signalling_polytope(monkeypatch):
     assert len(calls) <= 91
 
 
+def _hypercube(d: int) -> StateSpace:
+    corners = np.array(list(product((-1.0, 1.0), repeat=d)))
+    return StateSpace(name=f"{d}-cube",
+                      rep=PolytopeRep(np.column_stack([np.ones(2**d), corners])))
+
+
+def test_default_lp_budget_counts_lps_not_candidates(monkeypatch):
+    # 91 LPs decide the no-signalling polytope's 5760 candidates and 204 the
+    # 5-cube's, both far below the default budget of 4000 LPs
+    sq = square_gbit()
+    calls = _count_pair_lps(monkeypatch)
+    for space, n, lps in [(compose(sq, sq, "max").space, 4, 91), (_hypercube(5), 2, 204)]:
+        calls.clear()
+        result = capacity(space)
+        assert (result.n, result.exact, len(calls)) == (n, True, lps)
+
+
 def test_linearly_independent_vertices_take_one_lp(monkeypatch):
     # a facet of classical(8) is a simplex with 7 vertices: the search would
     # decide all 120 subsets and end with the LP on all of them
@@ -458,7 +487,8 @@ def test_capacity_vertex_budget():
 
 
 def test_capacity_lp_budget_gives_lower_bound():
-    result = capacity(square_gbit(), lp_budget=2)
+    # the square's 6 pairs fall into 2 orbits (edges, diagonals): 2 LPs
+    result = capacity(square_gbit(), lp_budget=1)
     assert result.indeterminate
     assert result.lower_bound >= 1
     assert result.pairs is None  # the budget ran out among the 6 pairs

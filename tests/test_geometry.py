@@ -1,5 +1,6 @@
 """Double description against brute-force oracles."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -158,6 +159,8 @@ def test_random_cone_rays_match_bruteforce(rng):
 def test_not_pointed_raises():
     with pytest.raises(ValidationError):
         dual_cone_rays(np.array([[1.0, 0.0]]))  # rank 1 in R^2
+    with pytest.raises(ValidationError):
+        dual_cone_rays_exact(np.array([[2, 1, 0], [4, 2, 0], [0, 0, 1]]))  # rank 2 in R^3
 
 
 def test_no_signalling_polytope_vertex_count_and_oracle():
@@ -181,12 +184,47 @@ def test_exact_enumeration_is_bit_exact():
     rows = np.array([np.kron(f, g) for f in square_rays for g in square_rays]).astype(int)
     rays = dual_cone_rays_exact(rows)
     assert len(rays) == 24
-    normalized = {tuple(x / r[0] for x in r) for r in rays}
+    normalized = {tuple(Fraction(x, r[0]) for x in r) for r in rays}
     values = {v for ray in normalized for v in ray}
     assert values == {Fraction(0), Fraction(1, 2), Fraction(1)}
     # 16 deterministic vertices (0/1 entries) and 8 with half-entries
     deterministic = [r for r in normalized if Fraction(1, 2) not in r]
     assert len(deterministic) == 16
+
+
+BIG = 3**45  # beyond int64
+
+
+@pytest.mark.parametrize(
+    "generators, expected",
+    [
+        # a square of side 1/3, from floats and from Fractions
+        ([[1.0, 0.0, 0.0], [1.0, 1 / 3, 0.0], [1.0, 0.0, 1 / 3], [1.0, 1 / 3, 1 / 3]],
+         [(0, 0, 1), (0, 1, 0), (1, -3, 0), (1, 0, -3)]),
+        (np.array([[1, 0, 0], [1, Fraction(2, 7), 0], [1, 0, Fraction(1, 5)],
+                   [1, Fraction(2, 7), Fraction(1, 5)]], dtype=object),
+         [(0, 0, 1), (0, 1, 0), (2, -7, 0), (1, 0, -5)]),
+        # a square of side 3**45: Python ints do not overflow
+        (np.array([[1, 0, 0], [1, BIG, 0], [1, 0, BIG], [1, BIG, BIG]], dtype=object),
+         [(0, 0, 1), (0, 1, 0), (BIG, -1, 0), (BIG, 0, -1)]),
+    ],
+    ids=["floats", "fractions", "large"],
+)
+def test_exact_rays_are_primitive_int_tuples(generators, expected):
+    rays = dual_cone_rays_exact(generators)
+    assert rays == sorted(expected)
+    assert all(type(x) is int for r in rays for x in r)
+
+
+def test_exact_rays_of_a_max_tensor_are_primitive_int_tuples():
+    square_rays = dual_cone_rays(SQUARE_VERTICES)
+    cube_rays = dual_cone_rays(CUBE_VERTICES)
+    rows = np.array([np.kron(f, g) for f in square_rays for g in cube_rays]).astype(int)
+    rays = dual_cone_rays_exact(rows)
+    assert len(rays) == 128 and rays == sorted(set(rays))
+    for r in rays:
+        assert all(type(x) is int for x in r) and math.gcd(*r) == 1
+        assert min(int(v) for v in rows.astype(object) @ np.array(r, dtype=object)) >= 0
 
 
 @pytest.mark.parametrize(
