@@ -28,7 +28,6 @@ from gptlab.convex import (
     SimplexRep,
     StateSpace,
     affine_dim_of,
-    contains_state,
     sample_pure_state,
     sample_state,
     unit_effect_vector,
@@ -119,6 +118,12 @@ def _cone_rays(space: StateSpace, tol: float) -> np.ndarray | None:
     return dual_cone_rays(vertices_of(space), tol=tol)
 
 
+def _part_cone_rays(a: StateSpace, b: StateSpace, tol: float):
+    """``_cone_rays`` of both parts, enumerated once when they are one space."""
+    rays_a = _cone_rays(a, tol)
+    return rays_a, rays_a if b is a else _cone_rays(b, tol)
+
+
 def _integral(arr: np.ndarray) -> bool:
     return bool(np.max(np.abs(arr - np.round(arr))) < 1e-12)
 
@@ -145,7 +150,8 @@ def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None) -
         prods = product_state(vertices_of(a)[:, None], vertices_of(b)[None]).reshape(-1, k)
         return Composite(a, b, rule, space=StateSpace(name=name, rep=PolytopeRep(prods)))
 
-    rows = product_effect(_cone_rays(a, tol)[:, None], _cone_rays(b, tol)[None]).reshape(-1, k)
+    rays_a, rays_b = _part_cone_rays(a, b, tol)
+    rows = product_effect(rays_a[:, None], rays_b[None]).reshape(-1, k)
     if _integral(rows) and rows.shape[1] <= 16:
         ints = dual_cone_rays_exact(np.round(rows).astype(int))
         rays = np.array([[x / r[0] for x in r] for r in ints])
@@ -354,49 +360,34 @@ def capacity_multiplicativity_check(c: Composite, full_search: bool = False,
 
 def max_tensor_contains(c: Composite, omega: np.ndarray, tol: float | None = None,
                         rng: np.random.Generator | None = None) -> bool:
-    """Membership query for max-tensor composites without a vertex list.
+    """Membership of ``omega`` in the max tensor of the parts of ``c``.
 
-    Minimizes product-effect values by alternating exact one-sided
-    minimizations from several starts; a semi-decision (sound for rejection,
-    heuristic for acceptance).
+    Exact when a part has a vertex list: for each extreme ray f of that
+    part's effect cone, the other part's least normalized extreme effect on
+    the contraction f·Omega (Omega the K_A x K_B matrix of ``omega``) must be
+    nonnegative.  Ball and quantum pairs minimize product-effect values by
+    alternating exact one-sided minimizations from several starts: sound for
+    rejection, heuristic for acceptance.
     """
     tol = resolve_tol(tol)
     omega = _check_dim(c, omega)
-    if c.space is not None:
-        return contains_state(c.space, omega, tol=tol)
     if abs(omega[0] - 1.0) > tol:
         return False
-    rng = rng if rng is not None else np.random.default_rng(0)
     M = omega.reshape(c.k_a, c.k_b)
-    rays_a, rays_b = _cone_rays(c.part_a, tol), _cone_rays(c.part_b, tol)
+    rays_a, rays_b = _part_cone_rays(c.part_a, c.part_b, tol)
+    if rays_a is not None:
+        return all(_min_effect(c.part_b, rays_b, f @ M)[0] >= -tol for f in rays_a)
+    if rays_b is not None:
+        return all(_min_effect(c.part_a, rays_a, M @ g)[0] >= -tol for g in rays_b)
 
-    def min_effect(space: StateSpace, rays: np.ndarray | None,
-                   w: np.ndarray) -> tuple[float, np.ndarray]:
-        """Minimize f·w over the normalized extreme effects of the cone."""
-        rep = space.rep
-        if isinstance(rep, BallRep):
-            what = w[1:]
-            norm = np.linalg.norm(what)
-            direction = -what / norm if norm > 0 else np.zeros(rep.d)
-            f = np.concatenate([[1.0], direction])
-            return float(f @ w), f
-        if isinstance(rep, QuantumRep):
-            mat = quantum.state_matrix(w, rep.n)
-            eigvals, eigvecs = np.linalg.eigh(mat)
-            v = eigvecs[:, 0]
-            f = quantum.effect_coords(np.outer(v, v.conj()), rep.n)
-            return float(f @ w), f
-        values = rays @ w
-        k = int(np.argmin(values))
-        return float(values[k]), rays[k]
-
+    rng = rng if rng is not None else np.random.default_rng(0)
     worst = np.inf
     for _ in range(MAX_TENSOR_STARTS):
-        g = _random_cone_effect(c.part_b, rays_b, rng)
+        g = _random_cone_effect(c.part_b, rng)
         value = np.inf
         for _ in range(MAX_TENSOR_ITERATIONS):
-            _, f = min_effect(c.part_a, rays_a, M @ g)
-            new_value, g = min_effect(c.part_b, rays_b, f @ M)
+            _, f = _min_effect(c.part_a, rays_a, M @ g)
+            new_value, g = _min_effect(c.part_b, rays_b, f @ M)
             if abs(new_value - value) < 1e-13:
                 value = new_value
                 break
@@ -405,15 +396,33 @@ def max_tensor_contains(c: Composite, omega: np.ndarray, tol: float | None = Non
     return worst >= -tol
 
 
-def _random_cone_effect(space: StateSpace, rays: np.ndarray | None,
-                        rng: np.random.Generator) -> np.ndarray:
+def _min_effect(space: StateSpace, rays: np.ndarray | None,
+                w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimize f·w over the normalized extreme effects of the cone."""
+    rep = space.rep
+    if isinstance(rep, BallRep):
+        what = w[1:]
+        norm = np.linalg.norm(what)
+        direction = -what / norm if norm > 0 else np.zeros(rep.d)
+        f = np.concatenate([[1.0], direction])
+        return float(f @ w), f
+    if isinstance(rep, QuantumRep):
+        mat = quantum.state_matrix(w, rep.n)
+        eigvals, eigvecs = np.linalg.eigh(mat)
+        v = eigvecs[:, 0]
+        f = quantum.effect_coords(np.outer(v, v.conj()), rep.n)
+        return float(f @ w), f
+    values = rays @ w
+    k = int(np.argmin(values))
+    return float(values[k]), rays[k]
+
+
+def _random_cone_effect(space: StateSpace, rng: np.random.Generator) -> np.ndarray:
     rep = space.rep
     if isinstance(rep, BallRep):
         n = rng.normal(size=rep.d)
         return np.concatenate([[1.0], n / np.linalg.norm(n)])
-    if isinstance(rep, QuantumRep):
-        return quantum.effect_coords(quantum.random_pure_density(rep.n, rng), rep.n)
-    return rays[rng.integers(rays.shape[0])]
+    return quantum.effect_coords(quantum.random_pure_density(rep.n, rng), rep.n)
 
 
 def sample_composite_state(c: Composite, rng: np.random.Generator) -> np.ndarray:

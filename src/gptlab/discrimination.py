@@ -123,7 +123,7 @@ def _ball_distinguishable(space: StateSpace, states: np.ndarray,
         return None
     direction = a / np.linalg.norm(a)
     e1 = np.concatenate([[0.5], 0.5 * direction])
-    e2 = np.concatenate([[0.5], -0.5 * direction])
+    e2 = unit_effect_vector(space.ambient_dim) - e1
     return DistinguishabilityWitness(Measurement(np.vstack([e1, e2])), states)
 
 
@@ -205,20 +205,11 @@ def _simplex_capacity(space: StateSpace) -> CapacityResult:
     return CapacityResult(n, witness, exact=True, lower_bound=n, pairs=pairs)
 
 
-def _ball_capacity(space: StateSpace) -> CapacityResult:
-    d = space.rep.d
-    north = np.zeros(d + 1)
-    north[0] = 1.0
-    north[1] = 1.0
-    south = north.copy()
-    south[1] = -1.0
-    e1 = np.zeros(d + 1)
-    e1[0] = 0.5
-    e1[1] = 0.5
-    e2 = e1.copy()
-    e2[1] = -0.5
-    witness = DistinguishabilityWitness(Measurement(np.vstack([e1, e2])), np.vstack([north, south]))
-    return CapacityResult(2, witness, exact=True, lower_bound=2)
+def _ball_capacity(space: StateSpace, tol: float) -> CapacityResult:
+    poles = np.zeros((2, space.ambient_dim))
+    poles[:, 0] = 1.0
+    poles[:, 1] = [1.0, -1.0]
+    return CapacityResult(2, _ball_distinguishable(space, poles, tol), exact=True, lower_bound=2)
 
 
 def _quantum_capacity(space: StateSpace) -> CapacityResult:
@@ -276,7 +267,7 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     if isinstance(rep, SimplexRep):
         return _simplex_capacity(space)
     if isinstance(rep, BallRep):
-        return _ball_capacity(space)
+        return _ball_capacity(space, tol)
     if isinstance(rep, QuantumRep):
         return _quantum_capacity(space)
 

@@ -299,6 +299,20 @@ def extremal_effect_vectors(vertices: np.ndarray, tol: float | None = None) -> n
     return canonicalize_vertices(effects, tol=tol)
 
 
+def vertex_permutation(vertices: np.ndarray, matrix: np.ndarray, tol: float
+                       ) -> np.ndarray | None:
+    """The permutation ``p`` such that ``matrix`` sends each vertex i to within
+    ``100 * tol`` of vertex p[i] in every coordinate, when the nearest
+    vertices so found are distinct; otherwise None."""
+    error = np.abs((vertices @ matrix.T)[:, None, :] - vertices[None]).max(axis=2)
+    perm = error.argmin(axis=1)
+    nv = vertices.shape[0]
+    if (error[np.arange(nv), perm].max() <= 100 * tol
+            and np.bincount(perm, minlength=nv).max() == 1):
+        return perm
+    return None
+
+
 def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int
                       ) -> Iterator[np.ndarray]:
     """Vertex permutations induced by invertible linear maps, as a generator.
@@ -310,10 +324,9 @@ def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int
     on its rounded entries (Bremner, Dutour Sikirić, Pasechnik, Rehn &
     Schürmann, LMS J. Comput. Math. 17, 2014).  The images of the basis fix
     the linear map, which sends every other vertex to its nearest vertex.
-    The permutation ``p`` so found is yielded only if that map, in the
-    original coordinates, sends each vertex i to within ``100 * tol`` of
-    vertex p[i] in every coordinate.  BudgetExceededError is raised once the
-    search passes ``node_budget`` nodes.
+    The permutation ``p`` so found is yielded only if ``vertex_permutation``
+    accepts that map in the original coordinates.  BudgetExceededError is
+    raised once the search passes ``node_budget`` nodes.
     """
     tol = resolve_tol(tol)
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -355,11 +368,8 @@ def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int
                 images.append(j)
                 pending.append(fits(images))
                 continue
-            mapped = verts @ (verts[images + [j]].T @ basis_pinv).T
-            error = np.abs(mapped[:, None, :] - verts[None]).max(axis=2)
-            perm = error.argmin(axis=1)
-            if (error[np.arange(nv), perm].max() <= 100 * tol
-                    and np.bincount(perm, minlength=nv).max() == 1):
+            perm = vertex_permutation(verts, verts[images + [j]].T @ basis_pinv, tol)
+            if perm is not None:
                 yield perm
 
     return search()

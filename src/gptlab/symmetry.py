@@ -36,7 +36,7 @@ from gptlab.convex import (
     vertices_of,
 )
 from gptlab.discrimination import capacity, distinguishable_unchecked
-from gptlab.geometry import affine_dimension
+from gptlab.geometry import affine_dimension, vertex_permutation
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +217,10 @@ def _vertex_orbits(space: StateSpace, matrices: list[np.ndarray], tol: float):
     # table[m][i]: index of the image of vertex i under matrices[m]
     table = []
     for mat in matrices:
-        dists = np.max(np.abs((verts @ mat.T)[:, None] - verts[None]), axis=2)
-        if np.any(np.min(dists, axis=1) > 100 * tol):
-            raise ValidationError("group element maps a vertex off the vertex set")
-        table.append(np.argmin(dists, axis=1).tolist())
+        perm = vertex_permutation(verts, mat, tol)
+        if perm is None:
+            raise ValidationError("group element does not permute the vertex set")
+        table.append(perm.tolist())
 
     # BFS from vertex 0, recording a transporter matrix per reached vertex
     transporter: dict[int, np.ndarray] = {0: np.eye(space.ambient_dim)}

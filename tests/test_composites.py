@@ -2,6 +2,7 @@
 
 import hashlib
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import gptlab.composites
+import gptlab.lp.engine
 from gptlab.errors import DimensionMismatchError, ZeroProbabilityConditioningError
 from gptlab.convex import (
     BallRep,
@@ -48,6 +50,7 @@ from gptlab.models import (
     square_measurements,
     tsirelson_settings,
 )
+from gptlab.runner import build_space, load_theory
 from gptlab.symmetry import maximally_mixed
 from gptlab import quantum as qc
 
@@ -567,4 +570,85 @@ def test_max_tensor_contains_enumerates_each_polytope_part_once(monkeypatch, rng
     stretched = product_state(np.array([1.0, 1.4, 0.0, 0.0]), vertices_of(square)[0])
     calls.clear()
     assert not max_tensor_contains(comp, stretched, rng=rng)
+    assert len(calls) == 1
+
+
+PENTAGON = build_space(load_theory(
+    str(Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "5-gon.json")))
+# max(5-gon, ball(2)) vector, -0.031 on a product effect; alternating
+# minimization from random starts accepted it at several seeds
+OUTSIDE_PENTAGON_BALL = np.array([
+    1.0, 0.05855166957319989, -0.9037393631529792, -0.3890067915658269,
+    0.10005637437940032, 0.35960313297518864, 0.1562176063987351,
+    -0.06830277276795499, -0.25935288663721356,
+])
+
+
+def test_max_tensor_contains_rejects_a_vector_below_a_product_effect():
+    comp = compose(PENTAGON, gbit_ball(2), "max")
+    M = OUTSIDE_PENTAGON_BALL.reshape(3, 3)
+    # the witness: a facet effect f of the pentagon, and the ball effect
+    # that is least on the contraction f·M
+    values = []
+    for f in dual_cone_rays(vertices_of(PENTAGON)):
+        w = f @ M
+        g = np.concatenate([[1.0], -w[1:] / np.linalg.norm(w[1:])])
+        values.append(product_effect(f, g) @ OUTSIDE_PENTAGON_BALL)
+    assert min(values) < -0.01
+    for rng in (None, np.random.default_rng(0), np.random.default_rng(2)):
+        assert not max_tensor_contains(comp, OUTSIDE_PENTAGON_BALL, rng=rng)
+
+
+def _near_boundary_points(space: StateSpace, count: int, rng) -> np.ndarray:
+    """States and non-states: normalized points in random directions from the
+    vertex mean, at distances up to the farthest vertex."""
+    verts = vertices_of(space)
+    center = verts.mean(axis=0)
+    reach = np.linalg.norm(verts - center, axis=1).max()
+    directions = rng.normal(size=(count, verts.shape[1]))
+    directions[:, 0] = 0.0
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return center + rng.uniform(0.0, reach, size=(count, 1)) * directions
+
+
+@pytest.mark.parametrize(
+    "part_a, part_b",
+    [(square_gbit(), square_gbit()), (square_gbit(), PENTAGON),
+     (classical(3), square_gbit())],
+    ids=["square-square", "square-5gon", "classical3-square"],
+)
+def test_max_tensor_contains_matches_the_composite_polytope(part_a, part_b):
+    comp = compose(part_a, part_b, "max")
+    rng = np.random.default_rng(7)
+    answers = [
+        (max_tensor_contains(comp, omega), contains_state(comp.space, omega))
+        for omega in _near_boundary_points(comp.space, 100, rng)
+    ]
+    assert all(fast == lp for fast, lp in answers)
+    assert 10 < sum(lp for _, lp in answers) < 90
+
+
+def test_max_tensor_membership_of_a_polytope_pair_solves_no_lp(monkeypatch, square_pair):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("LP solved")
+
+    monkeypatch.setattr(gptlab.lp.engine, "lp_solve", no_lp)
+    assert max_tensor_contains(square_pair, pr_box_state())
+    assert not max_tensor_contains(square_pair, 1.5 * pr_box_state() - 0.5 * vertices_of(
+        square_pair.space).mean(axis=0))
+
+
+@pytest.mark.parametrize("part", [square_gbit(), classical(3)], ids=lambda s: s.name)
+def test_a_space_composed_with_itself_enumerates_its_facets_once(monkeypatch, part):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dual_cone_rays(*args, **kwargs)
+
+    monkeypatch.setattr(gptlab.composites, "dual_cone_rays", counting)
+    comp = compose(part, part, "max")
+    assert len(calls) == 1  # integral rows: the exact path enumerates the vertices
+    calls.clear()
+    assert max_tensor_contains(comp, sample_state(comp.space, np.random.default_rng(0)))
     assert len(calls) == 1

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from gptlab import discrimination
 from gptlab.composites import compose
 from gptlab.errors import BudgetExceededError, DomainError
-from gptlab.convex import Measurement, PolytopeRep, StateSpace, vertices_of
+from gptlab.config import resolve_tol
+from gptlab.convex import (
+    BallRep,
+    Measurement,
+    PolytopeRep,
+    StateSpace,
+    sample_pure_state,
+    vertices_of,
+)
 from gptlab.discrimination import (
     CapacityResult,
     DistinguishabilityWitness,
@@ -20,6 +28,7 @@ from gptlab.discrimination import (
     capacity,
     complete_measurement,
     distinguishable,
+    distinguishable_unchecked,
     fit_capacity_exponent,
     verify_witness,
 )
@@ -81,6 +90,35 @@ def test_ball_orthogonal_pair_not_distinguishable_with_lp_oracle():
     # analytic cross-check: complementarity r_x^2 + r_y^2 <= 1 forbids both
     # X and Y readouts from being deterministic simultaneously
     assert omega1[1] ** 2 + omega2[2] ** 2 > 1.0
+
+
+def _partner(space: StateSpace, pure: np.ndarray, rng) -> np.ndarray:
+    """The antipode of a pure ball state; a random pure state orthogonal to a
+    pure quantum state."""
+    if isinstance(space.rep, BallRep):
+        return np.concatenate([[1.0], -pure[1:]])
+    n = space.rep.n
+    psi = np.linalg.eigh(qc.state_matrix(pure, n))[1][:, -1]
+    phi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    phi -= (psi.conj() @ phi) * psi
+    phi /= np.linalg.norm(phi)
+    return qc.state_coords(np.outer(phi, phi.conj()), n)
+
+
+@pytest.mark.parametrize(
+    "space", [gbit_ball(d) for d in range(1, 5)] + [quantum(n) for n in range(2, 5)],
+    ids=lambda s: s.name,
+)
+def test_every_pure_state_has_a_distinguishable_partner(space):
+    # the theorem P4' reads on balls and quantum systems
+    rng = np.random.default_rng(4)
+    tol = resolve_tol(None)
+    for _ in range(10):
+        pure = sample_pure_state(space, rng)
+        states = np.array([pure, _partner(space, pure, rng)])
+        witness = distinguishable_unchecked(space, states, tol)
+        assert witness is not None
+        assert verify_witness(space, witness)
 
 
 def test_identical_states_not_distinguishable():

@@ -18,6 +18,7 @@ from gptlab.geometry import (
     dual_cone_rays,
     dual_cone_rays_exact,
     extremal_effect_vectors,
+    vertex_permutation,
 )
 
 BIT_VERTICES = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -276,3 +277,16 @@ def test_cube_facets_exact_and_float_match_bruteforce():
     assert _same_rows(dual_cone_rays(CUBE_VERTICES), oracle)
     exact = _exact_rays_as_floats(dual_cone_rays_exact(CUBE_VERTICES.astype(int)))
     assert _same_rows(exact, oracle)
+
+
+def test_vertex_permutation_reads_the_images_within_100_tol():
+    # swapping the two coordinates exchanges vertices 1 and 2 of the square
+    swap = np.eye(3)[[0, 2, 1]]
+    assert vertex_permutation(SQUARE_VERTICES, swap, 1e-9).tolist() == [0, 2, 1, 3]
+    near, far = swap.copy(), swap.copy()
+    near[1, 0] += 5e-8
+    far[1, 0] += 5e-7
+    assert vertex_permutation(SQUARE_VERTICES, near, 1e-9).tolist() == [0, 2, 1, 3]
+    assert vertex_permutation(SQUARE_VERTICES, far, 1e-9) is None
+    # every image is a vertex, but two vertices share one
+    assert vertex_permutation(SQUARE_VERTICES, np.diag([1.0, 1.0, 0.0]), 1e-9) is None

@@ -623,3 +623,30 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     code = cli_main(["check", theory])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "spec, faces",
+    [({"family": "ball", "d": 3}, 0), ({"family": "quantum", "N": 2}, 0),
+     ({"family": "quantum", "N": 3}, 3)],
+    ids=["ball(3)", "quantum(2)", "quantum(3)"],
+)
+def test_p2_and_p4_prime_on_balls_and_quantum_systems_sample_no_state(monkeypatch, spec, faces):
+    # strictly convex: every exposed face is one point (P2, N = 2); every pure
+    # state has an antipodal or orthogonal partner (P4').  quantum(3) has
+    # N = 3, so P2 compares one face per outcome with quantum(2).
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("pure state sampled")
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return face_extract(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "sample_pure_state", no_sampling, raising=False)
+    monkeypatch.setattr(runner, "face_extract", counting)
+    report = check_postulates(TheoryDefinition(name="t", space_spec=spec), seed=0)
+    assert report.postulates["P2"] == {"status": PROBES_PASS}
+    assert report.postulates["P4prime"] == {"status": PASS}
+    assert len(calls) == faces

@@ -11,11 +11,13 @@ from gptlab import geometry, symmetry
 from gptlab.composites import compose
 from gptlab.errors import NoFaceError, ValidationError
 from gptlab.convex import (
+    BallRep,
     PolytopeRep,
     SimplexRep,
     StateSpace,
     cone_contains,
     contains_state,
+    sample_pure_state,
     validate_space,
     vertices_of,
 )
@@ -383,3 +385,31 @@ def test_maximally_mixed_decomposition():
         mu = maximally_mixed(space)
         assert np.max(np.abs(witness.states.mean(axis=0) - mu)) <= 1e-9
         assert witness.n == capacity(space).n
+
+
+def test_a_group_element_that_does_not_permute_the_vertices_is_rejected():
+    square = square_gbit()
+    # diag(1, 1, 0) sends each vertex to a vertex, two of them to the same one
+    bad = StateSpace(name="square", rep=square.rep,
+                     group=FiniteMatrixGroup(np.array([np.eye(3), np.diag([1.0, 1.0, 0.0])])))
+    with pytest.raises(ValidationError):
+        transitivity_check(bad)
+
+
+@pytest.mark.parametrize("space", [gbit_ball(2), gbit_ball(3), gbit_ball(4), quantum(2)],
+                         ids=lambda s: s.name)
+def test_the_exposing_effect_of_a_pure_state_has_a_one_point_face(space):
+    # the theorem P2 (N = 2) reads on strictly convex spaces
+    assert strict_convexity_check(space)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        pure = sample_pure_state(space, rng)
+        if isinstance(space.rep, BallRep):
+            face = face_extract(space, np.concatenate([[0.5], 0.5 * pure[1:]]))
+            assert face.kind == "point"
+            assert np.allclose(face.point, pure, atol=1e-12)
+        else:
+            rho = qc.state_matrix(pure, 2)
+            face = face_extract(space, qc.effect_coords(rho, 2))
+            assert face.kind == "quantum" and face.quantum_rank == 1
+            assert np.allclose(face.projector, rho, atol=1e-9)
