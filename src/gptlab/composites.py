@@ -15,7 +15,6 @@ import numpy as np
 from gptlab import quantum
 from gptlab.config import resolve_tol
 from gptlab.errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     UnsupportedRepresentationError,
     ZeroProbabilityConditioningError,
@@ -136,7 +135,9 @@ def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None) -
     product effects; vertices enumerated by double description from the
     product-effect inequalities.  Integral cases up to K = 16 run the exact
     path on primitive integer rays; dividing by the first (normalization)
-    entry with ``int / int`` rounds each coordinate correctly.
+    entry with ``int / int`` rounds each coordinate correctly.  The
+    enumeration raises BudgetExceededError as soon as it shows more than
+    ``MAX_COMPOSITE_VERTICES`` vertices.
     """
     tol = resolve_tol(tol)
     if rule not in (MIN_TENSOR, MAX_TENSOR):
@@ -153,19 +154,16 @@ def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None) -
     rays_a, rays_b = _part_cone_rays(a, b, tol)
     rows = product_effect(rays_a[:, None], rays_b[None]).reshape(-1, k)
     if _integral(rows) and rows.shape[1] <= 16:
-        ints = dual_cone_rays_exact(np.round(rows).astype(int))
+        ints = dual_cone_rays_exact(np.round(rows).astype(int),
+                                    max_rays=MAX_COMPOSITE_VERTICES)
         rays = np.array([[x / r[0] for x in r] for r in ints])
     else:
-        raw = dual_cone_rays(rows, tol=tol)
+        raw = dual_cone_rays(rows, tol=tol, max_rays=MAX_COMPOSITE_VERTICES)
         if np.any(raw[:, 0] <= tol):
             raise UnsupportedRepresentationError(
                 "max tensor enumeration produced an unnormalizable ray"
             )
         rays = raw / raw[:, 0:1]
-    if rays.shape[0] > MAX_COMPOSITE_VERTICES:
-        raise BudgetExceededError(
-            f"composite has {rays.shape[0]} vertices (budget {MAX_COMPOSITE_VERTICES})"
-        )
     return Composite(a, b, rule, space=StateSpace(name=name, rep=PolytopeRep(rays)))
 
 

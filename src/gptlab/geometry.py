@@ -15,14 +15,23 @@ divided by the gcd of their entries where the float path scales them to unit
 max-abs.  The two entry points differ only in that set-up and in the final
 deduplication.
 
-Before the combinatorial adjacency test, the loop drops every pair of rays
-with fewer than K - 2 common tight rows: such rays cannot be adjacent in a
-pointed K-dimensional cone, and on large inputs most candidate pairs fail
-this count.  The float path's deduplication (``canonicalize_vertices``) walks
-the rows in lexicographic order and keeps a row unless an already kept row
-lies within ``tol`` of it in every coordinate; near pairs are found by array
-comparisons over blocks of rows, and only rows with an earlier near row are
-decided one by one.
+Each cutting row is processed as arrays, not ray by ray (numpy 2.0 or
+later).  The rows tight at each ray are one row of packed ``uint64`` words
+(a bit pattern, as in Terzer & Stelling, Bioinformatics 24(19), 2008).  A
+positive and a negative ray with fewer than K - 2 common tight rows cannot
+be adjacent in a pointed K-dimensional cone; this count runs over all such
+pairs with ``np.bitwise_count``, in blocks of positive rays, and on large
+inputs most pairs fail it.  The surviving pairs take the combinatorial
+adjacency test (no third ray tight on every common row) against every ray's
+mask, in chunks of pairs, and their new rays are formed and normalized in
+one batch.  Given a ray budget, the loop stops as soon as the rays that
+every later row keeps outnumber it.
+
+The float path's deduplication (``canonicalize_vertices``) walks the rows in
+lexicographic order and keeps a row unless an already kept row lies within
+``tol`` of it in every coordinate; near pairs are found by array comparisons
+over blocks of rows, and only rows with an earlier near row are decided one
+by one.
 
 ``vertex_symmetries`` finds the vertex permutations that linear maps induce on
 a polytope; the postulate checker builds its automatic groups from them and
@@ -105,14 +114,18 @@ def _independent_rows(G: np.ndarray, tol: float) -> list[int]:
 def _integer_rows(generators) -> list[list[int]]:
     """Rational generator rows, each scaled to a primitive integer row.
 
-    A positive scale leaves the cone ``{x : G x >= 0}`` unchanged.  Entries
-    are read as the nearest fraction with denominator at most 10**12.
+    A positive scale leaves the cone ``{x : G x >= 0}`` unchanged.  Rows of
+    ints are only divided by their gcd; other entries are read as the
+    nearest fraction with denominator at most 10**12.
     """
     rows = []
     for row in np.atleast_2d(generators).tolist():
-        fracs = [Fraction(x).limit_denominator(10**12) for x in row]
-        scale = math.lcm(*(f.denominator for f in fracs))
-        ints = [f.numerator * (scale // f.denominator) for f in fracs]
+        if all(type(x) is int for x in row):
+            ints = row
+        else:
+            fracs = [Fraction(x).limit_denominator(10**12) for x in row]
+            scale = math.lcm(*(f.denominator for f in fracs))
+            ints = [f.numerator * (scale // f.denominator) for f in fracs]
         divisor = math.gcd(*ints) or 1
         rows.append([x // divisor for x in ints])
     return rows
@@ -167,77 +180,132 @@ def _bareiss_start_rays(B: np.ndarray) -> np.ndarray:
     return np.array([[sign * x for x in row[K:]] for row in M], dtype=object)
 
 
-def _unit_max_abs(ray: np.ndarray) -> np.ndarray:
-    return ray / np.max(np.abs(ray))
+def _unit_max_abs(rays: np.ndarray) -> np.ndarray:
+    return rays / np.abs(rays).max(axis=1, keepdims=True)
 
 
-def _primitive(ray: np.ndarray) -> np.ndarray:
-    return ray // math.gcd(*ray)
+def _primitive(rays: np.ndarray) -> np.ndarray:
+    return rays // np.gcd.reduce(rays, axis=1)[:, None]
 
 
-def _adjacent(mask_p: int, mask_n: int, masks: list[int], p: int, n: int) -> bool:
-    common = mask_p & mask_n
-    for k, mask in enumerate(masks):
-        if k != p and k != n and (mask & common) == common:
-            return False
-    return True
+# Mask words held by one step of the K - 2 prefilter or of the subset test in
+# _adjacent_pairs (512 KB): blocks of positive rays or chunks of ray pairs
+# are sized so that block x |N| or chunk x (number of rays) masks fit in it.
+_DD_WORDS = 1 << 16
+
+
+def _adjacent_pairs(masks: np.ndarray, pos: np.ndarray, neg: np.ndarray, K: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The adjacent (positive, negative) ray pairs, positive-major, and the
+    mask of the rows tight at both rays of each.
+
+    Pairs with fewer than K - 2 common tight rows are dropped first, over
+    blocks of positive rays; a surviving pair is adjacent when no third ray
+    is tight on every row tight at both, that is when every other ray
+    misses one of those rows.
+    """
+    n_rays, words = masks.shape
+    untight = ~masks
+    found = []
+    block = max(1, _DD_WORDS // (words * neg.size))
+    chunk = max(1, _DD_WORDS // (words * n_rays))
+    for start in range(0, pos.size, block):
+        p = pos[start:start + block]
+        common = masks[p, None] & masks[neg]
+        i, j = (np.bitwise_count(common).sum(axis=2) >= K - 2).nonzero()
+        common = common[i, j]
+        for first in range(0, i.size, chunk):
+            part = slice(first, first + chunk)
+            missing = (common[part, None] & untight).any(axis=2).sum(axis=1)
+            adjacent = (missing == n_rays - 2).nonzero()[0] + first
+            found.append((p[i[adjacent]], neg[j[adjacent]], common[adjacent]))
+    if len(found) == 1:
+        return found[0]
+    if not found:  # no pair passed the prefilter
+        return pos[:0], neg[:0], masks[:0]
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 def _double_description(G: np.ndarray, start: np.ndarray, tol: float,
-                        normalize: Callable[[np.ndarray], np.ndarray]) -> list[np.ndarray]:
+                        normalize: Callable[[np.ndarray], np.ndarray],
+                        max_rays: int | None) -> np.ndarray:
     """Incremental double description of the cone ``{x : G x >= 0}``.
 
     The first K rows of ``G`` are independent and the columns of ``start``,
     a positive multiple of the inverse of that block, are the rays of the
-    starting simplicial cone; each later row cuts the cone once.  A ray's
-    mask holds the rows it makes tight.  Two rays of a pointed cone in K
-    dimensions can only be adjacent when at least K - 2 rows are tight at
-    both, so pairs with fewer common tight rows are dropped before the
-    combinatorial test.  The same loop runs on float arrays with a
-    tolerance, rays scaled to unit max-abs, and on object arrays of Python
-    ints with ``tol = 0``, rays divided by the gcd of their entries: a
-    combination of two integer rays is an integer ray, so no entry is ever
-    a fraction.  ``normalize`` puts a ray in that form.
-    """
-    K = G.shape[1]
-    rays = [normalize(r) for r in start.T]
-    full = (1 << K) - 1
-    masks = [full & ~(1 << j) for j in range(K)]
+    starting simplicial cone; each later row cuts the cone once.  Rays are
+    the rows of one array, and a ray's mask, one row of packed ``uint64``
+    words, holds the rows it makes tight: row t is bit ``t & 63`` of word
+    ``t >> 6``.  The same loop runs on float arrays with a tolerance, rays
+    scaled to unit max-abs, and on object arrays of Python ints with
+    ``tol = 0``, rays divided by the gcd of their entries: a combination of
+    two integer rays is an integer ray, so no entry is ever a fraction.
+    ``normalize`` puts each row in that form.  A row's values come from
+    ``np.vecdot``, one dot product per ray, so float rays keep the bits of
+    a ray-by-ray ``g @ r`` loop; a matrix product sums in another order.
 
-    for t in range(K, G.shape[0]):
-        g = G[t]
-        values = [g @ r for r in rays]
-        pos, neg, zero = [], [], []
-        for i, v in enumerate(values):
-            (pos if v > tol else neg if v < -tol else zero).append(i)
-        if not neg:
-            for i in zero:
-                masks[i] |= 1 << t
+    A ray that is nonnegative on every row not yet processed is extreme in
+    the final cone, so once there are more than ``max_rays`` rays, their
+    count is a lower bound on the final count; BudgetExceededError is
+    raised as soon as it passes ``max_rays``.
+    """
+    n_rows, K = G.shape
+    # contiguous rows: a dot product over a strided row sums in another
+    # order, and the float vertex bytes change
+    rays = normalize(np.ascontiguousarray(start.T))
+    # start ray j is tight on the first K rows but row j
+    masks = np.zeros((K, (n_rows + 63) // 64), dtype=np.uint64)
+    for word in range((K + 63) // 64):
+        masks[:, word] = (1 << min(64, K - 64 * word)) - 1
+    first = np.arange(K)
+    masks[first, first >> 6] ^= np.uint64(1) << (first & 63).astype(np.uint64)
+
+    for t in range(K, n_rows):
+        values = np.vecdot(G[t], rays)
+        pos, neg = values > tol, values < -tol
+        word, bit = t >> 6, np.uint64(1 << (t & 63))
+        # rays on the row become tight there; the rows common to a positive
+        # and a negative ray never include it
+        masks[:, word] |= ~(pos | neg) * bit
+        n_idx = neg.nonzero()[0]
+        if not n_idx.size:
             continue
-        new_rays: list[np.ndarray] = []
-        new_masks: list[int] = []
-        for p in pos:
-            for n in neg:
-                if ((masks[p] & masks[n]).bit_count() < K - 2
-                        or not _adjacent(masks[p], masks[n], masks, p, n)):
-                    continue
-                new_rays.append(normalize(values[p] * rays[n] - values[n] * rays[p]))
-                new_masks.append((masks[p] & masks[n]) | (1 << t))
-        rays = [rays[i] for i in pos] + [rays[i] for i in zero] + new_rays
-        masks = (
-            [masks[i] for i in pos]
-            + [masks[i] | (1 << t) for i in zero]
-            + new_masks
-        )
+        p_idx, n_idx, common = _adjacent_pairs(masks, pos.nonzero()[0], n_idx, K)
+        new_rays = normalize(values[p_idx][:, None] * rays[n_idx]
+                             - values[n_idx][:, None] * rays[p_idx])
+        common[:, word] |= bit
+        keep = ~neg
+        rays = np.concatenate([rays[keep], new_rays])
+        masks = np.concatenate([masks[keep], common])
+        if max_rays is not None and rays.shape[0] > max_rays:
+            # half the tolerance: a ray counted here is nonnegative within
+            # tol on each later row whatever the order of summation
+            bound = int(np.all(G[t + 1:] @ rays.T >= -tol / 2, axis=0).sum())
+            if bound > max_rays:
+                raise BudgetExceededError(
+                    f"cone has at least {bound} extreme rays (budget {max_rays})"
+                )
     return rays
 
 
-def dual_cone_rays(generators: np.ndarray, tol: float | None = None) -> np.ndarray:
+def _within_budget(rays, max_rays: int | None):
+    """``rays`` unchanged, or BudgetExceededError if there are more than
+    ``max_rays``: the early stop in ``_double_description`` sees only the
+    rays that every later row keeps."""
+    if max_rays is not None and len(rays) > max_rays:
+        raise BudgetExceededError(f"cone has {len(rays)} extreme rays (budget {max_rays})")
+    return rays
+
+
+def dual_cone_rays(generators: np.ndarray, tol: float | None = None,
+                   max_rays: int | None = None) -> np.ndarray:
     """Extreme rays of the pointed cone ``{x : generators @ x >= 0}``.
 
     Requires the generator rows to span the full space (otherwise the cone
     contains a line and has no extreme rays).  Rays are scaled to unit
-    max-abs and returned in lexicographic order.
+    max-abs and returned in lexicographic order.  BudgetExceededError is
+    raised when there are more than ``max_rays`` rays, as soon as the
+    enumeration shows it.
     """
     tol = resolve_tol(tol)
     G = np.atleast_2d(np.asarray(generators, dtype=float))
@@ -252,19 +320,20 @@ def dual_cone_rays(generators: np.ndarray, tol: float | None = None) -> np.ndarr
         raise ValidationError("generators do not span the space; dual cone is not pointed")
     G = G[chosen + [i for i in range(G.shape[0]) if i not in chosen]]
 
-    rays = _double_description(G, np.linalg.inv(G[:K]), tol, _unit_max_abs)
-    if not rays:
+    rays = _double_description(G, np.linalg.inv(G[:K]), tol, _unit_max_abs, max_rays)
+    if rays.shape[0] == 0:
         return np.zeros((0, K))
-    return canonicalize_vertices(np.array(rays), tol=tol)
+    return _within_budget(canonicalize_vertices(rays, tol=tol), max_rays)
 
 
-def dual_cone_rays_exact(generators) -> list[tuple[int, ...]]:
+def dual_cone_rays_exact(generators, max_rays: int | None = None) -> list[tuple[int, ...]]:
     """Exact double description for integral or rational generators.
 
     Every step runs on Python ints, which do not overflow: rows scaled to
     integers, independent rows picked by Bareiss elimination, the starting
     cone from the signed adjugate of that block.  Returns the extreme rays
     as primitive integer tuples (entries with gcd 1), sorted.
+    BudgetExceededError is raised as in ``dual_cone_rays``.
     """
     G = _integer_rows(generators)
     K = len(G[0])
@@ -274,8 +343,8 @@ def dual_cone_rays_exact(generators) -> list[tuple[int, ...]]:
     G = np.array([G[i] for i in chosen + [i for i in range(len(G)) if i not in chosen]],
                  dtype=object)
 
-    rays = _double_description(G, _bareiss_start_rays(G[:K]), 0, _primitive)
-    return sorted({tuple(r) for r in rays})
+    rays = _double_description(G, _bareiss_start_rays(G[:K]), 0, _primitive, max_rays)
+    return _within_budget(sorted(set(map(tuple, rays.tolist()))), max_rays)
 
 
 def extremal_effect_vectors(vertices: np.ndarray, tol: float | None = None) -> np.ndarray:

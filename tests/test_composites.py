@@ -1,6 +1,7 @@
 """Tensor composition, marginals, conditioning, no-signalling and CHSH."""
 
 import hashlib
+import time
 from itertools import product
 from pathlib import Path
 
@@ -11,7 +12,11 @@ from hypothesis import strategies as st
 
 import gptlab.composites
 import gptlab.lp.engine
-from gptlab.errors import DimensionMismatchError, ZeroProbabilityConditioningError
+from gptlab.errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    ZeroProbabilityConditioningError,
+)
 from gptlab.convex import (
     BallRep,
     PolytopeRep,
@@ -24,6 +29,7 @@ from gptlab.convex import (
     vertices_of,
 )
 from gptlab.composites import (
+    MAX_COMPOSITE_VERTICES,
     Composite,
     capacity_multiplicativity_check,
     chsh_value,
@@ -119,6 +125,46 @@ def test_exact_max_tensor_vertex_bytes_are_pinned(part_a, part_b, count, digest)
     verts = vertices_of(compose(part_a, part_b, "max").space)
     assert verts.shape[0] == count
     assert hashlib.sha256(np.ascontiguousarray(verts).tobytes()).hexdigest() == digest
+
+
+def _corpus_part(name: str) -> StateSpace:
+    return build_space(load_theory(
+        str(Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / f"{name}.json")))
+
+
+@pytest.mark.parametrize(
+    "name_a, name_b, count, digest",
+    [
+        ("5-gon", "5-gon", 135,
+         "6286a8a3ea8e90494f261cf64abd972127c46e1a845678c52e205382049c150d"),
+        ("square", "6-gon", 144,
+         "263fdfad7014a52fb746e6dd700673f696a4808744caaba02e6b9aca75e9ada7"),
+        ("3-gon", "5-gon", 15,
+         "014cc69d8e3efaee413a34725f897f37221aa2d27ffe8ecc7f4c733267d67bd1"),
+        ("6-gon", "6-gon", 552,
+         "99905ca5ed7baebe7501e87a3487db7e10af3c6f944f3930866eef860952f7a2"),
+    ],
+    ids=["5gon-5gon", "square-6gon", "3gon-5gon", "6gon-6gon"],
+)
+def test_float_max_tensor_vertex_bytes_are_pinned(name_a, name_b, count, digest):
+    # digests recorded from the float double description with one Python
+    # adjacency scan per ray pair; the row values are per-ray dot products
+    verts = vertices_of(compose(_corpus_part(name_a), _corpus_part(name_b), "max").space)
+    assert verts.shape[0] == count
+    assert hashlib.sha256(np.ascontiguousarray(verts).tobytes()).hexdigest() == digest
+
+
+def test_max_tensor_over_budget_stops_before_the_enumeration_ends():
+    # the octagon square has 8656 vertices; a count below that shows the
+    # enumeration stopped before its last row
+    octagon = _corpus_part("8-gon")
+    start = time.process_time()
+    with pytest.raises(BudgetExceededError) as info:
+        compose(octagon, octagon, "max")
+    elapsed = time.process_time() - start
+    reported = int(str(info.value).split("at least ")[1].split()[0])
+    assert MAX_COMPOSITE_VERTICES < reported < 8656
+    assert elapsed < 20.0
 
 
 def test_min_tensor_classical_bit_with_three_level():

@@ -1,6 +1,7 @@
 """Double description against brute-force oracles."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from gptlab.errors import ValidationError
+import gptlab.geometry
+from gptlab.errors import BudgetExceededError, ValidationError
 from gptlab.geometry import (
+    _integer_rows,
     affine_dimension,
     brute_force_dual_cone_rays,
     brute_force_polytope_vertices,
@@ -228,6 +231,12 @@ def test_exact_rays_of_a_max_tensor_are_primitive_int_tuples():
         assert min(int(v) for v in rows.astype(object) @ np.array(r, dtype=object)) >= 0
 
 
+def _max_tensor_rows(verts_a, verts_b):
+    return np.array(
+        [np.kron(f, g) for f in dual_cone_rays(verts_a) for g in dual_cone_rays(verts_b)]
+    )
+
+
 @pytest.mark.parametrize(
     "verts_a, verts_b",
     [
@@ -239,9 +248,7 @@ def test_exact_rays_of_a_max_tensor_are_primitive_int_tuples():
 )
 def test_exact_and_float_enumeration_agree(verts_a, verts_b):
     # the product-facet rows of a max tensor: integral for these parts
-    rows = np.array(
-        [np.kron(f, g) for f in dual_cone_rays(verts_a) for g in dual_cone_rays(verts_b)]
-    )
+    rows = _max_tensor_rows(verts_a, verts_b)
     assert np.array_equal(rows, np.round(rows))
     exact = np.array(
         [[float(x / r[0]) for x in r] for r in dual_cone_rays_exact(rows.astype(int))]
@@ -268,6 +275,123 @@ def test_cone_rays_match_bruteforce_on_random_point_sets(coords):
     assert _same_rows(dual_cone_rays(points), oracle, tol=1e-7)
     exact = _exact_rays_as_floats(dual_cone_rays_exact(points.astype(int)))
     assert _same_rows(exact, oracle, tol=1e-7)
+
+
+@seed(20121018)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(3, 70), (4, 12), (5, 10)]).flatmap(
+        lambda k_rows: st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2),
+                     min_size=k_rows[0] - 1, max_size=k_rows[0] - 1),
+            min_size=k_rows[0],
+            max_size=k_rows[1],
+        )
+    )
+)
+def test_cone_rays_match_bruteforce_on_half_integer_polytopes(coords):
+    # points on a half-integer grid, repeats allowed: many points share a
+    # facet, so many rays share tight rows
+    points = np.array([[1.0, *c] for c in coords])
+    points[:, 1:] /= 2
+    assume(affine_dimension(points) == points.shape[1] - 1)
+    oracle = brute_force_dual_cone_rays(points)
+    floats = dual_cone_rays(points)
+    exact = _exact_rays_as_floats(dual_cone_rays_exact(points))
+    assert _same_rows(floats, oracle, tol=1e-7)
+    assert _same_rows(exact, oracle, tol=1e-7)
+    assert _same_rows(floats, exact)
+
+
+def _circle_points(r2):
+    """The points (1, x, y) with integers x^2 + y^2 = r2."""
+    points = set()
+    for x in range(-math.isqrt(r2), math.isqrt(r2) + 1):
+        y = math.isqrt(r2 - x * x)
+        if y * y == r2 - x * x:
+            points |= {(1, x, y), (1, x, -y)}
+    return np.array(sorted(points))
+
+
+def test_cone_rays_with_two_mask_words_match_bruteforce():
+    # 5^2 * 13 * 17 * 29 is a sum of two squares in 96 ways: a 96-gon, so
+    # every ray mask takes two words
+    points = _circle_points(160225)
+    assert points.shape == (96, 3)
+    oracle = brute_force_dual_cone_rays(points)
+    assert oracle.shape == (96, 3)
+    assert _same_rows(dual_cone_rays(points), oracle)
+    assert _same_rows(_exact_rays_as_floats(dual_cone_rays_exact(points)), oracle)
+
+
+PENTAGON_VERTICES = np.array(
+    [[1.0, np.cos(2 * np.pi * j / 5), np.sin(2 * np.pi * j / 5)] for j in range(5)]
+)
+
+
+@pytest.mark.parametrize(
+    "rows, count",
+    [
+        (_max_tensor_rows(SQUARE_VERTICES, SQUARE_VERTICES).astype(int), 24),
+        (_max_tensor_rows(SQUARE_VERTICES, CUBE_VERTICES).astype(int), 128),
+        (_max_tensor_rows(PENTAGON_VERTICES, PENTAGON_VERTICES), 135),
+    ],
+    ids=["square-square-exact", "square-cube-exact", "5gon-5gon-float"],
+)
+def test_ray_budget_error_reports_a_lower_bound(rows, count):
+    enumerate_rays = dual_cone_rays if rows.dtype == float else dual_cone_rays_exact
+    assert len(enumerate_rays(rows, max_rays=count)) == count
+    for budget in range(count // 2, count):
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_rays(rows, max_rays=budget)
+        # "at least n" from the early stop, or the final count
+        reported = int(re.search(r"(\d+) extreme rays", str(info.value))[1])
+        assert budget < reported <= count
+
+
+def test_ray_budget_holds_when_the_early_bound_misses_a_ray():
+    # the last row is -0.7 tol on the facet ray (1, -1, 0): within tol, so it
+    # cuts nothing, but below the early bound's -tol/2, so that bound counts
+    # three of the four rays; the final count still raises
+    rows = np.vstack([SQUARE_VERTICES, [[1.0, 1.0 + 0.7e-9, 0.0]]])
+    assert len(dual_cone_rays(rows, tol=1e-9)) == 4
+    with pytest.raises(BudgetExceededError, match="cone has 4 extreme rays"):
+        dual_cone_rays(rows, tol=1e-9, max_rays=3)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        _max_tensor_rows(SQUARE_VERTICES, CUBE_VERTICES).astype(int),
+        _max_tensor_rows(PENTAGON_VERTICES, PENTAGON_VERTICES),
+    ],
+    ids=["square-cube-exact", "5gon-5gon-float"],
+)
+def test_one_pair_per_block_gives_the_same_rays(rows, monkeypatch):
+    # a budget of one mask word per step puts every positive ray in its own
+    # prefilter block and every surviving pair in its own subset-test chunk
+    enumerate_rays = dual_cone_rays if rows.dtype == float else dual_cone_rays_exact
+    whole = enumerate_rays(rows)
+    monkeypatch.setattr(gptlab.geometry, "_DD_WORDS", 1)
+    blocked = enumerate_rays(rows)
+    if rows.dtype == float:
+        assert whole.tobytes() == blocked.tobytes()
+    else:
+        assert whole == blocked
+
+
+def test_integer_rows_of_ints_skip_fractions(monkeypatch):
+    ints = np.array([[2, -4, 6], [0, 3, 0], [1, 0, -1]])
+    expected = [[1, -2, 3], [0, 1, 0], [1, 0, -1]]
+    assert _integer_rows(ints.astype(float)) == expected
+    assert _integer_rows(ints.astype(object) * BIG) == expected
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built for an integer row")
+
+    monkeypatch.setattr(gptlab.geometry, "Fraction", no_fraction)
+    assert _integer_rows(ints) == expected
+    assert all(type(x) is int for row in _integer_rows(ints) for x in row)
 
 
 def test_cube_facets_exact_and_float_match_bruteforce():
