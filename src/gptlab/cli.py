@@ -185,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous_tol = config.get_tol()
     if args.tol is not None:
         try:
             config.set_tol(args.tol)
@@ -199,6 +200,8 @@ def main(argv=None) -> int:
     except (GptError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        config.set_tol(previous_tol)
 
 
 if __name__ == "__main__":

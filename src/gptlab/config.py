@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 DEFAULT_TOL = 1e-9
 
 _tol = DEFAULT_TOL
@@ -14,8 +16,8 @@ def get_tol() -> float:
 def set_tol(value: float) -> None:
     """Set the run-wide membership/feasibility tolerance."""
     global _tol
-    if not value > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < value < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     _tol = float(value)
 
 

@@ -30,7 +30,6 @@ from gptlab.convex import (
     contains_effect,
     extremal_effects,
     two_outcome,
-    unit_effect_vector,
     validate_space,
     vertices_of,
 )
@@ -60,8 +59,6 @@ from gptlab.models import (
 from gptlab.symmetry import (
     FiniteMatrixGroup,
     continuity_check,
-    equivalence_probe,
-    face_extract,
     is_g2_exception,
     strict_convexity_check,
     transitivity_check,
@@ -129,18 +126,18 @@ def build_space(td: TheoryDefinition) -> StateSpace:
         space = quantum(int(spec["N"]))
     elif family == "polytope":
         verts = np.asarray(spec["vertices"], dtype=float)
-        if kind == "finite":
-            group = FiniteMatrixGroup(np.asarray(td.group_spec["matrices"], dtype=float))
-        else:
-            group = polytope_symmetry_group(verts)
+        group = None if kind == "finite" else polytope_symmetry_group(verts)
         space = StateSpace(name=td.name, rep=PolytopeRep(verts), group=group)
         validate_space(space)
     else:
         raise ValidationError(f"unknown space family {family!r}")
-    if family != "polytope" and kind == "finite":
+    if kind == "finite":
         # explicit matrices replace the family's canonical group
-        group = FiniteMatrixGroup(np.asarray(td.group_spec["matrices"], dtype=float))
-        space = StateSpace(name=space.name, rep=space.rep, group=group)
+        matrices = np.asarray(td.group_spec["matrices"], dtype=float)
+        k = space.ambient_dim
+        if matrices.ndim != 3 or matrices.shape[1:] != (k, k):
+            raise ValidationError(f"group matrices must have shape (M, {k}, {k})")
+        space = StateSpace(name=space.name, rep=space.rep, group=FiniteMatrixGroup(matrices))
     if not _all_effects_allowed(td.allowed_effects):
         allowed = np.atleast_2d(np.asarray(td.allowed_effects, dtype=float))
         for f in allowed:
@@ -317,58 +314,35 @@ def _check_p1(separable: Composite, tol: float) -> dict:
     return _status(FAIL, witness={"expected_dim": separable.ambient_dim - 1})
 
 
-def _smaller_reference(space: StateSpace, n: int) -> StateSpace | None:
-    if isinstance(space.rep, SimplexRep):
-        return classical(n)
-    if isinstance(space.rep, QuantumRep):
-        return quantum(n)
-    return None
-
-
 def _check_p2(space: StateSpace, cap: CapacityResult, tol: float) -> dict:
     if cap.indeterminate:
         return _status(INDETERMINATE, reason=CAPACITY_EXHAUSTED)
     n = cap.n
     if n == 1:
         return _status(PROBES_PASS, reason="trivial state space")
-
-    if n == 2:
-        # Every two-outcome measurement attaining {0, 1} is complete, so each
-        # exposed face must contain a single state.
-        if isinstance(space.rep, (PolytopeRep, SimplexRep)):
-            effects = extremal_effects(space, tol=tol)
-            values = vertices_of(space) @ effects.T  # one column per effect
-            sizes = np.sum(values >= 1.0 - tol, axis=0)
-            bad = np.nonzero((values.min(axis=0) <= tol) & (sizes > 1))[0]
-            if bad.size:
-                return _status(
-                    FAIL,
-                    witness={
-                        "effect": effects[bad[0]].tolist(),
-                        "face_extreme_points": int(sizes[bad[0]]),
-                        "required": 1,
-                    },
-                    reason="a complete-measurement face has more than one state",
-                )
-            return _status(PROBES_PASS)
-        # ball / quantum(2): every proper exposed face of a strictly convex
-        # set is a single point, so strict convexity alone decides
-        if not strict_convexity_check(space, tol=tol):
-            return _status(FAIL, reason="boundary segment in a capacity-2 space")
+    if not isinstance(space.rep, PolytopeRep):
+        # by theorem: every face of a simplex is a simplex, every face of
+        # quantum(N) is quantum(m), and every proper exposed face of a ball
+        # is a single point
         return _status(PROBES_PASS)
-
-    reference = _smaller_reference(space, n - 1)
-    if reference is None:
+    if n > 2:
         return _status(INDETERMINATE, reason="no reference state space of capacity N-1")
-    unit = unit_effect_vector(space.ambient_dim)
-    for effect in cap.witness.measurement.effects:
-        face = face_extract(space, unit - effect, tol=tol)
-        probe = equivalence_probe(face, reference)
-        if not probe:
-            return _status(
-                FAIL,
-                witness={"effect": (unit - effect).tolist(), "mismatch": probe.mismatch},
-            )
+    # Every two-outcome measurement attaining {0, 1} is complete, so each
+    # exposed face must contain a single state.
+    effects = extremal_effects(space, tol=tol)
+    values = vertices_of(space) @ effects.T  # one column per effect
+    sizes = np.sum(values >= 1.0 - tol, axis=0)
+    bad = np.nonzero((values.min(axis=0) <= tol) & (sizes > 1))[0]
+    if bad.size:
+        return _status(
+            FAIL,
+            witness={
+                "effect": effects[bad[0]].tolist(),
+                "face_extreme_points": int(sizes[bad[0]]),
+                "required": 1,
+            },
+            reason="a complete-measurement face has more than one state",
+        )
     return _status(PROBES_PASS)
 
 

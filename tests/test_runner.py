@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from gptlab import discrimination, runner
+from gptlab import discrimination, runner, symmetry
+from gptlab.config import DEFAULT_TOL, get_tol, set_tol
 from gptlab.composites import compose
 from gptlab.convex import extremal_effects
 from gptlab.errors import BudgetExceededError, UnsupportedRepresentationError, ValidationError
@@ -626,15 +627,16 @@ def test_cli_budget_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "spec, faces",
-    [({"family": "ball", "d": 3}, 0), ({"family": "quantum", "N": 2}, 0),
-     ({"family": "quantum", "N": 3}, 3)],
-    ids=["ball(3)", "quantum(2)", "quantum(3)"],
+    "spec",
+    [{"family": "ball", "d": 3}, {"family": "quantum", "N": 2},
+     {"family": "quantum", "N": 3}, {"family": "classical", "N": 5}],
+    ids=["ball(3)", "quantum(2)", "quantum(3)", "classical(5)"],
 )
-def test_p2_and_p4_prime_on_balls_and_quantum_systems_sample_no_state(monkeypatch, spec, faces):
-    # strictly convex: every exposed face is one point (P2, N = 2); every pure
-    # state has an antipodal or orthogonal partner (P4').  quantum(3) has
-    # N = 3, so P2 compares one face per outcome with quantum(2).
+def test_p2_and_p4_prime_on_balls_and_quantum_systems_sample_no_state(monkeypatch, spec):
+    # P2 by theorem: every proper exposed face of a ball is one point, every
+    # face of quantum(N) is quantum(m) and every face of a simplex is a
+    # simplex, so no face is extracted.  P4': every pure state has an
+    # antipodal or orthogonal partner.
     def no_sampling(*args, **kwargs):
         raise AssertionError("pure state sampled")
 
@@ -645,8 +647,60 @@ def test_p2_and_p4_prime_on_balls_and_quantum_systems_sample_no_state(monkeypatc
         return face_extract(*args, **kwargs)
 
     monkeypatch.setattr(runner, "sample_pure_state", no_sampling, raising=False)
-    monkeypatch.setattr(runner, "face_extract", counting)
+    monkeypatch.setattr(runner, "face_extract", counting, raising=False)
+    monkeypatch.setattr(symmetry, "face_extract", counting)
     report = check_postulates(TheoryDefinition(name="t", space_spec=spec), seed=0)
     assert report.postulates["P2"] == {"status": PROBES_PASS}
     assert report.postulates["P4prime"] == {"status": PASS}
-    assert len(calls) == faces
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", [{"family": "classical", "N": 5}, {"family": "quantum", "N": 3}],
+                         ids=["classical(5)", "quantum(3)"])
+def test_check_postulates_computes_capacity_once(monkeypatch, spec):
+    # the checker's one capacity result feeds P2, P4' and the metrics; no
+    # probe computes the capacity of a face or a reference space again
+    calls = []
+
+    def counting(space, *args, **kwargs):
+        calls.append(space.name)
+        return capacity(space, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "capacity", counting)
+    monkeypatch.setattr(symmetry, "capacity", counting)
+    check_postulates(TheoryDefinition(name="t", space_spec=spec), seed=0)
+    assert len(calls) == 1
+
+
+def test_finite_group_of_the_wrong_size_is_a_validation_error(tmp_path, capsys):
+    # a 2 x 2 matrix cannot act on a K = 3 space; this used to fail later,
+    # inside P3, with a numpy shape error
+    identity2 = {"kind": "finite", "matrices": [np.eye(2).tolist()]}
+    specs = {
+        "square": {"family": "square"},
+        "classical3": {"family": "classical", "N": 3},
+        "triangle": {"family": "polytope", "vertices": PENTAGON_CORNERS[:3].tolist()},
+    }
+    for name, spec in specs.items():
+        with pytest.raises(ValidationError, match=r"\(M, 3, 3\)"):
+            build_space(TheoryDefinition(name=name, space_spec=spec, group_spec=identity2))
+        theory = _write(tmp_path, f"{name}.json", {"name": name, "space": spec, "group": identity2})
+        assert cli_main(["check", theory]) == 2
+        assert "(M, 3, 3)" in capsys.readouterr().err
+
+
+def test_cli_tol_sets_the_report_tolerance_for_one_run(tmp_path, capsys):
+    theory = _write(tmp_path, "c3.json", {"name": "c3", "space": {"family": "classical", "N": 3}})
+    assert cli_main(["--tol", "1e-6", "check", theory]) == 0
+    assert '"tolerance": 9.9999999999999995e-07' in capsys.readouterr().out
+    assert get_tol() == DEFAULT_TOL
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1e-9"])
+def test_cli_rejects_a_tolerance_that_is_not_positive_and_finite(tmp_path, capsys, value):
+    square = _write(tmp_path, "sq.json", {"name": "square", "space": {"family": "square"}})
+    assert cli_main([f"--tol={value}", "check", square]) == 2
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
+    assert get_tol() == DEFAULT_TOL
+    with pytest.raises(ValueError, match="positive and finite"):
+        set_tol(float(value))
