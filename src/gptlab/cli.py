@@ -100,8 +100,11 @@ def cmd_compose(args) -> int:
     payload = _composite_to_dict(comp, a_dict, b_dict, name)
     text = dump_json(payload) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         print(text, end="")
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Dense linear programming: problem types, two-phase simplex, kernel info."""
+"""Dense linear programming: problem types and a two-phase simplex."""
 
 from gptlab.lp.engine import (
     INFEASIBLE,

@@ -1,9 +1,9 @@
 """Dense two-phase simplex with Bland's anti-cycling rule.
 
-Self-contained: the only heavy lifting is the pivot loop, which lives in a
-compiled kernel with a numpy fallback (see ``_kernel``).  Problems at desk
-scale (up to a few hundred variables) are assumed; solutions are vertex
-solutions, which downstream code uses as explicit effect witnesses.
+Self-contained: the only heavy lifting is the numpy pivot loop in
+``_kernel``.  Problems at desk scale (up to a few hundred variables) are
+assumed; solutions are vertex solutions, which downstream code uses as
+explicit effect witnesses.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from gptlab.config import resolve_tol
 from gptlab.errors import SolverError
 from gptlab.lp import _kernel
-from gptlab.lp._pivot_py import pivot
+from gptlab.lp._kernel import pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"

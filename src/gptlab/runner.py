@@ -10,6 +10,7 @@ replayed through the originating operation.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,7 @@ POSTULATE_KEYS = ("P1", "P2", "P3", "P3C", "P4", "P4prime")
 SYMMETRY_SEARCH_VERTEX_BUDGET = 16
 SYMMETRY_SEARCH_NODE_BUDGET = 200_000
 CAPACITY_EXHAUSTED = "capacity search budget exhausted"
+BUDGET_EXHAUSTED = "budget exhausted: "
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +111,27 @@ def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None) -> F
     return FiniteMatrixGroup(np.array([verts[list(p)].T @ pinv for p in perms]))
 
 
+def _spec_field(spec: dict, key: str, what: str):
+    if key not in spec:
+        raise ValidationError(f"{what} needs a {key!r} field")
+    return spec[key]
+
+
+def _int_field(spec: dict, key: str, what: str) -> int:
+    value = _spec_field(spec, key, what)
+    # bool is an int subclass; a float or string would be truncated by int()
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValidationError(f"{what} field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be numbers: {exc}") from exc
+
+
 def build_space(td: TheoryDefinition) -> StateSpace:
     """Construct and validate the state space described by a definition."""
     spec = td.space_spec
@@ -117,15 +140,17 @@ def build_space(td: TheoryDefinition) -> StateSpace:
     if kind not in ("auto", "finite"):
         raise ValidationError(f"unknown group kind {kind!r}")
     if family == "classical":
-        space = classical(int(spec["N"]))
+        space = classical(_int_field(spec, "N", family))
     elif family == "ball":
-        space = gbit_ball(int(spec["d"]))
+        space = gbit_ball(_int_field(spec, "d", family))
     elif family == "square":
         space = square_gbit()
     elif family == "quantum":
-        space = quantum(int(spec["N"]))
+        space = quantum(_int_field(spec, "N", family))
     elif family == "polytope":
-        verts = np.asarray(spec["vertices"], dtype=float)
+        verts = _float_array(_spec_field(spec, "vertices", family), "polytope vertices")
+        if verts.ndim != 2 or verts.size == 0:
+            raise ValidationError("polytope vertices must be a non-empty list of rows")
         group = None if kind == "finite" else polytope_symmetry_group(verts)
         space = StateSpace(name=td.name, rep=PolytopeRep(verts), group=group)
         validate_space(space)
@@ -133,13 +158,14 @@ def build_space(td: TheoryDefinition) -> StateSpace:
         raise ValidationError(f"unknown space family {family!r}")
     if kind == "finite":
         # explicit matrices replace the family's canonical group
-        matrices = np.asarray(td.group_spec["matrices"], dtype=float)
+        matrices = _float_array(_spec_field(td.group_spec, "matrices", "finite group"),
+                                "group matrices")
         k = space.ambient_dim
         if matrices.ndim != 3 or matrices.shape[1:] != (k, k):
             raise ValidationError(f"group matrices must have shape (M, {k}, {k})")
         space = StateSpace(name=space.name, rep=space.rep, group=FiniteMatrixGroup(matrices))
     if not _all_effects_allowed(td.allowed_effects):
-        allowed = np.atleast_2d(np.asarray(td.allowed_effects, dtype=float))
+        allowed = np.atleast_2d(_float_array(td.allowed_effects, "allowed effects"))
         for f in allowed:
             if not contains_effect(space, f):
                 raise ValidationError("allowed effect outside [0, 1] on the state space")
@@ -151,26 +177,29 @@ def _all_effects_allowed(allowed) -> bool:
 
 
 def theory_from_dict(data: dict) -> TheoryDefinition:
-    if not isinstance(data, dict) or "space" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("space"), dict):
         raise ValidationError("theory JSON must contain a 'space' object")
+    group = data.get("group", {"kind": "auto"})
+    if not isinstance(group, dict):
+        raise ValidationError("theory JSON 'group' must be an object")
     allowed = data.get("allowed_effects", "all")
-    if allowed != "all":
-        allowed = np.asarray(allowed, dtype=float)
+    if not _all_effects_allowed(allowed):
+        allowed = _float_array(allowed, "allowed effects")
     return TheoryDefinition(
         name=str(data.get("name", "unnamed")),
         space_spec=dict(data["space"]),
-        group_spec=dict(data.get("group", {"kind": "auto"})),
+        group_spec=dict(group),
         allowed_effects=allowed,
     )
 
 
 def load_json(path: str):
-    """Parse a JSON file; a missing file or malformed JSON is a ValidationError."""
+    """Parse a JSON file; an unreadable file or malformed JSON is a ValidationError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"file not found: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
@@ -256,8 +285,13 @@ class PostulateReport:
 
     @property
     def any_budget_exhausted(self) -> bool:
+        # an indeterminate status for another reason, such as P2's missing
+        # reference space, is not a budget running out
         return any(
-            entry.get("status") == INDETERMINATE for entry in self.postulates.values()
+            entry.get("status") == INDETERMINATE
+            and (entry.get("reason") == CAPACITY_EXHAUSTED
+                 or str(entry.get("reason")).startswith(BUDGET_EXHAUSTED))
+            for entry in self.postulates.values()
         )
 
 
@@ -471,7 +505,7 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
         try:
             postulates[key] = fn(*args)
         except BudgetExceededError as exc:
-            postulates[key] = _status(INDETERMINATE, reason=f"budget exhausted: {exc}")
+            postulates[key] = _status(INDETERMINATE, reason=f"{BUDGET_EXHAUSTED}{exc}")
 
     run("P1", _check_p1, separable, tol)
     run("P2", _check_p2, space, cap, tol)

@@ -594,6 +594,11 @@ def test_max_tensor_membership_for_continuous_parts(rng):
     # a vector scaled beyond the state set must be rejected
     bad = product_state(np.array([1.0, 1.4, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]))
     assert not max_tensor_contains(comp, bad, rng=rng)
+    # Its product-effect minimum stays near -0.8 under a 1e-10 nudge, yet the
+    # plain S-lemma form max_mu lambda_min(M J M^T - mu J) is -4.3e-10 here
+    # (-8.9e-18 at exact rank one): the quadratic form only certifies L u -L.
+    nudge = np.concatenate([[0.0], np.random.default_rng(0).normal(size=15)])
+    assert not max_tensor_contains(comp, bad + 1e-10 * nudge, rng=rng)
 
 
 def test_max_tensor_contains_enumerates_each_polytope_part_once(monkeypatch, rng):

@@ -1,11 +1,4 @@
-"""LP engine: spec examples, random constructed-feasible systems, kernel parity,
-and the shared membership and distinguishability LPs against HiGHS."""
-
-import importlib.util
-import shutil
-import subprocess
-import sysconfig
-from pathlib import Path
+"""LP engine: spec examples, random constructed-feasible systems and the shared membership and distinguishability LPs against HiGHS."""
 
 import numpy as np
 import pytest
@@ -13,7 +6,6 @@ import pytest
 from gptlab.convex import PolytopeRep, StateSpace, cone_contains
 from gptlab.discrimination import distinguishable_unchecked
 from gptlab.lp import OPTIMAL, UNBOUNDED, LinearProgram, lp_feasible, lp_solve
-from gptlab.lp import _kernel, _pivot_py
 
 
 def test_box_maximum():
@@ -156,52 +148,6 @@ def test_degenerate_lp_terminates():
     sol = lp_solve(prog)
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(0.0, abs=1e-9)
-
-
-def _assert_kernel_matches_python(kernel, rng):
-    # identical pivot sequences => bit-identical tableaus and solutions
-    for _ in range(30):
-        m, n = int(rng.integers(1, 6)), int(rng.integers(2, 7))
-        T = np.abs(rng.normal(size=(m + 1, n + m + 1)))
-        T[:m, n : n + m] = np.eye(m)
-        T[m, :n] = rng.normal(size=n)
-        T[m, n:] = 0.0
-        basis = np.arange(n, n + m, dtype=np.int64)
-        T2, basis2 = T.copy(), basis.copy()
-        status1, iters1 = kernel.run_pivots(T, basis, 1e-9, 1000)
-        status2, iters2 = _pivot_py.run_pivots(T2, basis2, 1e-9, 1000)
-        assert status1 == status2
-        assert iters1 == iters2
-        assert np.array_equal(basis, basis2)
-        assert np.array_equal(T, T2)
-
-
-def test_python_kernel_matches_selected_kernel(rng):
-    _assert_kernel_matches_python(_kernel, rng)
-
-
-def test_compiled_kernel_matches_python_kernel(rng, tmp_path):
-    # builds the committed C source, so the compiled kernel is tested even
-    # where Cython is not installed; the module is loaded from its file and
-    # never registered in sys.modules
-    gcc = shutil.which("gcc")
-    if gcc is None:
-        pytest.skip("gcc not found")
-    includes = [sysconfig.get_paths()["include"], np.get_include()]
-    if not (Path(includes[0]) / "Python.h").exists():
-        pytest.skip("Python headers not found")
-    source = Path(_pivot_py.__file__).with_name("_pivot_cy.c")
-    target = tmp_path / ("_pivot_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
-    build = subprocess.run(
-        [gcc, "-O0", "-shared", "-fPIC", *(f"-I{d}" for d in includes), str(source), "-o", str(target)],
-        capture_output=True, text=True,
-    )
-    assert build.returncode == 0, build.stderr
-    spec = importlib.util.spec_from_file_location("_pivot_cy", target)
-    compiled = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compiled)
-    assert compiled.KERNEL_NAME == "cython"
-    _assert_kernel_matches_python(compiled, rng)
 
 
 def test_dimension_validation():

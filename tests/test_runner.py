@@ -31,6 +31,7 @@ from gptlab.runner import (
     polytope_symmetry_group,
     report_parse,
     report_render,
+    theory_from_dict,
 )
 from gptlab.symmetry import continuity_check, face_extract, transitivity_check
 
@@ -615,6 +616,35 @@ def test_cli_validation_errors(tmp_path, capsys):
         assert cli_main(["chsh", _write(tmp_path, name, payload), "--settings", settings]) == 2
     capsys.readouterr()
 
+    # theory JSON of the wrong shape: no traceback, no silent truncation
+    shapes = [
+        {"space": {"family": "square"}, "group": 5},
+        {"space": 5},
+        {"space": [{"family": "square"}]},
+        {"space": {"family": "polytope", "vertices": []}},
+        {"space": {"family": "polytope", "vertices": [[]]}},
+        {"space": {"family": "polytope", "vertices": {"a": 1}}},
+        {"space": {"family": "polytope"}},
+        {"space": {"family": "classical", "N": 2.5}},
+        {"space": {"family": "classical", "N": True}},
+        {"space": {"family": "quantum", "N": "2"}},
+        {"space": {"family": "ball"}},
+        {"space": {"family": "square"}, "group": {"kind": "finite"}},
+        {"space": {"family": "square"}, "group": {"kind": "finite", "matrices": {"a": 1}}},
+        {"space": {"family": "square"}, "allowed_effects": {"a": 1}},
+    ]
+    for i, payload in enumerate(shapes):
+        with pytest.raises(ValidationError):
+            build_space(theory_from_dict(payload))
+        assert cli_main(["check", _write(tmp_path, f"shape{i}.json", payload)]) == 2, payload
+    capsys.readouterr()
+
+    # unreadable input and unwritable output
+    assert cli_main(["check", str(tmp_path)]) == 2
+    out = str(tmp_path / "missing" / "x.json")
+    assert cli_main(["compose", square, square, "--rule", "min", "--out", out]) == 2
+    capsys.readouterr()
+
 
 def test_cli_budget_exit_code(tmp_path, capsys):
     # 18-vertex polytope: exceeds the auto symmetry-search vertex budget (16)
@@ -624,6 +654,29 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     code = cli_main(["check", theory])
     capsys.readouterr()
     assert code == 3
+
+
+def test_cli_exit_code_3_needs_a_budget_to_run_out(tmp_path, capsys):
+    # P2 on the triangle is indeterminate for want of a reference space, not a budget
+    triangle = {"name": "triangle", "space": {"family": "polytope",
+                                               "vertices": [[1, 0, 0], [1, 1, 0], [1, 0, 1]]}}
+    assert cli_main(["check", _write(tmp_path, "triangle.json", triangle)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["postulates"]["P2"] == {
+        "status": INDETERMINATE, "reason": "no reference state space of capacity N-1"
+    }
+
+    def report_with(entry):
+        postulates = {key: {"status": PROBES_PASS} for key in POSTULATE_KEYS}
+        postulates["P2"] = entry
+        return PostulateReport("t", None, "min", 0, 1e-9, {}, postulates)
+
+    assert report_with({"status": INDETERMINATE, "reason": runner.CAPACITY_EXHAUSTED}).any_budget_exhausted
+    assert report_with({"status": INDETERMINATE,
+                        "reason": "budget exhausted: 18 vertices"}).any_budget_exhausted
+    assert not report_with({"status": INDETERMINATE,
+                            "reason": "no reference state space of capacity N-1"}).any_budget_exhausted
+    assert not report_with({"status": INDETERMINATE}).any_budget_exhausted
 
 
 @pytest.mark.parametrize(
