@@ -24,6 +24,7 @@ from gptlab.convex import (
 from gptlab.discrimination import capacity
 from gptlab.runner import (
     PostulateReport,
+    _float_array,
     build_space,
     check_postulates,
     dump_json,
@@ -82,7 +83,7 @@ def _composite_from_dict(data: dict) -> Composite:
     part_a = build_space(theory_from_dict(parts[0]))
     part_b = build_space(theory_from_dict(parts[1]))
     k = part_a.ambient_dim * part_b.ambient_dim
-    verts = np.asarray(data["vertices"], dtype=float)
+    verts = _float_array(data["vertices"], "composite vertices")
     if verts.ndim != 2 or verts.shape[1] != k:
         raise ValidationError(f"composite vertices must be rows of length k_a * k_b = {k}")
     space = StateSpace(name=data.get("name", "composite"), rep=PolytopeRep(verts))
@@ -112,8 +113,8 @@ def cmd_compose(args) -> int:
 
 def _parse_settings(data: dict) -> tuple[list[Measurement], list[Measurement]]:
     try:
-        a = [Measurement(np.asarray(m, dtype=float)) for m in data["A"]]
-        b = [Measurement(np.asarray(m, dtype=float)) for m in data["B"]]
+        a = [Measurement(_float_array(m, "CHSH settings")) for m in data["A"]]
+        b = [Measurement(_float_array(m, "CHSH settings")) for m in data["B"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"settings JSON must contain 'A' and 'B' measurement lists: {exc}")
     if len(a) != 2 or len(b) != 2:
@@ -125,7 +126,7 @@ def cmd_chsh(args) -> int:
     comp = _composite_from_dict(load_json(args.composite))
     a_meas, b_meas = _parse_settings(load_json(args.settings))
     if args.state:
-        state = np.asarray(load_json(args.state)["state"], dtype=float)
+        state = _float_array(load_json(args.state)["state"], "state")
         if not contains_state(comp.space, state):
             raise ValidationError("state is not in the composite state space")
         value = chsh_value(comp, state, a_meas, b_meas)

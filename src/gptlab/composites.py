@@ -51,8 +51,6 @@ MIN_TENSOR = "min"
 MAX_TENSOR = "max"
 
 MAX_COMPOSITE_VERTICES = 4096
-MAX_TENSOR_STARTS = 8        # alternating minimizations per membership query
-MAX_TENSOR_ITERATIONS = 60   # alternating steps per start
 
 
 def _kron_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -111,9 +109,10 @@ class Composite:
 
 def _cone_rays(space: StateSpace, tol: float) -> np.ndarray | None:
     """Extreme rays of a part's effect cone (facets of its state cone); None
-    for ball and quantum parts, whose cones are not polyhedral."""
-    if isinstance(space.rep, (BallRep, QuantumRep)):
-        return None
+    for ball and quantum parts, whose cones are not polyhedral from K = 3 on."""
+    if isinstance(space.rep, (BallRep, QuantumRep)):  # ball(1): (1, ±1); quantum(1): (1)
+        k = space.ambient_dim
+        return np.array([[1.0, 1.0], [1.0, -1.0]])[:k, :k] if k <= 2 else None
     return dual_cone_rays(vertices_of(space), tol=tol)
 
 
@@ -204,6 +203,8 @@ def conditional_state(c: Composite, omega: np.ndarray, effect: np.ndarray,
                       side: str = "B", tol: float | None = None) -> np.ndarray:
     """State left on the opposite side after observing ``effect`` on ``side``."""
     tol = resolve_tol(tol)
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
     raw = contract_b(c, omega, effect) if side == "B" else contract_a(c, omega, effect)
     weight = raw[0]
     if weight <= tol:
@@ -356,71 +357,69 @@ def capacity_multiplicativity_check(c: Composite, full_search: bool = False,
 # Membership for continuous-part max tensors
 # ---------------------------------------------------------------------------
 
-def max_tensor_contains(c: Composite, omega: np.ndarray, tol: float | None = None,
-                        rng: np.random.Generator | None = None) -> bool:
-    """Membership of ``omega`` in the max tensor of the parts of ``c``.
-
-    Exact when a part has a vertex list: for each extreme ray f of that
-    part's effect cone, the other part's least normalized extreme effect on
-    the contraction f·Omega (Omega the K_A x K_B matrix of ``omega``) must be
-    nonnegative.  Ball and quantum pairs minimize product-effect values by
-    alternating exact one-sided minimizations from several starts: sound for
-    rejection, heuristic for acceptance.
+def max_tensor_contains(c: Composite, omega: np.ndarray, tol: float | None = None) -> bool:
+    """Membership of ``omega`` in the max tensor of the parts of ``c``: each
+    normalized product effect must be at least -tol.  A part with finitely
+    many extreme effects f (a polytope, ball(1), quantum(1)) decides by the
+    other part's least effect on f·Omega, Omega the K_A x K_B matrix of
+    ``omega``; ball and qubit pairs go to ``_lorentz_positive``.
     """
     tol = resolve_tol(tol)
     omega = _check_dim(c, omega)
-    if abs(omega[0] - 1.0) > tol:
+    if abs(omega[0] - 1.0) > tol or not np.all(np.isfinite(omega)):
         return False
     M = omega.reshape(c.k_a, c.k_b)
     rays_a, rays_b = _part_cone_rays(c.part_a, c.part_b, tol)
     if rays_a is not None:
-        return all(_min_effect(c.part_b, rays_b, f @ M)[0] >= -tol for f in rays_a)
+        return all(_min_effect(c.part_b, rays_b, f @ M) >= -tol for f in rays_a)
     if rays_b is not None:
-        return all(_min_effect(c.part_a, rays_a, M @ g)[0] >= -tol for g in rays_b)
-
-    rng = rng if rng is not None else np.random.default_rng(0)
-    worst = np.inf
-    for _ in range(MAX_TENSOR_STARTS):
-        g = _random_cone_effect(c.part_b, rng)
-        value = np.inf
-        for _ in range(MAX_TENSOR_ITERATIONS):
-            _, f = _min_effect(c.part_a, rays_a, M @ g)
-            new_value, g = _min_effect(c.part_b, rays_b, f @ M)
-            if abs(new_value - value) < 1e-13:
-                value = new_value
-                break
-            value = new_value
-        worst = min(worst, value)
-    return worst >= -tol
+        return all(_min_effect(c.part_a, rays_a, M @ g) >= -tol for g in rays_b)
+    L = _lorentz_scale(c.part_a)[:, None] * M * _lorentz_scale(c.part_b)
+    L[0, 0] += tol  # now (1, u) L (1, v) >= 0 is the test, u and v unit vectors
+    return _lorentz_positive(L) and _lorentz_positive(L.T)
 
 
-def _min_effect(space: StateSpace, rays: np.ndarray | None,
-                w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimize f·w over the normalized extreme effects of the cone."""
+def _lorentz_positive(L: np.ndarray) -> bool:
+    """Whether f·L·g >= 0 on the Lorentz cones of L's rows and columns.
+
+    S-lemma (Loewy & Schneider, 1975): with L e_0 in L_A, yes iff some mu in
+    [0, Q_00] gives Q - mu J_A >= 0, Q = L J_B L^T, J = diag(1, -1, ..., -1).
+    That value is about -d·|L^T f|/2 for an effect f at -d, so the effects
+    L^T nearly annihilates, and e_0 (image: the marginal L^T e_0), are tested.
+    """
+    j_a, j_b = (np.diag(np.where(np.arange(k) == 0, 1.0, -1.0)) for k in L.shape)
+    Q = L @ j_b @ L.T
+    mu = np.linspace(0.0, max(Q[0, 0], 0.0), 33)
+    for _ in range(14):  # keep the grid cells next to the best of 33 points
+        least = np.linalg.eigvalsh(Q - mu[:, None, None] * j_a)[:, 0]
+        k = int(np.argmax(least))
+        mu = np.linspace(mu[max(k - 1, 0)], mu[min(k + 1, 32)], 33)
+    U = np.linalg.svd(L)[0][:, ::-1]  # the directions L^T shrinks most come first
+    Z = np.column_stack([U[:, :m] @ np.linalg.eigh(U[:, :m].T @ j_a @ U[:, :m])[1][:, -1]
+                         for m in range(1, L.shape[0] + 1)])  # J-largest in each span; e_0 last
+    Z *= np.where(Z[0] < 0, -1.0, 1.0) / np.maximum(np.linalg.norm(Z[1:], axis=0), 1e-300)
+    V = np.hstack([Z[1:], Z[1:] / np.maximum(Z[0], 1.0)])
+    W = L.T @ np.vstack([np.ones(V.shape[1]), V])  # images of (1, v) on and inside L_A
+    rounding = 64 * np.finfo(float).eps * np.sum(L * L)  # of Q's entries and eigenvalues
+    return bool(least[k] >= -rounding and np.all(W[0] >= np.linalg.norm(W[1:], axis=0)))
+
+
+def _lorentz_scale(space: StateSpace) -> np.ndarray:
+    """Coordinates of the extreme effects (1, u), |u| = 1: (1/2, u/sqrt(2)) on a qubit."""
+    if isinstance(space.rep, QuantumRep) and space.rep.n > 2:
+        raise UnsupportedRepresentationError(f"{space.name} needs a polyhedral max-tensor partner")
+    s = np.sqrt(0.5) if isinstance(space.rep, QuantumRep) else 1.0
+    return np.concatenate([[s * s], np.full(space.ambient_dim - 1, s)])
+
+
+def _min_effect(space: StateSpace, rays: np.ndarray | None, w: np.ndarray) -> float:
+    """Least value of f·w over the normalized extreme effects of the cone."""
     rep = space.rep
     if isinstance(rep, BallRep):
-        what = w[1:]
-        norm = np.linalg.norm(what)
-        direction = -what / norm if norm > 0 else np.zeros(rep.d)
-        f = np.concatenate([[1.0], direction])
-        return float(f @ w), f
+        return float(w[0] - np.linalg.norm(w[1:]))
     if isinstance(rep, QuantumRep):
-        mat = quantum.state_matrix(w, rep.n)
-        eigvals, eigvecs = np.linalg.eigh(mat)
-        v = eigvecs[:, 0]
-        f = quantum.effect_coords(np.outer(v, v.conj()), rep.n)
-        return float(f @ w), f
-    values = rays @ w
-    k = int(np.argmin(values))
-    return float(values[k]), rays[k]
-
-
-def _random_cone_effect(space: StateSpace, rng: np.random.Generator) -> np.ndarray:
-    rep = space.rep
-    if isinstance(rep, BallRep):
-        n = rng.normal(size=rep.d)
-        return np.concatenate([[1.0], n / np.linalg.norm(n)])
-    return quantum.effect_coords(quantum.random_pure_density(rep.n, rng), rep.n)
+        return float(np.linalg.eigvalsh(quantum.state_matrix(w, rep.n))[0])
+    return float(np.min(rays @ w))
 
 
 def sample_composite_state(c: Composite, rng: np.random.Generator) -> np.ndarray:

@@ -156,6 +156,8 @@ class Measurement:
 
     def __post_init__(self):
         eff = np.atleast_2d(np.asarray(self.effects, dtype=float))
+        if not np.all(np.isfinite(eff)):
+            raise ValidationError("effects must be finite numbers")
         total = eff.sum(axis=0)
         unit = unit_effect_vector(eff.shape[1])
         if np.max(np.abs(total - unit)) > resolve_tol(None):
@@ -200,7 +202,7 @@ def mix(states, weights) -> np.ndarray:
     if w.ndim != 1 or w.size != mat.shape[0]:
         raise DimensionMismatchError("one weight per state required")
     tol = resolve_tol(None)
-    if np.any(w < -tol) or abs(w.sum() - 1.0) > tol:
+    if not np.all(np.isfinite(w)) or np.any(w < -tol) or abs(w.sum() - 1.0) > tol:
         raise DomainError("weights are not a probability vector")
     return w @ mat
 

@@ -201,7 +201,10 @@ def bell_state() -> np.ndarray:
 def qubit_measurement(direction: np.ndarray) -> Measurement:
     """Spin measurement {(I + n.sigma)/2, (I - n.sigma)/2} as effect vectors."""
     n = np.asarray(direction, dtype=float)
-    n = n / np.linalg.norm(n)
+    norm = np.linalg.norm(n)
+    if not 0.0 < norm < np.inf:
+        raise DomainError("measurement direction must be finite and nonzero")
+    n = n / norm
     op = sum(ni * si for ni, si in zip(n, qc.PAULI))
     plus = qc.effect_coords((np.eye(2) + op) / 2.0, 2)
     minus = qc.effect_coords((np.eye(2) - op) / 2.0, 2)

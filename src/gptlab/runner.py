@@ -126,10 +126,14 @@ def _int_field(spec: dict, key: str, what: str) -> int:
 
 
 def _float_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array; JSON's NaN and Infinity are rejected."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be numbers: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} must be finite numbers")
+    return arr
 
 
 def build_space(td: TheoryDefinition) -> StateSpace:

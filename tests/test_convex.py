@@ -192,6 +192,20 @@ def test_measurement_must_sum_to_unit():
     assert m.n_outcomes == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_measurement_and_mix_reject_non_finite_numbers(bad):
+    # a NaN sum slips past a `> tol` comparison
+    with pytest.raises(ValidationError):
+        Measurement(np.full((2, 3), bad))
+    with pytest.raises(ValidationError):
+        Measurement(np.array([[0.5, bad], [0.5, -bad]]))
+    omega = np.array([1.0, 0.0])
+    with pytest.raises(DomainError):
+        mix([omega, omega], [bad, bad])
+    with pytest.raises(DomainError):
+        mix([omega, omega], [bad, 0.0])
+
+
 def test_polytope_vertex_validation():
     # a non-extreme point in the claimed vertex list must be rejected
     bad = StateSpace(

@@ -16,6 +16,7 @@ from gptlab.models import (
     gbit_ball,
     pr_box_state,
     psi_u,
+    qubit_measurement,
     quantum,
     square_gbit,
     square_measurements,
@@ -175,3 +176,14 @@ def test_pr_box_is_extremal_no_signalling_state():
 
 def test_bell_state_matches_psi_half_pi():
     assert np.array_equal(bell_state(), psi_u(np.pi / 2.0))
+
+
+@pytest.mark.parametrize("direction", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]])
+def test_qubit_measurement_needs_a_finite_nonzero_direction(direction):
+    with pytest.raises(DomainError):
+        qubit_measurement(direction)
+
+
+def test_qubit_measurement_normalizes_its_direction():
+    m = qubit_measurement([0.0, 0.0, 2.0])
+    assert np.allclose(qc.effect_matrix(m.effects[0], 2), np.diag([1.0, 0.0]), atol=1e-12)

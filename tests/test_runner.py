@@ -497,7 +497,7 @@ def test_cli_compose_and_chsh(tmp_path, capsys):
     out_file = str(tmp_path / "composite.json")
     code = cli_main(["compose", a, b, "--rule", "max", "--out", out_file])
     assert code == 0
-    composite = json.loads(open(out_file).read())
+    composite = json.loads(Path(out_file).read_text())
     assert len(composite["vertices"]) == 24
 
     x_meas = [[0.0, 1.0, 0.0], [1.0, -1.0, 0.0]]
@@ -606,7 +606,7 @@ def test_cli_validation_errors(tmp_path, capsys):
     square = _write(tmp_path, "square.json", {"name": "square", "space": {"family": "square"}})
     good = str(tmp_path / "composite.json")
     assert cli_main(["compose", square, square, "--rule", "max", "--out", good]) == 0
-    composite = json.loads(open(good).read())
+    composite = json.loads(Path(good).read_text())
     x_meas = [[0.0, 1.0, 0.0], [1.0, -1.0, 0.0]]
     y_meas = [[0.0, 0.0, 1.0], [1.0, 0.0, -1.0]]
     settings = _write(tmp_path, "settings.json", {"A": [x_meas, y_meas], "B": [x_meas, y_meas]})
@@ -637,6 +637,35 @@ def test_cli_validation_errors(tmp_path, capsys):
         with pytest.raises(ValidationError):
             build_space(theory_from_dict(payload))
         assert cli_main(["check", _write(tmp_path, f"shape{i}.json", payload)]) == 2, payload
+    capsys.readouterr()
+
+    # NaN and Infinity, which Python's json reads, are not numbers of a theory
+    square_verts = [[1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1]]
+    for bad in (float("nan"), float("inf")):
+        corner = [[1.0, bad, 0.0]] + square_verts[1:]
+        payloads = [
+            {"space": {"family": "polytope", "vertices": corner}},
+            {"space": {"family": "square"},
+             "group": {"kind": "finite", "matrices": [np.diag([1.0, 1.0, bad]).tolist()]}},
+            {"space": {"family": "square"}, "allowed_effects": [[0.5, bad, 0.0]]},
+        ]
+        for i, payload in enumerate(payloads):
+            with pytest.raises(ValidationError, match="finite"):
+                build_space(theory_from_dict(payload))
+            path = _write(tmp_path, f"nonfinite{i}.json", payload)
+            assert cli_main(["check", path]) == 2, payload
+            assert cli_main(["capacity", path]) == 2, payload
+        bad_vertices = [list(row) for row in composite["vertices"]]
+        bad_vertices[0][1] = bad
+        bad_composite = _write(tmp_path, "bad_composite.json", dict(composite, vertices=bad_vertices))
+        assert cli_main(["chsh", bad_composite, "--settings", settings]) == 2
+        bad_meas = [[0.0, bad, 0.0], [1.0, -bad, 0.0]]
+        bad_settings = _write(tmp_path, "bad_settings.json",
+                              {"A": [bad_meas, y_meas], "B": [x_meas, y_meas]})
+        assert cli_main(["chsh", good, "--settings", bad_settings]) == 2
+        bad_state = _write(tmp_path, "bad_state.json", {"state": [1.0, bad] + [0.0] * 7})
+        assert cli_main(["chsh", good, "--settings", settings, "--state", bad_state]) == 2
+        assert "finite" in capsys.readouterr().err
     capsys.readouterr()
 
     # unreadable input and unwritable output
