@@ -157,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory")
     p.add_argument("--partner", default=None)
     p.add_argument("--rule", choices=["min", "max"], default="min")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the report; the checks draw no random numbers")
     p.add_argument("--format", choices=["json", "md"], default="json")
     p.set_defaults(fn=cmd_check)
 

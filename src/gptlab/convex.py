@@ -212,14 +212,15 @@ def mix(states, weights) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def contains_state(space: StateSpace, v: np.ndarray, tol: float | None = None) -> bool:
-    """Membership of ``v`` in the normalized state set."""
+    """Membership of ``v`` in the normalized state set; a NaN or infinite
+    coordinate is never a member."""
     tol = resolve_tol(tol)
     v = np.asarray(v, dtype=float)
     if v.shape != (space.ambient_dim,):
         raise DimensionMismatchError(
             f"vector of dimension {v.shape} vs ambient {space.ambient_dim}"
         )
-    if abs(v[0] - 1.0) > tol:
+    if abs(v[0] - 1.0) > tol or not np.all(np.isfinite(v)):
         return False
     rep = space.rep
     if isinstance(rep, BallRep):
@@ -267,8 +268,14 @@ def effect_range(space: StateSpace, f: np.ndarray) -> tuple[float, float]:
 
 
 def contains_effect(space: StateSpace, f: np.ndarray, tol: float | None = None) -> bool:
-    """True iff ``f`` maps every state into [0, 1] (within tol)."""
+    """True iff ``f`` maps every state into [0, 1] (within tol); a NaN or
+    infinite coordinate never does."""
     tol = resolve_tol(tol)
+    f = np.asarray(f, dtype=float)
+    if f.shape != (space.ambient_dim,):
+        raise DimensionMismatchError("functional dimension mismatch")
+    if not np.all(np.isfinite(f)):
+        return False
     lo, hi = effect_range(space, f)
     return lo >= -tol and hi <= 1.0 + tol
 

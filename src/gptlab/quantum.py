@@ -156,20 +156,3 @@ def unitary_coordinate_matrix(u: np.ndarray, n: int) -> np.ndarray:
     cols = [state_coords(conj[k], n) for k in range(n * n)]
     return np.column_stack(cols)
 
-
-def basis_transport_unitary(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """A unitary sending the unit vector ``psi`` to ``phi`` (basis completion)."""
-
-    def complete(v: np.ndarray) -> np.ndarray:
-        n = v.size
-        cols = [v]
-        for e in np.eye(n, dtype=complex):
-            w = e - sum(c * (c.conj() @ e) for c in cols)
-            norm = np.linalg.norm(w)
-            if norm > 1e-12:
-                cols.append(w / norm)
-            if len(cols) == n:
-                break
-        return np.column_stack(cols)
-
-    return complete(np.asarray(phi, dtype=complex)) @ complete(np.asarray(psi, dtype=complex)).conj().T

@@ -384,15 +384,15 @@ def _check_p2(space: StateSpace, cap: CapacityResult, tol: float) -> dict:
     return _status(PROBES_PASS)
 
 
-def _check_p3(space: StateSpace, rng: np.random.Generator, tol: float) -> dict:
-    result = transitivity_check(space, rng=rng, tol=tol)
+def _check_p3(space: StateSpace, tol: float) -> dict:
+    result = transitivity_check(space, tol=tol)
     if result.transitive:
         return _status(PASS)
     return _status(FAIL, witness={"stranded_state": result.stranded.tolist()})
 
 
-def _check_p3c(space: StateSpace, rng: np.random.Generator, tol: float) -> dict:
-    if continuity_check(space, rng=rng, tol=tol):
+def _check_p3c(space: StateSpace) -> dict:
+    if continuity_check(space):
         return _status(PASS)
     kind = type(space.group).__name__
     return _status(FAIL, witness={"group_kind": kind},
@@ -493,11 +493,11 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
                      rule: str = MIN_TENSOR, seed: int = 0,
                      tol: float | None = None) -> PostulateReport:
     """Run all postulate probes for a theory (composite checks against
-    ``partner``, which defaults to the theory itself)."""
+    ``partner``, which defaults to the theory itself).  ``seed`` is only
+    recorded in the report: no probe draws random numbers."""
     if rule not in (MIN_TENSOR, MAX_TENSOR):
         raise ValueError(f"unknown composition rule {rule!r}")
     tol = resolve_tol(tol)
-    rng = np.random.default_rng(seed)
     space = build_space(theory)
     partner_space = build_space(partner) if partner is not None else space
 
@@ -513,8 +513,8 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
 
     run("P1", _check_p1, separable, tol)
     run("P2", _check_p2, space, cap, tol)
-    run("P3", _check_p3, space, rng, tol)
-    run("P3C", _check_p3c, space, rng, tol)
+    run("P3", _check_p3, space, tol)
+    run("P3C", _check_p3c, space)
     run("P4", _check_p4, space, theory.allowed_effects, tol)
     run("P4prime", _check_p4_prime, space, cap)
 

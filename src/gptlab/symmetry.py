@@ -1,9 +1,12 @@
 """Transformation groups, transitivity, invariant states, faces and probes.
 
 Group elements act as K x K matrices on homogeneous coordinates, fixing the
-normalization coordinate.  Parametric families (ball rotations, unitary
-conjugations) are handled constructively and by sampling; finite families by
-explicit matrices or permutation tables.
+normalization coordinate.  Finite families are given by explicit matrices or
+permutation tables, and their transitivity is an orbit computation.
+Parametric families (ball rotations, unitary conjugations) are decided by
+theorem once the descriptor is checked to match the representation:
+SO(d), d >= 2, is connected and transitive on the sphere S^{d-1}, and U(n) is
+connected and transitive on the pure states of an n-level system.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from gptlab.convex import (
     affine_dim_of,
     contains_state,
     effect_range,
-    sample_pure_state,
     sample_state,
     unit_effect_vector,
     vertices_of,
@@ -123,30 +125,6 @@ def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def rotation_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """SO(d) element mapping unit vector u to unit vector v (two reflections).
-
-    The first Householder reflection swaps u and v; a second reflection fixing
-    v repairs the determinant.  Needs d >= 2.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    d = u.size
-    if d < 2:
-        raise DomainError("rotation construction needs dimension >= 2")
-    if np.linalg.norm(u - v) < 1e-14:
-        return np.eye(d)
-    w = (v - u) / np.linalg.norm(v - u)
-    h1 = np.eye(d) - 2.0 * np.outer(w, w)
-    # any unit vector orthogonal to v
-    basis = np.eye(d)
-    idx = int(np.argmin(np.abs(v)))
-    w2 = basis[idx] - (basis[idx] @ v) * v
-    w2 /= np.linalg.norm(w2)
-    h2 = np.eye(d) - 2.0 * np.outer(w2, w2)
-    return h2 @ h1
-
-
 def sample_element(group: GroupDescriptor, rng: np.random.Generator) -> np.ndarray:
     """Random group element as a coordinate matrix."""
     if isinstance(group, FiniteMatrixGroup):
@@ -159,6 +137,21 @@ def sample_element(group: GroupDescriptor, rng: np.random.Generator) -> np.ndarr
         u = quantum.random_unitary(group.n, rng)
         return quantum.unitary_coordinate_matrix(u, group.n)
     raise UnsupportedRepresentationError(f"unknown group descriptor {group!r}")
+
+
+def check_parametric_group(space: StateSpace) -> None:
+    """Raise ValidationError unless the space's parametric group acts on it:
+    ``RotationGroup(d)`` on ``BallRep(d)`` with d >= 2, or ``UnitaryGroup(n)``
+    on ``QuantumRep(n)``."""
+    group, rep = space.group, space.rep
+    if isinstance(group, RotationGroup):
+        matches = isinstance(rep, BallRep) and rep.d == group.d >= 2
+    elif isinstance(group, UnitaryGroup):
+        matches = isinstance(rep, QuantumRep) and rep.n == group.n
+    else:
+        raise UnsupportedRepresentationError(f"unknown group descriptor {group!r}")
+    if not matches:
+        raise ValidationError(f"{space.name}: {group!r} does not act on {rep!r}")
 
 
 def apply(transform: np.ndarray, omega: np.ndarray, space: StateSpace | None = None,
@@ -175,7 +168,7 @@ def validate_group(space: StateSpace, rng: np.random.Generator, n_states: int = 
     """Sample-check that every element maps the state set onto itself.
 
     Finite groups are additionally checked for closure under product and
-    inverse (table check).
+    inverse (table check); a parametric group must first match the space.
     """
     tol = resolve_tol(tol)
     group = space.group
@@ -193,6 +186,8 @@ def validate_group(space: StateSpace, rng: np.random.Generator, n_states: int = 
                 if _round_key(a @ b) not in keys:
                     raise ValidationError("group not closed under product")
     else:
+        if not isinstance(group, PermutationGroup):
+            check_parametric_group(space)
         elements = [sample_element(group, rng) for _ in range(n_elements)]
     states = [sample_state(space, rng) for _ in range(n_states)]
     for mat in elements:
@@ -208,7 +203,7 @@ def validate_group(space: StateSpace, rng: np.random.Generator, n_states: int = 
 @dataclass(frozen=True)
 class TransitivityResult:
     transitive: bool
-    witnesses: tuple = ()       # (source, target, matrix) triples
+    witnesses: tuple = ()       # (source, target, matrix) triples; finite groups only
     stranded: np.ndarray | None = None
 
 
@@ -251,21 +246,18 @@ def _group_matrices(group: GroupDescriptor) -> list[np.ndarray]:
     raise UnsupportedRepresentationError("finite element list requested for a parametric group")
 
 
-TRANSITIVITY_SAMPLES = 10  # sampled state pairs for parametric groups
-
-
-def transitivity_check(space: StateSpace, rng: np.random.Generator | None = None,
-                       tol: float | None = None) -> TransitivityResult:
+def transitivity_check(space: StateSpace, tol: float | None = None) -> TransitivityResult:
     """Does the group act transitively on the pure states?
 
-    Finite groups: orbit computation on the extreme points.  Parametric
-    groups: constructive transformation between sampled boundary points.
+    Finite groups: orbit computation on the extreme points, with one
+    transporter matrix per reached vertex as witness.  Parametric groups:
+    transitive by theorem once ``check_parametric_group`` accepts them; no
+    witnesses.
     """
     tol = resolve_tol(tol)
     group = space.group
     if group is None:
         raise DomainError(f"{space.name} has no group descriptor")
-    rng = rng if rng is not None else np.random.default_rng(0)
 
     if isinstance(group, (FiniteMatrixGroup, PermutationGroup)):
         transporter, nv = _vertex_orbits(space, _group_matrices(group), tol)
@@ -278,57 +270,23 @@ def transitivity_check(space: StateSpace, rng: np.random.Generator | None = None
         )
         return TransitivityResult(True, witnesses=witnesses)
 
-    if isinstance(group, RotationGroup):
-        d = group.d
-        witnesses = []
-        for _ in range(TRANSITIVITY_SAMPLES):
-            a = sample_pure_state(space, rng)
-            b = sample_pure_state(space, rng)
-            rot = np.eye(d + 1)
-            rot[1:, 1:] = rotation_between(a[1:], b[1:])
-            if np.max(np.abs(rot @ a - b)) > 1e-7:
-                return TransitivityResult(False, stranded=a)
-            witnesses.append((a, b, rot))
-        return TransitivityResult(True, witnesses=tuple(witnesses))
-
-    if isinstance(group, UnitaryGroup):
-        n = group.n
-        witnesses = []
-        for _ in range(TRANSITIVITY_SAMPLES):
-            psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-            psi /= np.linalg.norm(psi)
-            phi = rng.normal(size=n) + 1j * rng.normal(size=n)
-            phi /= np.linalg.norm(phi)
-            u = quantum.basis_transport_unitary(psi, phi)
-            mat = quantum.unitary_coordinate_matrix(u, n)
-            a = quantum.state_coords(np.outer(psi, psi.conj()), n)
-            b = quantum.state_coords(np.outer(phi, phi.conj()), n)
-            if np.max(np.abs(mat @ a - b)) > 1e-7:
-                return TransitivityResult(False, stranded=a)
-            witnesses.append((a, b, mat))
-        return TransitivityResult(True, witnesses=tuple(witnesses))
-
-    raise UnsupportedRepresentationError(f"unknown group descriptor {group!r}")
+    check_parametric_group(space)
+    return TransitivityResult(True)
 
 
-def continuity_check(space: StateSpace, rng: np.random.Generator | None = None,
-                     tol: float | None = None) -> bool:
+def continuity_check(space: StateSpace) -> bool:
     """True iff transitivity is achieved inside a connected parametric family.
 
-    Finite groups and permutation groups are discrete, hence False.  Rotation
-    witnesses are checked to have determinant +1 (path to the identity).
+    Finite groups and permutation groups are discrete, hence False.  A
+    parametric group that matches the space is connected and transitive.
     """
     group = space.group
     if group is None:
         raise DomainError(f"{space.name} has no group descriptor")
     if isinstance(group, (FiniteMatrixGroup, PermutationGroup)):
         return False
-    result = transitivity_check(space, rng=rng, tol=tol)
-    if not result.transitive:
-        return False
-    if isinstance(group, RotationGroup):
-        return all(abs(np.linalg.det(m) - 1.0) < 1e-7 for _, _, m in result.witnesses)
-    return True  # unitary conjugations: U(n) is connected
+    check_parametric_group(space)
+    return True
 
 
 # ---------------------------------------------------------------------------

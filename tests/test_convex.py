@@ -206,6 +206,20 @@ def test_measurement_and_mix_reject_non_finite_numbers(bad):
         mix([omega, omega], [bad, 0.0])
 
 
+@pytest.mark.parametrize("space", [classical(3), gbit_ball(2), square_gbit(), quantum(2)],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vectors_are_neither_states_nor_effects(space, bad):
+    state = sample_state(space, np.random.default_rng(3))
+    half_unit = 0.5 * unit_effect_vector(space.ambient_dim)
+    assert contains_state(space, state) and contains_effect(space, half_unit)
+    for i in range(space.ambient_dim):
+        v, f = state.copy(), half_unit.copy()
+        v[i] = f[i] = bad
+        assert not contains_state(space, v)
+        assert not contains_effect(space, f)
+
+
 def test_polytope_vertex_validation():
     # a non-extreme point in the claimed vertex list must be rejected
     bad = StateSpace(

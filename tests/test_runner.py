@@ -382,6 +382,30 @@ def test_report_round_trip_and_determinism():
     assert sum(1 for line in md.splitlines() if line.startswith("| P")) == 6
 
 
+def test_the_checker_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_postulates asked for a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    ball3 = TheoryDefinition(name="ball(3)", space_spec={"family": "ball", "d": 3})
+    for theory in (ball3, QUANTUM2, CLASSICAL3, SQUARE, PENTAGON):
+        for rule in ("min", "max"):
+            check_postulates(theory, rule=rule, seed=0)
+
+
+@pytest.mark.parametrize("family,key,sizes", [("ball", "d", range(1, 9)),
+                                              ("quantum", "N", range(1, 5))])
+def test_reports_do_not_depend_on_the_seed(family, key, sizes):
+    # the seed is recorded in the report and nothing else reads it
+    for n in sizes:
+        theory = TheoryDefinition(name=f"{family}({n})", space_spec={"family": family, key: n})
+        for rule in ("min", "max"):
+            first, second = (check_postulates(theory, rule=rule, seed=s).to_dict()
+                             for s in (0, 7))
+            assert (first.pop("seed"), second.pop("seed")) == (0, 7)
+            assert dump_json(first) == dump_json(second)
+
+
 def test_empty_metrics_report_renders_all_statuses():
     report = PostulateReport(
         theory="empty",

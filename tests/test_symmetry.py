@@ -13,10 +13,10 @@ from gptlab.errors import NoFaceError, ValidationError
 from gptlab.convex import (
     BallRep,
     PolytopeRep,
+    QuantumRep,
     SimplexRep,
     StateSpace,
     cone_contains,
-    contains_state,
     sample_pure_state,
     validate_space,
     vertices_of,
@@ -26,7 +26,10 @@ from gptlab.models import classical, gbit_ball, quantum, square_gbit
 from gptlab.runner import build_space, load_theory
 from gptlab.symmetry import (
     FiniteMatrixGroup,
+    RotationGroup,
+    UnitaryGroup,
     apply,
+    check_parametric_group,
     continuity_check,
     equivalence_probe,
     face_extract,
@@ -77,31 +80,56 @@ def test_group_validation_all_builtins(rng):
         validate_group(space, rng, n_states=100)
 
 
-def test_transitivity_ball_rotations(rng):
-    result = transitivity_check(gbit_ball(3), rng)
-    assert result.transitive
-    for a, b, mat in result.witnesses:
-        assert np.allclose(mat @ a, b, atol=1e-9)
-        assert abs(np.linalg.det(mat) - 1.0) < 1e-9
+def test_transitivity_ball_rotations():
+    assert transitivity_check(gbit_ball(3)).transitive
 
 
-def test_transitivity_simplex_permutations(rng):
-    assert transitivity_check(classical(4), rng).transitive
+def test_transitivity_simplex_permutations():
+    assert transitivity_check(classical(4)).transitive
 
 
-def test_transitivity_square_dihedral(rng):
-    assert transitivity_check(square_gbit(), rng).transitive
+def test_transitivity_square_dihedral():
+    assert transitivity_check(square_gbit()).transitive
 
 
-def test_transitivity_quantum(rng):
-    result = transitivity_check(quantum(2), rng)
-    assert result.transitive
-    space = quantum(2)
-    for a, b, mat in result.witnesses:
-        assert contains_state(space, mat @ a, tol=1e-7)
+def test_transitivity_quantum():
+    assert transitivity_check(quantum(2)).transitive
 
 
-def test_transitivity_fails_with_trivial_group(rng):
+@pytest.mark.parametrize("space", [gbit_ball(d) for d in range(2, 9)]
+                         + [quantum(n) for n in range(1, 5)], ids=lambda s: s.name)
+def test_a_matching_parametric_group_is_transitive_and_continuous_by_theorem(space):
+    # SO(d), d >= 2, and U(n) are connected and transitive on the pure states
+    assert transitivity_check(space) == symmetry.TransitivityResult(True)
+    assert continuity_check(space)
+
+
+MISMATCHED_GROUPS = [
+    StateSpace(name="quantum(3) under U(2)", rep=QuantumRep(3), group=UnitaryGroup(2)),
+    StateSpace(name="quantum(2) under SO(3)", rep=QuantumRep(2), group=RotationGroup(3)),
+    StateSpace(name="ball(3) under SO(2)", rep=BallRep(3), group=RotationGroup(2)),
+    StateSpace(name="ball(1) under SO(1)", rep=BallRep(1), group=RotationGroup(1)),
+    StateSpace(name="ball(3) under U(2)", rep=BallRep(3), group=UnitaryGroup(2)),
+]
+
+
+@pytest.mark.parametrize("space", MISMATCHED_GROUPS, ids=lambda s: s.name)
+def test_a_parametric_group_that_does_not_match_the_space_is_rejected(space, rng, monkeypatch):
+    calls = []
+    real = symmetry.check_parametric_group
+    monkeypatch.setattr(symmetry, "check_parametric_group",
+                        lambda s: calls.append(s) or real(s))
+    for check in (transitivity_check, continuity_check,
+                  lambda s: validate_group(s, rng, n_states=1, n_elements=1)):
+        with pytest.raises(ValidationError, match="does not act on"):
+            check(space)
+    # each check is refused by the one helper, before anything is sampled
+    assert calls == [space] * 3
+    with pytest.raises(ValidationError, match="does not act on"):
+        check_parametric_group(space)
+
+
+def test_transitivity_fails_with_trivial_group():
     # square with only the identity: three stranded vertices
     space_cls = square_gbit()
     from gptlab.convex import StateSpace
@@ -111,7 +139,7 @@ def test_transitivity_fails_with_trivial_group(rng):
         rep=space_cls.rep,
         group=FiniteMatrixGroup(np.eye(3)[None]),
     )
-    result = transitivity_check(trivial, rng)
+    result = transitivity_check(trivial)
     assert not result.transitive
     assert result.stranded is not None
 
@@ -140,12 +168,12 @@ def test_transitivity_rejects_an_element_that_leaves_the_vertex_set_anywhere():
         transitivity_check(space)
 
 
-def test_continuity_examples(rng):
-    assert continuity_check(gbit_ball(3), rng)
-    assert not continuity_check(classical(3), rng)
-    assert continuity_check(quantum(2), rng)
-    assert not continuity_check(square_gbit(), rng)
-    assert not continuity_check(gbit_ball(1), rng)  # finite flip group
+def test_continuity_examples():
+    assert continuity_check(gbit_ball(3))
+    assert not continuity_check(classical(3))
+    assert continuity_check(quantum(2))
+    assert not continuity_check(square_gbit())
+    assert not continuity_check(gbit_ball(1))  # finite flip group
 
 
 def test_maximally_mixed_closed_forms():
@@ -173,14 +201,6 @@ def test_orbit_average_equals_closed_form_for_finite_groups():
     tri = classical(3)
     orbit = orbit_states(tri, vertices_of(tri)[0])
     assert np.allclose(orbit.mean(axis=0), maximally_mixed(tri), atol=1e-12)
-
-
-def test_rotation_witnesses_preserve_boundary_norm(rng):
-    # rotations preserve the distance from the center for all pure witnesses
-    result = transitivity_check(gbit_ball(5), rng)
-    for a, b, mat in result.witnesses:
-        assert np.linalg.norm(a[1:]) == pytest.approx(1.0, abs=1e-9)
-        assert np.linalg.norm((mat @ a)[1:]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_strict_convexity():
