@@ -38,7 +38,7 @@ from gptlab.discrimination import (
     complete_measurement,
     verify_witness,
 )
-from gptlab.geometry import affine_dimension, dual_cone_rays, dual_cone_rays_exact
+from gptlab.geometry import dual_cone_rays, dual_cone_rays_exact
 from gptlab.symmetry import (
     FiniteMatrixGroup,
     PermutationGroup,
@@ -276,13 +276,10 @@ def chsh_value(c: Composite, omega: np.ndarray, a_measurements, b_measurements):
 # Structural checks
 # ---------------------------------------------------------------------------
 
-def local_tomography_check(c: Composite, tol: float | None = None) -> bool:
-    """Product effects separate states iff the composite spans K_A*K_B - 1
-    affine dimensions."""
-    tol = resolve_tol(tol)
-    if c.space is not None:
-        return affine_dimension(vertices_of(c.space), tol) == c.ambient_dim - 1
-    # the product states span span(S_A) ⊗ span(S_B)
+def local_tomography_check(c: Composite) -> bool:
+    """Product effects separate the states of ``c``, under either rule, iff
+    the product states span V_A ⊗ V_B, that is iff each part's states span
+    its own space; only the parts are read."""
     return all(affine_dim_of(part) == part.ambient_dim - 1 for part in (c.part_a, c.part_b))
 
 

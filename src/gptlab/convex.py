@@ -281,8 +281,14 @@ def contains_effect(space: StateSpace, f: np.ndarray, tol: float | None = None) 
 
 
 def effect_in_cone(space: StateSpace, f: np.ndarray, tol: float | None = None) -> bool:
-    """Membership of ``f`` in the cone of unnormalized effects (nonneg on states)."""
+    """Membership of ``f`` in the cone of unnormalized effects (nonneg on
+    states); a NaN or infinite coordinate is never a member."""
     tol = resolve_tol(tol)
+    f = np.asarray(f, dtype=float)
+    if f.shape != (space.ambient_dim,):
+        raise DimensionMismatchError("functional dimension mismatch")
+    if not np.all(np.isfinite(f)):
+        return False
     lo, _ = effect_range(space, f)
     return lo >= -tol
 

@@ -270,7 +270,12 @@ def lp_solve(prog: LinearProgram, tol: float | None = None) -> LpSolution:
 
 
 def lp_feasible(prog: LinearProgram, tol: float | None = None) -> tuple[bool, np.ndarray | None]:
-    """Phase-1 feasibility; returns a feasible point when one exists."""
+    """Phase-1 feasibility; returns a feasible point when one exists.
+
+    Phase 1 accepts up to ``1e-8 * (1 + max|b|)`` of infeasibility, more than
+    the ``10 * tol`` residual ``lp_solve`` allows: a point rejected for that
+    residual is infeasible.  Iteration-limit errors carry the basis and raise.
+    """
     zero = LinearProgram(
         objective=np.zeros(prog.n_vars),
         a_eq=prog.a_eq,
@@ -279,7 +284,12 @@ def lp_feasible(prog: LinearProgram, tol: float | None = None) -> tuple[bool, np
         b_ub=prog.b_ub,
         bounds=prog.bounds,
     )
-    sol = lp_solve(zero, tol=tol)
+    try:
+        sol = lp_solve(zero, tol=tol)
+    except SolverError as exc:
+        if exc.basis is not None:
+            raise
+        return False, None
     if sol.optimal:
         return True, sol.point
     return False, None

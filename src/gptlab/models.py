@@ -28,6 +28,7 @@ from gptlab.symmetry import (
     PermutationGroup,
     RotationGroup,
     UnitaryGroup,
+    polytope_symmetry_group,
 )
 
 MAX_QUANTUM_LEVELS = 4
@@ -58,31 +59,6 @@ def gbit_ball(d: int) -> StateSpace:
     return space
 
 
-def _square_symmetries() -> np.ndarray:
-    """The 8 symmetries of the unit square [0,1]^2 in homogeneous coordinates."""
-    maps = [
-        lambda x, y: (x, y),
-        lambda x, y: (1 - y, x),
-        lambda x, y: (1 - x, 1 - y),
-        lambda x, y: (y, 1 - x),
-        lambda x, y: (x, 1 - y),
-        lambda x, y: (1 - x, y),
-        lambda x, y: (y, x),
-        lambda x, y: (1 - y, 1 - x),
-    ]
-    mats = []
-    for f in maps:
-        m = np.zeros((3, 3))
-        m[0, 0] = 1.0
-        cx, cy = f(0.0, 0.0)
-        m[1, 0], m[2, 0] = cx, cy
-        for col, (dx, dy) in ((1, f(1.0, 0.0)), (2, f(0.0, 1.0))):
-            m[1, col] = dx - cx
-            m[2, col] = dy - cy
-        mats.append(m)
-    return np.stack(mats)
-
-
 def square_gbit() -> StateSpace:
     """The square state space: two independent binary effects X and Y."""
     verts = np.array([
@@ -91,9 +67,8 @@ def square_gbit() -> StateSpace:
         [1.0, 0.0, 1.0],
         [1.0, 1.0, 1.0],
     ])
-    space = StateSpace(
-        name="square", rep=PolytopeRep(verts), group=FiniteMatrixGroup(_square_symmetries())
-    )
+    rep = PolytopeRep(verts)
+    space = StateSpace(name="square", rep=rep, group=polytope_symmetry_group(rep.vertices))
     validate_space(space)
     return space
 

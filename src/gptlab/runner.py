@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from gptlab.discrimination import (
     capacity,
     fit_capacity_exponent,
 )
-from gptlab.geometry import vertex_symmetries
 from gptlab.models import (
     classical,
     gbit_ball,
@@ -61,6 +60,7 @@ from gptlab.symmetry import (
     FiniteMatrixGroup,
     continuity_check,
     is_g2_exception,
+    polytope_symmetry_group,
     strict_convexity_check,
     transitivity_check,
     two_bit_face_dimension_test,
@@ -73,8 +73,6 @@ INDETERMINATE = "indeterminate"
 
 POSTULATE_KEYS = ("P1", "P2", "P3", "P3C", "P4", "P4prime")
 
-SYMMETRY_SEARCH_VERTEX_BUDGET = 16
-SYMMETRY_SEARCH_NODE_BUDGET = 200_000
 CAPACITY_EXHAUSTED = "capacity search budget exhausted"
 BUDGET_EXHAUSTED = "budget exhausted: "
 
@@ -94,21 +92,6 @@ class TheoryDefinition:
 
     def build(self) -> StateSpace:
         return build_space(self)
-
-
-def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None) -> FiniteMatrixGroup:
-    """The linear maps that permute the vertices, one matrix per permutation
-    found by ``geometry.vertex_symmetries``, in lexicographic order of the
-    permutations (the identity first)."""
-    verts = np.atleast_2d(np.asarray(vertices, dtype=float))
-    nv = verts.shape[0]
-    if nv > SYMMETRY_SEARCH_VERTEX_BUDGET:
-        raise BudgetExceededError(
-            f"{nv} vertices exceed symmetry budget {SYMMETRY_SEARCH_VERTEX_BUDGET}"
-        )
-    pinv = np.linalg.pinv(verts.T)
-    perms = sorted(map(tuple, vertex_symmetries(verts, tol, SYMMETRY_SEARCH_NODE_BUDGET)))
-    return FiniteMatrixGroup(np.array([verts[list(p)].T @ pinv for p in perms]))
 
 
 def _spec_field(spec: dict, key: str, what: str):
@@ -155,9 +138,11 @@ def build_space(td: TheoryDefinition) -> StateSpace:
         verts = _float_array(_spec_field(spec, "vertices", family), "polytope vertices")
         if verts.ndim != 2 or verts.size == 0:
             raise ValidationError("polytope vertices must be a non-empty list of rows")
-        group = None if kind == "finite" else polytope_symmetry_group(verts)
-        space = StateSpace(name=td.name, rep=PolytopeRep(verts), group=group)
+        space = StateSpace(name=td.name, rep=PolytopeRep(verts))
         validate_space(space)
+        if kind == "auto":
+            # searched on the deduplicated vertices, once they are known to be extreme
+            space = replace(space, group=polytope_symmetry_group(space.rep.vertices))
     else:
         raise ValidationError(f"unknown space family {family!r}")
     if kind == "finite":
@@ -167,7 +152,7 @@ def build_space(td: TheoryDefinition) -> StateSpace:
         k = space.ambient_dim
         if matrices.ndim != 3 or matrices.shape[1:] != (k, k):
             raise ValidationError(f"group matrices must have shape (M, {k}, {k})")
-        space = StateSpace(name=space.name, rep=space.rep, group=FiniteMatrixGroup(matrices))
+        space = replace(space, group=FiniteMatrixGroup(matrices))
     if not _all_effects_allowed(td.allowed_effects):
         allowed = np.atleast_2d(_float_array(td.allowed_effects, "allowed effects"))
         for f in allowed:
@@ -345,11 +330,12 @@ def _status(status: str, witness=None, reason: str | None = None) -> dict:
     return entry
 
 
-def _check_p1(separable: Composite, tol: float) -> dict:
-    # P1 tests only the span of the joint states, and min ⊆ max have the same span
-    if local_tomography_check(separable, tol=tol):
+def _check_p1(space: StateSpace, partner: StateSpace) -> dict:
+    # product states span V_A ⊗ V_B, under either rule, iff each part's
+    # states span its own space; no composite is built
+    if local_tomography_check(Composite(space, partner, MIN_TENSOR, space=None)):
         return _status(PASS)
-    return _status(FAIL, witness={"expected_dim": separable.ambient_dim - 1})
+    return _status(FAIL, witness={"expected_dim": space.ambient_dim * partner.ambient_dim - 1})
 
 
 def _check_p2(space: StateSpace, cap: CapacityResult, tol: float) -> dict:
@@ -463,13 +449,14 @@ def _canonical_binary_measurements(space: StateSpace):
 
 
 def _chsh_metric(space: StateSpace, partner: StateSpace, rule: str,
-                 separable: Composite, tol: float) -> float | None:
+                 tol: float) -> float | None:
     ma = _canonical_binary_measurements(space)
     mb = _canonical_binary_measurements(partner)
     if ma is None or mb is None:
         return None
     try:
-        comp = separable if rule == MIN_TENSOR else compose(space, partner, rule, tol=tol)
+        # the only composite a check builds, under either rule
+        comp = compose(space, partner, rule, tol=tol)
     except UnsupportedRepresentationError:
         return None
     if comp.space is None:
@@ -502,7 +489,6 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
     partner_space = build_space(partner) if partner is not None else space
 
     cap = capacity(space, tol=tol)
-    separable = compose(space, partner_space, MIN_TENSOR, tol=tol)
     postulates: dict[str, dict] = {}
 
     def run(key: str, fn, *args) -> None:
@@ -511,7 +497,7 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
         except BudgetExceededError as exc:
             postulates[key] = _status(INDETERMINATE, reason=f"{BUDGET_EXHAUSTED}{exc}")
 
-    run("P1", _check_p1, separable, tol)
+    run("P1", _check_p1, space, partner_space)
     run("P2", _check_p2, space, cap, tol)
     run("P3", _check_p3, space, tol)
     run("P3C", _check_p3c, space)
@@ -528,7 +514,7 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
         "bit_dimension": None,
         "bit_dimension_admissible": None,
         "g2_exception": None,
-        "chsh_max": _metric(_chsh_metric, space, partner_space, rule, separable, tol),
+        "chsh_max": _metric(_chsh_metric, space, partner_space, rule, tol),
     }
     if cap.n == 2:
         d = k - 1

@@ -19,6 +19,7 @@ import numpy as np
 from gptlab import quantum
 from gptlab.config import resolve_tol
 from gptlab.errors import (
+    BudgetExceededError,
     DomainError,
     NoFaceError,
     UnsupportedRepresentationError,
@@ -33,12 +34,11 @@ from gptlab.convex import (
     affine_dim_of,
     contains_state,
     effect_range,
-    sample_state,
     unit_effect_vector,
     vertices_of,
 )
 from gptlab.discrimination import capacity, distinguishable_unchecked
-from gptlab.geometry import affine_dimension, vertex_permutation
+from gptlab.geometry import affine_dimension, vertex_permutation, vertex_symmetries
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +85,24 @@ class UnitaryGroup:
 
 
 GroupDescriptor = FiniteMatrixGroup | PermutationGroup | RotationGroup | UnitaryGroup
+
+SYMMETRY_SEARCH_VERTEX_BUDGET = 16
+SYMMETRY_SEARCH_NODE_BUDGET = 200_000
+
+
+def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None) -> FiniteMatrixGroup:
+    """The linear maps that permute the vertices, one matrix per permutation
+    found by ``geometry.vertex_symmetries``, in lexicographic order of the
+    permutations (the identity first)."""
+    verts = np.atleast_2d(np.asarray(vertices, dtype=float))
+    nv = verts.shape[0]
+    if nv > SYMMETRY_SEARCH_VERTEX_BUDGET:
+        raise BudgetExceededError(
+            f"{nv} vertices exceed symmetry budget {SYMMETRY_SEARCH_VERTEX_BUDGET}"
+        )
+    pinv = np.linalg.pinv(verts.T)
+    perms = sorted(map(tuple, vertex_symmetries(verts, tol, SYMMETRY_SEARCH_NODE_BUDGET)))
+    return FiniteMatrixGroup(np.array([verts[list(p)].T @ pinv for p in perms]))
 
 
 def _round_key(arr: np.ndarray) -> bytes:
@@ -163,19 +181,19 @@ def apply(transform: np.ndarray, omega: np.ndarray, space: StateSpace | None = N
     return out
 
 
-def validate_group(space: StateSpace, rng: np.random.Generator, n_states: int = 100,
-                   n_elements: int = 20, tol: float | None = None) -> None:
-    """Sample-check that every element maps the state set onto itself.
+def validate_group(space: StateSpace, tol: float | None = None) -> None:
+    """Check that every group element maps the state set onto itself, as P3
+    reads the group.
 
-    Finite groups are additionally checked for closure under product and
-    inverse (table check); a parametric group must first match the space.
+    A finite matrix group must be closed under product and inverse, and each
+    of its elements, like each generator of a permutation group, must
+    permute the vertices; a parametric group must match the space.
     """
     tol = resolve_tol(tol)
     group = space.group
     if group is None:
         raise DomainError(f"{space.name} has no group descriptor")
     if isinstance(group, FiniteMatrixGroup):
-        elements = list(group.matrices)
         keys = {_round_key(m) for m in group.matrices}
         for a in group.matrices:
             if np.abs(np.linalg.det(a)) < 1e-12:
@@ -185,15 +203,10 @@ def validate_group(space: StateSpace, rng: np.random.Generator, n_states: int = 
             for b in group.matrices:
                 if _round_key(a @ b) not in keys:
                     raise ValidationError("group not closed under product")
-    else:
-        if not isinstance(group, PermutationGroup):
-            check_parametric_group(space)
-        elements = [sample_element(group, rng) for _ in range(n_elements)]
-    states = [sample_state(space, rng) for _ in range(n_states)]
-    for mat in elements:
-        for s in states:
-            if not contains_state(space, mat @ s, tol=max(tol, 1e-7)):
-                raise ValidationError(f"{space.name}: group element leaves the state set")
+    elif not isinstance(group, PermutationGroup):
+        check_parametric_group(space)
+        return
+    _vertex_table(vertices_of(space), _group_matrices(group), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +220,21 @@ class TransitivityResult:
     stranded: np.ndarray | None = None
 
 
-def _vertex_orbits(space: StateSpace, matrices: list[np.ndarray], tol: float):
-    verts = vertices_of(space)
-    # table[m][i]: index of the image of vertex i under matrices[m]
+def _vertex_table(verts: np.ndarray, matrices: list[np.ndarray], tol: float) -> list[list[int]]:
+    """table[m][i]: index of the image of vertex i under matrices[m];
+    ValidationError unless every matrix permutes the vertices."""
     table = []
     for mat in matrices:
         perm = vertex_permutation(verts, mat, tol)
         if perm is None:
             raise ValidationError("group element does not permute the vertex set")
         table.append(perm.tolist())
+    return table
+
+
+def _vertex_orbits(space: StateSpace, matrices: list[np.ndarray], tol: float):
+    verts = vertices_of(space)
+    table = _vertex_table(verts, matrices, tol)
 
     # BFS from vertex 0, recording a transporter matrix per reached vertex
     transporter: dict[int, np.ndarray] = {0: np.eye(space.ambient_dim)}

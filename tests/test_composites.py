@@ -895,6 +895,19 @@ def test_max_tensor_contains_on_ball1_pairs_matches_the_classical_polytope():
     assert 20 < sum(lp for _, lp in answers) < 180
 
 
+def test_polytope_membership_near_a_facet_answers_without_raising():
+    # ω = (1, d, 1, -d) on ball(1)², taken to max(classical(2), classical(2))
+    # by p = (1 + x) / 2, is -d/2 on a product facet.  Phase 1 tolerates more
+    # infeasibility than lp_solve's residual check: from d = 2e-8 the LP
+    # point misses by more than 10 tol, so the point is not contained.
+    bits = compose(classical(2), classical(2), "max")
+    T = np.array([[1.0, 0.0], [0.5, 0.5]])
+    for d in sorted([*np.geomspace(1e-9, 1e-7, 60), 2e-8, 3e-8, 5e-8]):
+        inside = contains_state(bits.space, np.kron(T, T) @ np.array([1.0, d, 1.0, -d]))
+        if d >= 2e-8:
+            assert not inside, d
+
+
 @pytest.mark.parametrize("pair", [(gbit_ball(2), gbit_ball(2)), (gbit_ball(2), quantum(2)),
                                   (square_gbit(), gbit_ball(2))], ids=lambda p: ",".join(s.name for s in p))
 def test_max_tensor_contains_rejects_non_finite_vectors(pair):

@@ -18,6 +18,7 @@ from gptlab.convex import (
     cone_contains,
     contains_effect,
     contains_state,
+    effect_in_cone,
     evaluate,
     extremal_effects,
     mix,
@@ -213,11 +214,13 @@ def test_non_finite_vectors_are_neither_states_nor_effects(space, bad):
     state = sample_state(space, np.random.default_rng(3))
     half_unit = 0.5 * unit_effect_vector(space.ambient_dim)
     assert contains_state(space, state) and contains_effect(space, half_unit)
+    assert effect_in_cone(space, half_unit)
     for i in range(space.ambient_dim):
         v, f = state.copy(), half_unit.copy()
         v[i] = f[i] = bad
         assert not contains_state(space, v)
         assert not contains_effect(space, f)
+        assert not effect_in_cone(space, f)
 
 
 def test_polytope_vertex_validation():

@@ -1,6 +1,7 @@
 """Theory I/O, postulate checker, report determinism, CLI."""
 
 import json
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,35 @@ def test_user_polytope_theory_with_auto_group():
     assert report.postulates["P3"]["status"] == PASS
 
 
+# JSON polytopes with one extra row.  The auto group is searched on the
+# vertices that validation leaves: duplicates merged, no interior points.
+_SQUARE_ROWS = [[1.0, 0, 0], [1.0, 1, 0], [1.0, 0, 1], [1.0, 1, 1]]
+NEAR_DUPLICATE = TheoryDefinition(name="near-duplicate", space_spec={
+    "family": "polytope", "vertices": _SQUARE_ROWS + [[1.0, 1e-12, 0.0]]})
+EXACT_DUPLICATE = TheoryDefinition(name="exact-duplicate", space_spec={
+    "family": "polytope", "vertices": _SQUARE_ROWS + [_SQUARE_ROWS[2]]})
+TESSERACT_AND_CENTRE = TheoryDefinition(name="tesseract-and-centre", space_spec={
+    "family": "polytope",
+    "vertices": [[1.0, *c] for c in product((-1.0, 1.0), repeat=4)] + [[1.0, 0, 0, 0, 0]]})
+
+
+@pytest.mark.parametrize("td", [NEAR_DUPLICATE, EXACT_DUPLICATE], ids=lambda td: td.name)
+def test_auto_group_is_searched_on_the_deduplicated_vertices(td):
+    space = build_space(td)
+    assert space.rep.vertices.shape[0] == 4
+    assert space.group.order == 8
+    assert check_postulates(td).postulates["P3"]["status"] == PASS
+
+
+def test_an_interior_row_fails_validation_before_the_group_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("group searched before validation")
+
+    monkeypatch.setattr(runner, "polytope_symmetry_group", no_search)
+    with pytest.raises(ValidationError, match="vertex 8 is a convex combination of the others"):
+        build_space(TESSERACT_AND_CENTRE)
+
+
 def test_postulate_landscape_quantum2():
     report = check_postulates(QUANTUM2, seed=0)
     for key in ("P1", "P3", "P3C", "P4", "P4prime"):
@@ -185,9 +215,10 @@ def test_postulate_landscape_square():
 
 
 def test_check_postulates_builds_the_composite_once(monkeypatch):
-    # P1 reads the min tensor; the max tensor is built only for the CHSH
-    # metric, which needs fiducial readouts that are effects of both parts
-    # (the square has them, the pentagon does not)
+    # P1 reads only the parts' spans; a composite is built, under either
+    # rule, only for the CHSH metric, which needs fiducial readouts that are
+    # effects of both parts (the square has them; the pentagon and the
+    # tesseract do not)
     built = []
 
     def counting_compose(a, b, rule, **kwargs):
@@ -195,16 +226,21 @@ def test_check_postulates_builds_the_composite_once(monkeypatch):
         return compose(a, b, rule, **kwargs)
 
     monkeypatch.setattr(runner, "compose", counting_compose)
-    report = check_postulates(SQUARE, rule="max", seed=0)
-    assert built == ["min", "max"]
-    assert report.postulates["P1"]["status"] == PASS
-    assert report.metrics["chsh_max"] == pytest.approx(4.0, abs=1e-9)
-    built.clear()
-    report = check_postulates(PENTAGON, rule="max", seed=0)
-    assert built == ["min"]
-    assert report.postulates["P1"]["status"] == PASS
-    assert report.metrics["chsh_max"] is None
-
+    tesseract = load_theory(str(ROOT / "perfbench" / "corpus" / "tesseract.json"))
+    for theory, rule, expected, chsh in [
+        (SQUARE, "max", ["max"], 4.0),
+        (SQUARE, "min", ["min"], 2.0),
+        (PENTAGON, "max", [], None),
+        (tesseract, "min", [], None),
+    ]:
+        built.clear()
+        report = check_postulates(theory, rule=rule, seed=0)
+        assert built == expected, (theory.name, rule)
+        assert report.postulates["P1"]["status"] == PASS
+        if chsh is None:
+            assert report.metrics["chsh_max"] is None
+        else:
+            assert report.metrics["chsh_max"] == pytest.approx(chsh, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -484,6 +520,20 @@ def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+@pytest.mark.parametrize("td, code, message", [
+    (NEAR_DUPLICATE, 0, ""),
+    (EXACT_DUPLICATE, 0, ""),
+    (TESSERACT_AND_CENTRE, 2, "is a convex combination of the others"),
+], ids=lambda v: getattr(v, "name", None))
+def test_cli_check_on_json_polytopes_with_an_extra_row(tmp_path, capsys, td, code, message):
+    theory = _write(tmp_path, "theory.json", {"name": td.name, "space": td.space_spec})
+    assert cli_main(["check", theory]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    if code == 0:
+        assert json.loads(captured.out)["postulates"]["P3"]["status"] == PASS
 
 
 def test_cli_check_and_report(tmp_path, capsys):

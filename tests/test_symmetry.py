@@ -26,6 +26,7 @@ from gptlab.models import classical, gbit_ball, quantum, square_gbit
 from gptlab.runner import build_space, load_theory
 from gptlab.symmetry import (
     FiniteMatrixGroup,
+    PermutationGroup,
     RotationGroup,
     UnitaryGroup,
     apply,
@@ -75,9 +76,32 @@ def test_apply_rotation_fixes_axis():
     assert np.allclose(apply(rot, north, space), north, atol=1e-12)
 
 
-def test_group_validation_all_builtins(rng):
+def test_group_validation_all_builtins():
     for space in ALL_SPACES:
-        validate_group(space, rng, n_states=100)
+        validate_group(space)
+
+
+def test_group_validation_checks_the_vertices_as_transitivity_does():
+    # x -> 1.00001 - x is an involution, so {I, M} is closed; it sends the
+    # square's corners 1e-5 outside, which no interior state shows
+    flip = np.array([[1.0, 0, 0], [1.00001, -1, 0], [0, 0, 1]])
+    space = StateSpace(name="square", rep=square_gbit().rep,
+                       group=FiniteMatrixGroup(np.stack([np.eye(3), flip])))
+    assert np.allclose(flip @ flip, np.eye(3))
+    for check in (validate_group, transitivity_check):
+        with pytest.raises(ValidationError, match="does not permute the vertex set"):
+            check(space)
+
+
+def test_group_validation_rejects_a_permutation_group_that_does_not_fit():
+    # S_3 relabels the levels of classical(3), not the corners of a triangle
+    # placed elsewhere
+    triangle = StateSpace(name="triangle", rep=PolytopeRep(np.array(
+        [[1.0, 0, 0], [1.0, 2, 0], [1.0, 0, 2]])), group=PermutationGroup(3))
+    for check in (validate_group, transitivity_check):
+        with pytest.raises(ValidationError, match="does not permute the vertex set"):
+            check(triangle)
+    validate_group(classical(5))
 
 
 def test_transitivity_ball_rotations():
@@ -114,16 +138,15 @@ MISMATCHED_GROUPS = [
 
 
 @pytest.mark.parametrize("space", MISMATCHED_GROUPS, ids=lambda s: s.name)
-def test_a_parametric_group_that_does_not_match_the_space_is_rejected(space, rng, monkeypatch):
+def test_a_parametric_group_that_does_not_match_the_space_is_rejected(space, monkeypatch):
     calls = []
     real = symmetry.check_parametric_group
     monkeypatch.setattr(symmetry, "check_parametric_group",
                         lambda s: calls.append(s) or real(s))
-    for check in (transitivity_check, continuity_check,
-                  lambda s: validate_group(s, rng, n_states=1, n_elements=1)):
+    for check in (transitivity_check, continuity_check, validate_group):
         with pytest.raises(ValidationError, match="does not act on"):
             check(space)
-    # each check is refused by the one helper, before anything is sampled
+    # each check is refused by the one helper
     assert calls == [space] * 3
     with pytest.raises(ValidationError, match="does not act on"):
         check_parametric_group(space)
