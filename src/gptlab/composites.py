@@ -132,9 +132,10 @@ def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None) -
     Min tensor: convex hull of all products of part vertices (separable
     states).  Max tensor: every normalized vector that is nonnegative on all
     product effects; vertices enumerated by double description from the
-    product-effect inequalities.  Integral cases up to K = 16 run the exact
-    path on primitive integer rays; dividing by the first (normalization)
-    entry with ``int / int`` rounds each coordinate correctly.  The
+    product-effect inequalities, which the polytope keeps as its facets.
+    Integral cases up to K = 16 run the exact path on primitive integer
+    rays; dividing by the first (normalization) entry with ``int / int``
+    rounds each coordinate correctly.  The
     enumeration raises BudgetExceededError as soon as it shows more than
     ``MAX_COMPOSITE_VERTICES`` vertices.
     """
@@ -163,7 +164,8 @@ def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None) -
                 "max tensor enumeration produced an unnormalizable ray"
             )
         rays = raw / raw[:, 0:1]
-    return Composite(a, b, rule, space=StateSpace(name=name, rep=PolytopeRep(rays)))
+    rep = PolytopeRep(rays, facets=rows)
+    return Composite(a, b, rule, space=StateSpace(name=name, rep=rep))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,14 +36,28 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class PolytopeRep:
-    """Convex hull of an explicit, canonicalized vertex list (rows)."""
+    """Convex hull of an explicit, canonicalized vertex list (rows).
+
+    ``facets``, when known, are rows F such that {v : F v >= 0, v_0 = 1} is
+    exactly this hull; membership then reads F v on the rows' own scale.
+    They take no part in equality or the repr.
+    """
 
     vertices: np.ndarray
+    facets: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         verts = canonicalize_vertices(np.atleast_2d(np.asarray(self.vertices, dtype=float)))
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
+        if self.facets is not None:
+            facets = np.array(self.facets, dtype=float)
+            if facets.ndim != 2 or facets.shape[1] != verts.shape[1]:
+                raise ValidationError(
+                    f"facets must have shape (M, {verts.shape[1]}), got {facets.shape}"
+                )
+            facets.setflags(write=False)
+            object.__setattr__(self, "facets", facets)
 
     @property
     def ambient_dim(self) -> int:
@@ -213,7 +227,8 @@ def mix(states, weights) -> np.ndarray:
 
 def contains_state(space: StateSpace, v: np.ndarray, tol: float | None = None) -> bool:
     """Membership of ``v`` in the normalized state set; a NaN or infinite
-    coordinate is never a member."""
+    coordinate is never a member.  A polytope with facets is decided by them,
+    any other polytope by ``cone_contains``."""
     tol = resolve_tol(tol)
     v = np.asarray(v, dtype=float)
     if v.shape != (space.ambient_dim,):
@@ -231,13 +246,21 @@ def contains_state(space: StateSpace, v: np.ndarray, tol: float | None = None) -
     if isinstance(rep, QuantumRep):
         rho = quantum.state_matrix(v, rep.n)
         return quantum.min_eigenvalue(rho) >= -tol
+    if rep.facets is not None:  # -tol on facet values, as in max_tensor_contains
+        return bool(np.all(rep.facets @ v >= -tol))
     # Polytope: a normalized v in the cone of the vertices is a convex combination.
     return cone_contains(rep.vertices, v, tol)
 
 
 def cone_contains(rows: np.ndarray, target: np.ndarray, tol: float) -> bool:
     """Is ``target`` a nonnegative combination of ``rows``?  One feasibility LP;
-    with no rows, whether ``target`` is zero within ``tol``."""
+    with no rows, whether ``target`` is zero within ``tol``.
+
+    ``tol`` bounds the LP's residual, not the values of any facet: a point
+    up to about ten tol outside a facet can be accepted.  Its callers are
+    ``validate_space``, P4's hull test and ``contains_state`` on a polytope
+    without facets.
+    """
     n = rows.shape[0]
     if n == 0:
         return bool(np.all(np.abs(target) <= tol))

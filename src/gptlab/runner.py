@@ -146,7 +146,15 @@ def build_space(td: TheoryDefinition) -> StateSpace:
     else:
         raise ValidationError(f"unknown space family {family!r}")
     if kind == "finite":
-        # explicit matrices replace the family's canonical group
+        # explicit matrices replace the family's canonical group; P3 reads
+        # them as permutations of a vertex list
+        try:
+            vertices_of(space)
+        except UnsupportedRepresentationError:
+            raise ValidationError(
+                f"{space.name}: group kind {kind!r} needs a vertex list, and this "
+                f"{family} space has none (use kind 'auto')"
+            ) from None
         matrices = _float_array(_spec_field(td.group_spec, "matrices", "finite group"),
                                 "group matrices")
         k = space.ambient_dim

@@ -18,11 +18,13 @@ from gptlab.errors import (
     UnsupportedRepresentationError,
     ZeroProbabilityConditioningError,
 )
+from gptlab.config import resolve_tol
 from gptlab.convex import (
     BallRep,
     PolytopeRep,
     QuantumRep,
     StateSpace,
+    cone_contains,
     contains_state,
     extremal_effects,
     sample_state,
@@ -888,24 +890,29 @@ def test_max_tensor_contains_on_ball1_pairs_matches_the_classical_polytope():
     T = np.array([[1.0, 0.0], [-1.0, 2.0]])
     rng = np.random.default_rng(16)
     answers = [
-        (max_tensor_contains(balls, np.kron(T, T) @ omega), contains_state(bits.space, omega))
+        (max_tensor_contains(balls, np.kron(T, T) @ omega), max_tensor_contains(bits, omega),
+         contains_state(bits.space, omega),
+         cone_contains(vertices_of(bits.space), omega, resolve_tol(None)))
         for omega in _near_boundary_points(bits.space, 200, rng)
     ]
-    assert all(fast == lp for fast, lp in answers)
-    assert 20 < sum(lp for _, lp in answers) < 180
+    assert all(len(set(row)) == 1 for row in answers)
+    assert 20 < sum(row[0] for row in answers) < 180
 
 
 def test_polytope_membership_near_a_facet_answers_without_raising():
     # ω = (1, d, 1, -d) on ball(1)², taken to max(classical(2), classical(2))
-    # by p = (1 + x) / 2, is -d/2 on a product facet.  Phase 1 tolerates more
-    # infeasibility than lp_solve's residual check: from d = 2e-8 the LP
-    # point misses by more than 10 tol, so the point is not contained.
+    # by p = (1 + x) / 2, is -d/2 on a product facet.  The composite carries
+    # its product-effect facets, so contains_state applies -tol to that value
+    # exactly as max_tensor_contains does: d up to 2 tol is contained.
     bits = compose(classical(2), classical(2), "max")
     T = np.array([[1.0, 0.0], [0.5, 0.5]])
+    tol = resolve_tol(None)
     for d in sorted([*np.geomspace(1e-9, 1e-7, 60), 2e-8, 3e-8, 5e-8]):
-        inside = contains_state(bits.space, np.kron(T, T) @ np.array([1.0, d, 1.0, -d]))
-        if d >= 2e-8:
-            assert not inside, d
+        omega = np.kron(T, T) @ np.array([1.0, d, 1.0, -d])
+        inside = contains_state(bits.space, omega)
+        assert inside == max_tensor_contains(bits, omega), d
+        if abs(d / 2 - tol) > 0.01 * tol:
+            assert inside == (d / 2 < tol), d
 
 
 @pytest.mark.parametrize("pair", [(gbit_ball(2), gbit_ball(2)), (gbit_ball(2), quantum(2)),
@@ -958,14 +965,98 @@ def _near_boundary_points(space: StateSpace, count: int, rng) -> np.ndarray:
     ids=["square-square", "square-5gon", "classical3-square"],
 )
 def test_max_tensor_contains_matches_the_composite_polytope(part_a, part_b):
+    # the vertex hull, by LP, and the facets agree away from the band within
+    # 10 tol of a facet, which test_facet_membership_matches_the_lp_and_highs_near_a_facet covers
     comp = compose(part_a, part_b, "max")
     rng = np.random.default_rng(7)
     answers = [
-        (max_tensor_contains(comp, omega), contains_state(comp.space, omega))
+        (max_tensor_contains(comp, omega), contains_state(comp.space, omega),
+         cone_contains(vertices_of(comp.space), omega, resolve_tol(None)))
         for omega in _near_boundary_points(comp.space, 100, rng)
     ]
-    assert all(fast == lp for fast, lp in answers)
-    assert 10 < sum(lp for _, lp in answers) < 90
+    assert all(len(set(row)) == 1 for row in answers)
+    assert 10 < sum(row[0] for row in answers) < 90
+
+
+@pytest.mark.parametrize(
+    "part_a, part_b",
+    [(square_gbit(), square_gbit()), (square_gbit(), PENTAGON),
+     (classical(3), square_gbit()), (classical(2), classical(2))],
+    ids=["square-square", "square-5gon", "classical3-square", "bit-bit"],
+)
+def test_a_max_tensor_carries_its_product_effect_facets(monkeypatch, part_a, part_b):
+    comp = compose(part_a, part_b, "max")
+    rays_a, rays_b = (dual_cone_rays(vertices_of(part)) for part in (part_a, part_b))
+    rows = product_effect(rays_a[:, None], rays_b[None]).reshape(-1, comp.ambient_dim)
+    facets = comp.space.rep.facets
+    assert np.array_equal(facets, rows) and not facets.flags.writeable
+    assert np.all(facets @ vertices_of(comp.space).T >= -1e-12)
+    assert compose(part_a, part_b, "min").space.rep.facets is None
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("LP solved")
+
+    monkeypatch.setattr(gptlab.lp.engine, "lp_solve", no_lp)
+    rng = np.random.default_rng(3)
+    for omega in _near_boundary_points(comp.space, 20, rng):
+        assert contains_state(comp.space, omega) == max_tensor_contains(comp, omega)
+
+
+def _highs_contains(verts: np.ndarray, omega: np.ndarray) -> bool:
+    """Is ``omega`` a convex combination of ``verts``?  HiGHS at its tightest
+    feasibility tolerances, 1e-10, so it answers on about a tenth of tol."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    result = linprog(np.zeros(len(verts)), A_eq=verts.T, b_eq=omega, bounds=(0, None),
+                     method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                              "dual_feasibility_tolerance": 1e-10})
+    assert result.status in (0, 2), result.message  # solved or infeasible
+    return result.status == 0
+
+
+def _points_near_a_facet(space: StateSpace, count: int, rng, tol: float):
+    """(omega, least facet value) pairs: from the vertex mean along a random
+    direction to the first facet, then on past it or back, so that the least
+    facet value lies within 10 tol of zero, on either side."""
+    facets, verts = space.rep.facets, vertices_of(space)
+    center = verts.mean(axis=0)
+    out = []
+    for _ in range(count):
+        direction = np.concatenate([[0.0], rng.normal(size=verts.shape[1] - 1)])
+        slope = facets @ direction
+        exits = np.where(slope < 0, (facets @ center) / np.where(slope < 0, -slope, 1.0), np.inf)
+        first = int(np.argmin(exits))
+        value = rng.choice([-1.0, 1.0]) * tol * 10.0 ** rng.uniform(-2.0, 1.0)
+        omega = center + (exits[first] + value / slope[first]) * direction
+        out.append((omega, float(np.min(facets @ omega))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "part_a, part_b",
+    [(square_gbit(), square_gbit()), (square_gbit(), PENTAGON), (classical(3), square_gbit())],
+    ids=["square-square", "square-5gon", "classical3-square"],
+)
+def test_facet_membership_matches_the_lp_and_highs_near_a_facet(part_a, part_b):
+    # Three routes, each with its own tolerance: the facets accept down to
+    # -tol on a facet value, HiGHS down to about -tol/10, and the cone LP,
+    # whose tol bounds a residual, down to about -10 tol.  Between -10 tol
+    # and -tol only the LP accepts: those are the answers that moved.
+    comp = compose(part_a, part_b, "max")
+    tol = resolve_tol(None)
+    verts = vertices_of(comp.space)
+    rng = np.random.default_rng(18)
+    for omega, value in _points_near_a_facet(comp.space, 60, rng, tol):
+        facet = contains_state(comp.space, omega)
+        lp = cone_contains(verts, omega, tol)
+        highs = _highs_contains(verts, omega)
+        assert facet == (value >= -tol) == max_tensor_contains(comp, omega), value
+        if value >= 0.0:
+            assert facet and lp and highs, value
+        if value < -tol / 2:
+            assert not highs, value
+        if facet:
+            assert lp, value  # the LP is never stricter than the facets
+        assert lp == facet or -10 * tol <= value < -tol, value
 
 
 def test_max_tensor_membership_of_a_polytope_pair_solves_no_lp(monkeypatch, square_pair):

@@ -1,5 +1,7 @@
 """Core types and operations: evaluation, mixing, membership, effect duality."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from gptlab.convex import (
     vertices_of,
 )
 from gptlab.models import bloch_map, classical, gbit_ball, quantum, square_gbit
+from gptlab import convex
 from gptlab import quantum as qc
 
 
@@ -131,6 +134,55 @@ def test_contains_state_polytope_rejects_unnormalized_cone_points():
     assert not contains_state(square, np.array([2.0, 0.0, 0.0]))
     assert not contains_state(square, np.array([0.5, 0.25, 0.25]))
     assert contains_state(square, np.array([1.0, 0.25, 0.25]))
+
+
+# x >= 0, 1 - x >= 0, y >= 0, 1 - y >= 0 on the square's coordinates (1, x, y)
+SQUARE_FACETS = [[0, 1, 0], [1, -1, 0], [0, 0, 1], [1, 0, -1]]
+
+
+def test_polytope_facets_are_a_read_only_float_copy_outside_equality_and_repr():
+    verts = vertices_of(square_gbit())
+    assert PolytopeRep(verts, facets=SQUARE_FACETS).facets.dtype == float
+    given = np.array(SQUARE_FACETS, dtype=float)
+    rep = PolytopeRep(verts, facets=given)
+    assert not rep.facets.flags.writeable
+    assert given.flags.writeable  # the caller's array is copied, not frozen
+    with pytest.raises(ValueError):
+        rep.facets[0, 0] = 5.0
+    assert "facets" not in repr(rep)
+    assert PolytopeRep(rep.vertices).facets is None
+    assert [f.name for f in fields(PolytopeRep) if f.compare] == ["vertices"]
+    # one vertex, so the vertex arrays compare to one bool: facets play no part
+    assert PolytopeRep([[1.0]], facets=[[1.0]]) == PolytopeRep([[1.0]])
+
+
+@pytest.mark.parametrize("bad", [[0.0, 1.0, 0.0], np.ones((4, 2)), np.ones((4, 4)),
+                                 np.ones((2, 4, 3))], ids=["1-d", "narrow", "wide", "3-d"])
+def test_polytope_facets_of_the_wrong_shape_are_rejected(bad):
+    with pytest.raises(ValidationError, match="facets must have shape"):
+        PolytopeRep(vertices_of(square_gbit()), facets=bad)
+
+
+def test_contains_state_reads_the_facets_when_a_polytope_has_them(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("cone LP solved")
+
+    sq = square_gbit()  # built and validated before the LP is refused
+    monkeypatch.setattr(convex, "cone_contains", no_lp)
+    faceted = StateSpace("square", PolytopeRep(vertices_of(sq), facets=SQUARE_FACETS))
+    assert contains_state(faceted, np.array([1.0, 0.5, 0.25]))
+    assert not contains_state(faceted, np.array([1.0, 1.5, 0.25]))
+    # -tol applies to facet values
+    assert contains_state(faceted, np.array([1.0, -0.9e-9, 0.5]))
+    assert not contains_state(faceted, np.array([1.0, -1.1e-9, 0.5]))
+    assert not contains_state(faceted, np.array([1.0, 1.0 + 1.1e-9, 0.5]))
+    # the checks before the representation branches still hold
+    assert not contains_state(faceted, np.array([2.0, 0.0, 0.0]))
+    assert not contains_state(faceted, np.array([1.0, np.nan, 0.5]))
+    with pytest.raises(DimensionMismatchError):
+        contains_state(faceted, np.array([1.0, 0.5]))
+    with pytest.raises(AssertionError, match="cone LP solved"):
+        contains_state(sq, np.array([1.0, 0.5, 0.25]))  # no facets: the LP
 
 
 def test_cone_of_no_rows_holds_only_zero():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from gptlab import discrimination
+from gptlab import convex, discrimination
 from gptlab.composites import compose
 from gptlab.errors import BudgetExceededError, DomainError
 from gptlab.config import resolve_tol
@@ -18,6 +18,7 @@ from gptlab.convex import (
     Measurement,
     PolytopeRep,
     StateSpace,
+    cone_contains,
     sample_pure_state,
     vertices_of,
 )
@@ -292,6 +293,34 @@ def test_capacity_pairs_are_the_distinguishable_vertex_pairs(space):
         if distinguishable(space, verts[[i, j]]) is not None
     }
     assert capacity(space).pairs == expected
+
+
+def test_a_facet_less_rank_deficient_face_answers_through_the_lp(monkeypatch):
+    # the NS face spans only part of its ambient space and carries no
+    # facets, so membership and the public distinguishable solve the cone LP
+    face = _ns_face()
+    assert face.rep.facets is None
+    verts = vertices_of(face)
+    sq = square_gbit()
+    off_face = vertices_of(compose(sq, sq, "max").space)
+    off_face = off_face[np.abs(off_face[:, 3]) > 1e-9][0]
+    pairs = capacity(face).pairs
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return cone_contains(*args, **kwargs)
+
+    monkeypatch.setattr(convex, "cone_contains", counting)
+    assert convex.contains_state(face, verts.mean(axis=0))
+    assert not convex.contains_state(face, off_face)
+    assert len(calls) == 2
+    i, j = sorted(pairs)[0]
+    witness = distinguishable(face, verts[[i, j]])
+    assert witness is not None and verify_witness(face, witness)
+    # an effect that is 0 at an interior point is 0 on the whole face
+    assert distinguishable(face, np.vstack([verts[i], verts.mean(axis=0)])) is None
+    assert len(calls) == 6  # one membership LP per state
 
 
 def test_capacity_pairs_unknown_for_continuous_spaces():

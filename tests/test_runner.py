@@ -759,6 +759,27 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("space, k", [({"family": "quantum", "N": 2}, 4),
+                                      ({"family": "ball", "d": 2}, 3)],
+                         ids=["quantum(2)", "ball(2)"])
+def test_a_finite_group_on_a_space_without_vertex_list_fails_at_load(tmp_path, capsys, space, k):
+    # P3 reads a finite group as permutations of a vertex list, so a space
+    # without one is refused when it is loaded, before any probe runs
+    payload = {"name": "x", "space": space,
+               "group": {"kind": "finite", "matrices": [np.eye(k).tolist()]}}
+    message = f"group kind 'finite' needs a vertex list, and this {space['family']} space"
+    with pytest.raises(ValidationError, match=message):
+        build_space(theory_from_dict(payload))
+    assert cli_main(["check", _write(tmp_path, "finite.json", payload)]) == 2
+    assert message in capsys.readouterr().err
+    # ball(1) has its two endpoints: a finite group loads and the check runs
+    flips = [np.eye(2).tolist(), np.diag([1.0, -1.0]).tolist()]
+    segment = {"name": "segment", "space": {"family": "ball", "d": 1},
+               "group": {"kind": "finite", "matrices": flips}}
+    assert build_space(theory_from_dict(segment)).group is not None
+    assert cli_main(["check", _write(tmp_path, "segment.json", segment)]) == 0
+
+
 def test_cli_exit_code_3_needs_a_budget_to_run_out(tmp_path, capsys):
     # P2 on the triangle is indeterminate for want of a reference space, not a budget
     triangle = {"name": "triangle", "space": {"family": "polytope",
