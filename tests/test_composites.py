@@ -157,6 +157,33 @@ def test_float_max_tensor_vertex_bytes_are_pinned(name_a, name_b, count, digest)
     assert hashlib.sha256(np.ascontiguousarray(verts).tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "make_a, make_b",
+    [
+        (lambda: classical(2), lambda: classical(2)),
+        (lambda: classical(3), square_gbit),
+        (square_gbit, square_gbit),
+        (lambda: _corpus_part("square"), lambda: _corpus_part("5-gon")),
+        (lambda: _corpus_part("5-gon"), lambda: _corpus_part("5-gon")),
+        (lambda: _corpus_part("3-gon"), lambda: _corpus_part("5-gon")),
+        (lambda: _corpus_part("square"), lambda: _corpus_part("6-gon")),
+        (lambda: _corpus_part("6-gon"), lambda: _corpus_part("6-gon")),
+    ],
+    ids=["bit-bit", "trit-square", "square-square", "square-5gon", "5gon-5gon", "3gon-5gon",
+         "square-6gon", "6gon-6gon"],
+)
+def test_max_composite_facets_describe_the_vertex_hull(make_a, make_b):
+    # contains_state trusts the facets over the vertices, so each row must be
+    # valid on every vertex and tight on K - 1 independent ones (a facet)
+    rep = compose(make_a(), make_b(), "max").space.rep
+    tol = resolve_tol(None)
+    values = rep.facets @ rep.vertices.T
+    assert values.min() >= -tol
+    k = rep.vertices.shape[1]
+    for row in values:
+        assert np.linalg.matrix_rank(rep.vertices[np.abs(row) <= tol]) == k - 1
+
+
 def test_max_tensor_over_budget_stops_before_the_enumeration_ends():
     # the octagon square has 8656 vertices; a count below that shows the
     # enumeration stopped before its last row
@@ -903,8 +930,12 @@ def test_polytope_membership_near_a_facet_answers_without_raising():
     # ω = (1, d, 1, -d) on ball(1)², taken to max(classical(2), classical(2))
     # by p = (1 + x) / 2, is -d/2 on a product facet.  The composite carries
     # its product-effect facets, so contains_state applies -tol to that value
-    # exactly as max_tensor_contains does: d up to 2 tol is contained.
+    # exactly as max_tensor_contains does: d up to 2 tol is contained.  The
+    # cone LP on the same vertices must answer too: Phase 1 tolerates more
+    # infeasibility than lp_solve's residual check, and from d = 2e-8 the LP
+    # point misses by more than 10 tol, so the point is not contained.
     bits = compose(classical(2), classical(2), "max")
+    verts = vertices_of(bits.space)
     T = np.array([[1.0, 0.0], [0.5, 0.5]])
     tol = resolve_tol(None)
     for d in sorted([*np.geomspace(1e-9, 1e-7, 60), 2e-8, 3e-8, 5e-8]):
@@ -913,6 +944,8 @@ def test_polytope_membership_near_a_facet_answers_without_raising():
         assert inside == max_tensor_contains(bits, omega), d
         if abs(d / 2 - tol) > 0.01 * tol:
             assert inside == (d / 2 < tol), d
+        if d >= 2e-8:
+            assert not cone_contains(verts, omega, tol), d
 
 
 @pytest.mark.parametrize("pair", [(gbit_ball(2), gbit_ball(2)), (gbit_ball(2), quantum(2)),
