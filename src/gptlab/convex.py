@@ -40,7 +40,8 @@ class PolytopeRep:
 
     ``facets``, when known, are rows F such that {v : F v >= 0, v_0 = 1} is
     exactly this hull; membership then reads F v on the rows' own scale.
-    They take no part in equality or the repr.
+    They take no part in equality or the repr: reps are equal when their
+    canonicalized vertices are.
     """
 
     vertices: np.ndarray
@@ -58,6 +59,11 @@ class PolytopeRep:
                 )
             facets.setflags(write=False)
             object.__setattr__(self, "facets", facets)
+
+    def __eq__(self, other):
+        if not isinstance(other, PolytopeRep):
+            return NotImplemented
+        return np.array_equal(self.vertices, other.vertices)
 
     @property
     def ambient_dim(self) -> int:

@@ -1,12 +1,13 @@
 """State distinguishability, capacity, complete measurements and K = N^r fits.
 
-Distinguishability of n states asks for n effect vectors that sum to the
-unit effect, evaluate to the Kronecker delta on the given states, and lie in
-the effect cone.  For polytopes this is an LP over the vertex-dual
-description of the cone.  Balls and quantum systems have exact criteria and
-solve no LP: on a ball, only a pair of antipodal boundary points is
-distinguishable; quantum states are distinguishable iff their supports are
-pairwise orthogonal, and then the support projectors are the witness.
+Distinguishability of n states asks for n effects that sum to the unit
+effect u and evaluate to the Kronecker delta on the given states.  For
+polytopes this is an LP in n − 1 effects over the vertex-dual description of
+the effect cone; the last effect is u minus the others.  Balls and quantum
+systems have exact criteria and solve no LP: on a ball, only a pair of
+antipodal boundary points is distinguishable; quantum states are
+distinguishable iff their supports are pairwise orthogonal, and then the
+support projectors are the witness.
 """
 
 from __future__ import annotations
@@ -73,37 +74,34 @@ def _single_state_witness(space: StateSpace, state: np.ndarray) -> Distinguishab
     return DistinguishabilityWitness(Measurement(unit[None, :]), np.atleast_2d(state))
 
 
-def _delta_equalities(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and right-hand side of sum_i E_i = unit effect and E_i(omega_j) =
-    delta_ij, over the n*K variables E_1..E_n."""
-    n, K = states.shape
-    a_eq = np.zeros((K + n * n, n * K))
-    a_eq[:K] = np.tile(np.eye(K), (1, n))
-    for i in range(n):
-        a_eq[K + i * n : K + (i + 1) * n, i * K : (i + 1) * K] = states
-    return a_eq, np.concatenate([unit_effect_vector(K), np.eye(n).reshape(-1)])
-
-
 def _polytope_distinguishable(space: StateSpace, states: np.ndarray,
                               tol: float) -> DistinguishabilityWitness | None:
+    """One LP in E_1..E_{n-1}: E_i(omega_j) = delta_ij, and E_i and E_n = u - sum_i E_i
+    are nonnegative on every vertex.  E_n(omega_j) = u(omega_j) - [j < n] is
+    delta_nj for normalized states; every measurement sums to u(omega) on omega,
+    so a state with u(omega) more than 10 tol off 1 has no witness."""
     verts = vertices_of(space)
-    n, K = states.shape
-    n_var = n * K
-    a_eq, b_eq = _delta_equalities(states)
-    # effect cone via the dual description: E_i(v_k) >= 0 for every vertex
-    nv = verts.shape[0]
-    a_ub = np.zeros((n * nv, n_var))
-    for i in range(n):
-        a_ub[i * nv : (i + 1) * nv, i * K : (i + 1) * K] = -verts
-    prog = LinearProgram(
-        objective=np.zeros(n_var), a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=np.zeros(n * nv)
-    )
-    feasible, point = lp_feasible(prog, tol=tol)
+    (n, K), nv = states.shape, verts.shape[0]
+    m = n - 1
+    unit = unit_effect_vector(K)
+    if np.max(np.abs(states @ unit - 1.0)) > 10 * tol:
+        return None
+    blocks = np.arange(m)  # effect E_i owns row block i and column block i
+    a_eq = np.zeros((m, n, m, K))
+    a_eq[blocks, :, blocks] = states
+    a_ub = np.zeros((n, nv, m, K))
+    a_ub[blocks, :, blocks] = -verts
+    a_ub[m] = verts[:, None]  # sum_i E_i(v) <= u(v)
+    feasible, point = lp_feasible(LinearProgram(
+        objective=np.zeros(m * K),
+        a_eq=a_eq.reshape(m * n, m * K),
+        b_eq=np.eye(m, n).ravel(),
+        a_ub=a_ub.reshape(n * nv, m * K),
+        b_ub=np.concatenate([np.zeros(m * nv), verts @ unit]),
+    ), tol=tol)
     if not feasible:
         return None
-    effects = point.reshape(n, K)
-    # exact renormalization of the last effect absorbs LP residuals
-    effects[-1] = unit_effect_vector(K) - effects[:-1].sum(axis=0)
+    effects = np.vstack([point.reshape(m, K), unit - point.reshape(m, K).sum(axis=0)])
     return DistinguishabilityWitness(Measurement(effects), states)
 
 

@@ -47,7 +47,8 @@ from gptlab.geometry import affine_dimension, vertex_permutation, vertex_symmetr
 
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
-    """Explicit finite matrix group acting on homogeneous coordinates."""
+    """Explicit finite matrix group acting on homogeneous coordinates; groups
+    are equal when their matrix stacks are."""
 
     matrices: np.ndarray  # (M, K, K)
 
@@ -57,6 +58,11 @@ class FiniteMatrixGroup:
             raise ValidationError("matrices must have shape (M, K, K)")
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteMatrixGroup):
+            return NotImplemented
+        return np.array_equal(self.matrices, other.matrices)
 
     @property
     def order(self) -> int:

@@ -32,6 +32,7 @@ from gptlab.convex import (
 from gptlab.models import bloch_map, classical, gbit_ball, quantum, square_gbit
 from gptlab import convex
 from gptlab import quantum as qc
+from gptlab.symmetry import FiniteMatrixGroup
 
 
 def test_unit_effect_on_any_normalized_state(rng):
@@ -152,8 +153,23 @@ def test_polytope_facets_are_a_read_only_float_copy_outside_equality_and_repr():
     assert "facets" not in repr(rep)
     assert PolytopeRep(rep.vertices).facets is None
     assert [f.name for f in fields(PolytopeRep) if f.compare] == ["vertices"]
-    # one vertex, so the vertex arrays compare to one bool: facets play no part
-    assert PolytopeRep([[1.0]], facets=[[1.0]]) == PolytopeRep([[1.0]])
+    assert PolytopeRep(verts, facets=SQUARE_FACETS) == PolytopeRep(verts)
+
+
+def test_polytopes_and_finite_groups_compare_by_value():
+    square = square_gbit()
+    verts = vertices_of(square)
+    assert PolytopeRep(verts) == PolytopeRep(verts.copy())
+    assert PolytopeRep(verts) == PolytopeRep(verts[::-1])  # canonicalized order
+    assert PolytopeRep(verts) != PolytopeRep(verts[:3])
+    assert PolytopeRep(verts) != PolytopeRep(2 * verts - [1, 0, 0])
+    assert PolytopeRep(verts) != square.group
+    group = square.group
+    assert FiniteMatrixGroup(group.matrices.copy()) == group
+    assert FiniteMatrixGroup(group.matrices[:2]) != group
+    assert square == square_gbit()
+    assert square != StateSpace(name=square.name, rep=PolytopeRep(verts[:3]),
+                                group=group)
 
 
 @pytest.mark.parametrize("bad", [[0.0, 1.0, 0.0], np.ones((4, 2)), np.ones((4, 4)),

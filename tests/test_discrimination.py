@@ -323,6 +323,38 @@ def test_a_facet_less_rank_deficient_face_answers_through_the_lp(monkeypatch):
     assert len(calls) == 6  # one membership LP per state
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_distinguishability_lp_solves_for_all_effects_but_the_last(monkeypatch, n):
+    # E_n = u - sum of the others, so the LP has n - 1 effect blocks, n(n - 1)
+    # delta rows and n rows per vertex (E_1..E_{n-1} >= 0 and E_n >= 0)
+    face = _ns_face()
+    verts = vertices_of(face)
+    programs = []
+
+    def capture(prog, tol=None):
+        programs.append(prog)
+        return lp_feasible(prog, tol=tol)
+
+    monkeypatch.setattr(discrimination, "lp_feasible", capture)
+    distinguishable_unchecked(face, verts[:n], 1e-9)
+    [prog] = programs
+    K, nv = face.ambient_dim, verts.shape[0]
+    assert prog.n_vars == (n - 1) * K
+    assert prog.a_eq.shape == ((n - 1) * n, (n - 1) * K)
+    assert prog.a_ub.shape == (n * nv, (n - 1) * K)
+
+
+@pytest.mark.parametrize("off", [5e-9, -5e-9, 5e-8, -5e-8, 9e-8])
+def test_a_witness_verifies_for_states_off_normalization(off):
+    # distinguishable admits states up to 1e-7 off u(omega) = 1; a measurement
+    # sums to u(omega) on omega, so past 10 tol there is no witness to return
+    space = square_gbit()
+    states = np.array([[1.0 + off, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    witness = distinguishable(space, states, tol=1e-9)
+    assert (witness is not None) == (abs(off) <= 1e-8)
+    assert witness is None or verify_witness(space, witness, tol=1e-9)
+
+
 def test_capacity_pairs_unknown_for_continuous_spaces():
     assert capacity(gbit_ball(3)).pairs is None
     assert capacity(quantum(2)).pairs is None

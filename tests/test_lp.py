@@ -1,10 +1,14 @@
 """LP engine: spec examples, random constructed-feasible systems and the shared membership and distinguishability LPs against HiGHS."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from gptlab.convex import PolytopeRep, StateSpace, cone_contains
-from gptlab.discrimination import distinguishable_unchecked
+from gptlab.composites import compose
+from gptlab.convex import PolytopeRep, StateSpace, cone_contains, unit_effect_vector, vertices_of
+from gptlab.discrimination import distinguishable_unchecked, verify_witness
+from gptlab.models import square_gbit
 from gptlab.lp import OPTIMAL, UNBOUNDED, LinearProgram, lp_feasible, lp_solve
 
 
@@ -186,22 +190,74 @@ def test_cone_lp_matches_highs():
     assert 40 <= sum(verdicts) <= 160  # both answers are exercised
 
 
+def _distinguishability_matches_highs(space, states) -> bool:
+    """Our verdict on ``states`` against HiGHS on the n-effect formulation; a
+    witness must verify and its last effect must be exactly u minus the others."""
+    witness = distinguishable_unchecked(space, states, 1e-9)
+    verts = vertices_of(space)
+    n, k = states.shape
+    # variables E_1..E_n: sum_a E_a = unit, E_a(states_b) = delta_ab,
+    # E_a(v) >= 0 on every listed point
+    a_eq = np.vstack([np.kron(np.ones(n), np.eye(k)), np.kron(np.eye(n), states)])
+    b_eq = np.concatenate([unit_effect_vector(k), np.eye(n).ravel()])
+    a_ub = np.kron(np.eye(n), -verts)
+    assert (witness is not None) == _highs_feasible(a_eq, b_eq, a_ub, np.zeros(len(a_ub))), states
+    if witness is not None:
+        effects = witness.measurement.effects
+        assert effects.shape == (n, k)
+        assert verify_witness(space, witness, 1e-9), states
+        assert np.array_equal(effects[-1], unit_effect_vector(k) - effects[:-1].sum(axis=0))
+    return witness is not None
+
+
+def _with_a_midpoint(rng, verts, states):
+    """Replace one state by the midpoint of two listed points: never a vertex."""
+    a, b = rng.choice(len(verts), size=2, replace=False)
+    states = states.copy()
+    states[rng.integers(len(states))] = (verts[a] + verts[b]) / 2
+    return states
+
+
 def test_pair_distinguishability_lp_matches_highs():
     rng = np.random.default_rng(20120322)
     verdicts = []
-    for _ in range(80):
+    for _ in range(120):
         k = int(rng.integers(3, 5))
         points = np.unique(rng.integers(-2, 3, size=(int(rng.integers(k, k + 5)), k - 1)), axis=0)
         verts = np.column_stack([np.ones(len(points)), points]).astype(float)
         space = StateSpace(name="random", rep=PolytopeRep(verts))
-        n = int(rng.integers(2, 4)) if len(verts) >= 3 else 2
+        n = int(rng.integers(2, min(4, len(verts)) + 1))
         states = verts[rng.choice(len(verts), size=n, replace=False)]
-        ours = distinguishable_unchecked(space, states, 1e-9) is not None
-        # variables E_1..E_n: sum_a E_a = unit, E_a(states_b) = delta_ab,
-        # E_a(v) >= 0 on every listed point
-        a_eq = np.vstack([np.kron(np.ones(n), np.eye(k)), np.kron(np.eye(n), states)])
-        b_eq = np.concatenate([np.eye(k)[0], np.eye(n).ravel()])
-        a_ub = np.kron(np.eye(n), -verts)
-        assert ours == _highs_feasible(a_eq, b_eq, a_ub, np.zeros(len(a_ub))), states
-        verdicts.append(ours)
-    assert 10 <= sum(verdicts) <= 70  # both answers are exercised
+        if rng.random() < 0.3:
+            states = _with_a_midpoint(rng, verts, states)
+        verdicts.append((n, _distinguishability_matches_highs(space, states)))
+    for n in (2, 3, 4):  # both answers are exercised at every n
+        assert {ok for size, ok in verdicts if size == n} == {False, True}, n
+
+
+def _no_signalling_faces() -> list[StateSpace]:
+    """The 16 eight-vertex faces of the no-signalling polytope: rank-deficient
+    vertex lists (rank 6 in K = 9)."""
+    sq = square_gbit()
+    verts = vertices_of(compose(sq, sq, "max").space)
+    positivity = np.array([[0.0, 1, 0], [1, -1, 0], [0, 0, 1], [1, 0, -1]])
+    tight = np.abs(verts @ np.array([np.kron(f, g) for f in positivity
+                                     for g in positivity]).T) <= 1e-9
+    faces = [verts[tight[:, a] & tight[:, b]] for a, b in combinations(range(16), 2)]
+    return [StateSpace(name="ns-face", rep=PolytopeRep(f)) for f in faces if len(f) == 8]
+
+
+def test_distinguishability_lp_matches_highs_on_the_no_signalling_faces():
+    rng = np.random.default_rng(20120323)
+    faces = _no_signalling_faces()
+    assert len(faces) == 16
+    verdicts = []
+    for face in faces:
+        verts = vertices_of(face)
+        for n in (2, 3, 4):
+            states = verts[rng.choice(8, size=n, replace=False)]
+            verdicts.append((n, _distinguishability_matches_highs(face, states)))
+            states = _with_a_midpoint(rng, verts, states)
+            verdicts.append((n, _distinguishability_matches_highs(face, states)))
+    for n in (2, 3, 4):
+        assert {ok for size, ok in verdicts if size == n} == {False, True}, n
