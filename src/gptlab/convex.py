@@ -170,7 +170,8 @@ def affine_dim_of(space: StateSpace) -> int:
 
 @dataclass(frozen=True)
 class Measurement:
-    """Ordered list of effects summing exactly to the unit effect."""
+    """Ordered list of effects summing exactly to the unit effect; measurements
+    are equal when their effect arrays are."""
 
     effects: np.ndarray  # shape (n_outcomes, K)
 
@@ -184,6 +185,11 @@ class Measurement:
             raise ValidationError("effects do not sum to the unit effect")
         eff.setflags(write=False)
         object.__setattr__(self, "effects", eff)
+
+    def __eq__(self, other):
+        if not isinstance(other, Measurement):
+            return NotImplemented
+        return np.array_equal(self.effects, other.effects)
 
     @property
     def n_outcomes(self) -> int:

@@ -38,17 +38,24 @@ from gptlab.lp import LinearProgram, lp_feasible
 DEFAULT_VERTEX_BUDGET = 64
 DEFAULT_LP_BUDGET = 4000
 # Orbit keys of the capacity search need only some verified symmetries, so
-# the vertex-symmetry search stops at this many elements or nodes.
+# the vertex-symmetry search forms at most this many elements and gives up
+# after this many nodes.
 SYMMETRY_ELEMENT_CAP = 512
 SYMMETRY_NODE_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
 class DistinguishabilityWitness:
-    """A measurement with E_i(omega_j) = delta_ij on the listed states."""
+    """A measurement with E_i(omega_j) = delta_ij on the listed states;
+    witnesses are equal when their measurements and state arrays are."""
 
     measurement: Measurement
     states: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, DistinguishabilityWitness):
+            return NotImplemented
+        return self.measurement == other.measurement and np.array_equal(self.states, other.states)
 
     @property
     def n(self) -> int:
@@ -177,13 +184,20 @@ def distinguishable_unchecked(space: StateSpace, states: np.ndarray, tol: float
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Capacity value with its witness; ``n`` is None when only a bound is known."""
+    """Capacity value with its witness; ``n`` is None when only a bound is known.
+    Results are equal when every field is, the witness by value."""
 
     n: int | None
     witness: DistinguishabilityWitness | None
     exact: bool
     lower_bound: int
     pairs: frozenset[tuple[int, int]] | None = None  # see capacity()
+
+    def __eq__(self, other):
+        if not isinstance(other, CapacityResult):
+            return NotImplemented
+        return ((self.n, self.witness, self.exact, self.lower_bound, self.pairs)
+                == (other.n, other.witness, other.exact, other.lower_bound, other.pairs))
 
     @property
     def indeterminate(self) -> bool:
@@ -227,19 +241,16 @@ def _quantum_capacity(space: StateSpace) -> CapacityResult:
 def _vertex_permutations(verts: np.ndarray, tol: float) -> np.ndarray:
     """Vertex permutations of linear symmetries, one per row.
 
-    The search stops at SYMMETRY_ELEMENT_CAP permutations or after
-    SYMMETRY_NODE_BUDGET nodes and keeps what it found: any set of verified
-    symmetries gives sound orbit keys, only fewer merged orbits.
+    The first SYMMETRY_ELEMENT_CAP elements, in the search's order, of the
+    group that ``geometry.vertex_symmetries`` finds; the cap bounds the
+    products it forms, not the backtracking.  If the search passes
+    SYMMETRY_NODE_BUDGET nodes, only the identity is kept: any set of
+    verified symmetries gives sound orbit keys, only fewer merged orbits.
     """
-    found = []
     try:
-        for perm in vertex_symmetries(verts, tol, SYMMETRY_NODE_BUDGET):
-            found.append(perm)
-            if len(found) == SYMMETRY_ELEMENT_CAP:
-                break
+        return vertex_symmetries(verts, tol, SYMMETRY_NODE_BUDGET, SYMMETRY_ELEMENT_CAP)
     except BudgetExceededError:
-        pass
-    return np.array(found or [np.arange(verts.shape[0])])
+        return np.arange(verts.shape[0])[None, :]
 
 
 def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,

@@ -35,15 +35,24 @@ by one.
 
 ``vertex_symmetries`` finds the vertex permutations that linear maps induce on
 a polytope; the postulate checker builds its automatic groups from them and
-the capacity search its orbits of vertex subsets.
+the capacity search its orbits of vertex subsets.  It walks the group's
+stabilizer chain along a basis among the vertices: backtracking, pruned by
+whitened Gram signatures, finds one verified symmetry per coset of each
+stabilizer in the next larger one, and the group elements are the products
+of these coset representatives, formed as arrays in the order of a search
+over the whole tree and each checked against its linear map.  Each image the
+backtracking tries and each product formed counts against the node budget;
+a caller that needs only the first elements caps the products, not the
+backtracking.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+import operator
+from collections.abc import Callable
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -66,6 +75,9 @@ def affine_dimension(points: np.ndarray, tol: float | None = None) -> int:
 # Rows compared per step in canonicalize_vertices: a step holds a
 # 256 x n boolean matrix and one 256 x n float difference.
 _DEDUP_BLOCK_ROWS = 256
+# Permutations checked per step in vertex_symmetries: a step holds a
+# 1024 x nv x K float array.
+_CHECK_BLOCK_ROWS = 1024
 
 
 def canonicalize_vertices(vertices: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -382,20 +394,38 @@ def vertex_permutation(vertices: np.ndarray, matrix: np.ndarray, tol: float
     return None
 
 
-def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int
-                      ) -> Iterator[np.ndarray]:
-    """Vertex permutations induced by invertible linear maps, as a generator.
+def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int,
+                      max_elements: int | None = None) -> np.ndarray:
+    """Vertex permutations induced by invertible linear maps, one per row.
 
-    Backtracking over the images of a basis among the vertices, on the
-    whitened vertices: the rows of U in the thin SVD V = U S Wᵀ, with the
-    rank cut at ``tol``.  Their Gram matrix U Uᵀ = V (VᵀV)⁺ Vᵀ is invariant
-    under every linear map that permutes the vertices, so the search prunes
-    on its rounded entries (Bremner, Dutour Sikirić, Pasechnik, Rehn &
-    Schürmann, LMS J. Comput. Math. 17, 2014).  The images of the basis fix
-    the linear map, which sends every other vertex to its nearest vertex.
-    The permutation ``p`` so found is yielded only if ``vertex_permutation``
-    accepts that map in the original coordinates.  BudgetExceededError is
-    raised once the search passes ``node_budget`` nodes.
+    The rows come in lexicographic order of the images of a basis b_0, b_1,
+    .. among the vertices, which fix the linear map; with ``max_elements``,
+    only the first that many, and the products after them are not formed.
+    The search runs on the whitened vertices: the rows of U in the thin SVD
+    V = U S Wᵀ, with the rank cut at ``tol``.  Their Gram matrix
+    U Uᵀ = V (VᵀV)⁺ Vᵀ is invariant under every linear map that permutes the
+    vertices, so the search prunes on its rounded entries (Bremner, Dutour
+    Sikirić, Pasechnik, Rehn & Schürmann, LMS J. Comput. Math. 17, 2014).
+
+    The group G is found along its stabilizer chain (Seress, Permutation
+    Group Algorithms, 2003, ch. 4): G_i fixes b_0..b_{i-1}, and every element
+    of G is one product t_0 ∘ t_1 ∘ .. with t_i from a transversal T_i of
+    G_{i+1} in G_i.  For each image j of b_i that passes the Gram filter
+    with b_0..b_{i-1} fixed, backtracking over the images of b_{i+1}, ..
+    finds one completion, a map that ``vertex_permutation`` accepts in the
+    original coordinates; the identity stands for j = b_i.  This visits
+    about Σ|T_i| leaves where a search of the whole tree visits |G|.  The
+    products are then formed level by level, one array step per level, and
+    each is checked once more: its basis images must have the Gram
+    signatures of the basis, and the linear map they fix must send every
+    vertex within ``100 * tol`` of its image.  On vertices that are
+    symmetric only to within the tolerance, the accepted maps need not form
+    a group; products that fail the check are left out.
+
+    Each image tried by the backtracking is one node, and each product
+    formed is one more; BudgetExceededError is raised once the backtracking
+    passes ``node_budget`` nodes, or before the products are formed if they
+    would.
     """
     tol = resolve_tol(tol)
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -408,40 +438,105 @@ def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int
     signature = np.column_stack([np.diag(gram), np.sort(gram, axis=1)])
     basis = _independent_rows(white, tol)
     basis_pinv = np.linalg.pinv(verts[basis].T)
-    alike = [(signature == signature[a]).all(axis=1) for a in basis]
     nv = verts.shape[0]
-    used = np.zeros(nv, dtype=bool)
+    alike = np.array([(signature == signature[a]).all(axis=1) for a in basis]).reshape(-1, nv)
+    nodes = 0
 
-    def fits(images: list[int]) -> list[int]:
+    def fits(images: list[int], used: np.ndarray) -> list[int]:
         """Unused vertices that may be the image of the next basis vertex."""
         i = len(images)
         ok = alike[i] & ~used & (gram[:, images] == gram[basis[i], basis[:i]]).all(axis=1)
         return np.flatnonzero(ok)[::-1].tolist()
 
-    def search() -> Iterator[np.ndarray]:
-        nodes = 0
-        images: list[int] = []
-        pending = [fits(images)]  # untried images, one list per basis vertex
+    def visit() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(f"symmetry search exceeded {node_budget} nodes")
+
+    def completion(images: list[int]) -> np.ndarray | None:
+        """The first accepted permutation, in the order of the backtracking,
+        that sends b_0.. to ``images``."""
+        if len(images) == len(basis):
+            return vertex_permutation(verts, verts[images].T @ basis_pinv, tol)
+        used = np.zeros(nv, dtype=bool)
+        used[images] = True
+        pending = [fits(images, used)]  # untried images, one list per basis vertex
         while pending:
             if not pending[-1]:
                 pending.pop()
-                if images:
+                if pending:
                     used[images.pop()] = False
                 continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(f"symmetry search exceeded {node_budget} nodes")
+            visit()
             j = pending[-1].pop()
             if len(images) + 1 < len(basis):
                 used[j] = True
                 images.append(j)
-                pending.append(fits(images))
+                pending.append(fits(images, used))
                 continue
             perm = vertex_permutation(verts, verts[images + [j]].T @ basis_pinv, tol)
             if perm is not None:
-                yield perm
+                return perm
+        return None
 
-    return search()
+    def accepted(perms: np.ndarray) -> np.ndarray:
+        """Mask of the rows p that send each basis vertex to one alike to it
+        and whose linear map sends every vertex i within ``100 * tol`` of
+        vertex p[i] in every coordinate, in blocks of rows."""
+        ok = np.empty(perms.shape[0], dtype=bool)
+        for s in range(0, perms.shape[0], _CHECK_BLOCK_ROWS):
+            block = perms[s : s + _CHECK_BLOCK_ROWS]
+            images = block[:, basis]
+            maps = np.swapaxes(verts[images], 1, 2) @ basis_pinv
+            error = np.abs(verts @ np.swapaxes(maps, 1, 2) - verts[block]).max(axis=(1, 2))
+            ok[s : s + _CHECK_BLOCK_ROWS] = ((error <= 100 * tol)
+                                             & alike[np.arange(len(basis)), images].all(axis=1))
+        return ok
+
+    identity = np.arange(nv)
+    transversals = []  # T_i, one verified symmetry per image of b_i
+    for i, b in enumerate(basis):
+        fixed = basis[:i]
+        used = np.zeros(nv, dtype=bool)
+        used[fixed] = True
+        level = []
+        for j in fits(fixed, used):
+            visit()
+            perm = identity if j == b else completion(fixed + [j])
+            if perm is not None:
+                level.append(perm)
+        transversals.append(np.array(level))
+
+    # rows kept after level i: all products so far, or as many as the first
+    # max_elements elements of G extend
+    sizes = [len(t) for t in transversals]
+    kept = list(accumulate(sizes, operator.mul))
+    if max_elements is not None:
+        kept = [min(rows, -(-max_elements // math.prod(sizes[i + 1:])))
+                for i, rows in enumerate(kept)]
+    formed = sum(prev * size for prev, size in zip([1] + kept, sizes) if size > 1)
+    if nodes + formed > node_budget:
+        raise BudgetExceededError(
+            f"symmetry search needs {nodes + formed} nodes (budget {node_budget})")
+
+    elements = _chain_products(transversals, basis, kept, nv)
+    return elements[accepted(elements)]
+
+
+def _chain_products(transversals: list[np.ndarray], basis: list[int], kept: list[int],
+                    nv: int) -> np.ndarray:
+    """The products t_0 ∘ t_1 ∘ .. with t_i a row of ``transversals[i]``, in
+    lexicographic order of their images of ``basis``; level i keeps the first
+    ``kept[i]`` products of t_0..t_i."""
+    elements = np.arange(nv)[None, :]
+    for b, level, rows in zip(basis, transversals, kept):
+        if len(level) > 1:
+            products = elements[:, level]  # prefix ∘ t for every t in the level
+            order = np.argsort(products[:, :, b], axis=1)
+            elements = np.take_along_axis(products, order[:, :, None], axis=1)
+            elements = elements.reshape(-1, nv)[:rows]
+    return elements
 
 
 def brute_force_dual_cone_rays(generators: np.ndarray, tol: float | None = None) -> np.ndarray:

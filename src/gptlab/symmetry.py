@@ -107,8 +107,9 @@ def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None) -> F
             f"{nv} vertices exceed symmetry budget {SYMMETRY_SEARCH_VERTEX_BUDGET}"
         )
     pinv = np.linalg.pinv(verts.T)
-    perms = sorted(map(tuple, vertex_symmetries(verts, tol, SYMMETRY_SEARCH_NODE_BUDGET)))
-    return FiniteMatrixGroup(np.array([verts[list(p)].T @ pinv for p in perms]))
+    perms = vertex_symmetries(verts, tol, SYMMETRY_SEARCH_NODE_BUDGET)
+    perms = perms[np.lexsort(perms.T[::-1])]
+    return FiniteMatrixGroup(np.array([verts[p].T @ pinv for p in perms]))
 
 
 def _round_key(arr: np.ndarray) -> bytes:

@@ -295,6 +295,23 @@ def test_capacity_pairs_are_the_distinguishable_vertex_pairs(space):
     assert capacity(space).pairs == expected
 
 
+def test_measurements_witnesses_and_capacity_results_compare_by_value():
+    square = square_gbit()
+    result = capacity(square)
+    witness = result.witness
+    effects = witness.measurement.effects
+    assert Measurement(effects) == Measurement(effects.copy())
+    assert Measurement(effects) != Measurement(effects[::-1])
+    assert Measurement(effects) != witness
+    assert witness == DistinguishabilityWitness(Measurement(effects.copy()), witness.states.copy())
+    assert witness != DistinguishabilityWitness(witness.measurement, witness.states[::-1])
+    assert result == capacity(square_gbit())
+    assert result != capacity(_pentagon())
+    assert result != CapacityResult(result.n, witness, result.exact, result.lower_bound)
+    assert result != CapacityResult(result.n, None, result.exact, result.lower_bound,
+                                    result.pairs)
+
+
 def test_a_facet_less_rank_deficient_face_answers_through_the_lp(monkeypatch):
     # the NS face spans only part of its ambient space and carries no
     # facets, so membership and the public distinguishable solve the cone LP
@@ -439,14 +456,6 @@ def _cross_polytope(d: int) -> StateSpace:
                       rep=PolytopeRep(np.column_stack([np.ones(2 * d), np.vstack([e, -e])])))
 
 
-def _identical(a: CapacityResult, b: CapacityResult) -> bool:
-    if (a.n, a.exact, a.lower_bound, a.pairs) != (b.n, b.exact, b.lower_bound, b.pairs):
-        return False
-    return (a.witness.states.tobytes() == b.witness.states.tobytes()
-            and a.witness.measurement.effects.tobytes()
-            == b.witness.measurement.effects.tobytes())
-
-
 def _identity_only(verts, tol):
     return np.arange(verts.shape[0])[None, :]
 
@@ -456,7 +465,7 @@ def _assert_orbits_change_nothing(monkeypatch, space, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(discrimination, "_vertex_permutations", _identity_only)
         every_lp = capacity(space, **kwargs)
-    assert _identical(with_orbits, every_lp), space.name
+    assert with_orbits == every_lp, space.name
 
 
 def _count_pair_lps(monkeypatch) -> list:
@@ -497,7 +506,7 @@ def test_lp_budget_counts_only_the_lps_solved(monkeypatch, lp_budget):
     assert len(calls) == lp_budget and every_lp.indeterminate
     assert with_orbits.lower_bound >= every_lp.lower_bound
     if with_orbits.exact:
-        assert _identical(with_orbits, capacity(face, lp_budget=100_000))
+        assert with_orbits == capacity(face, lp_budget=100_000)
 
 
 def test_orbit_memo_with_a_capped_symmetry_search(monkeypatch):
@@ -575,7 +584,7 @@ def test_linearly_independent_vertices_take_one_lp(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(discrimination.np.linalg, "matrix_rank", lambda verts: -1)
         m.setattr(discrimination, "_vertex_permutations", _identity_only)
-        assert _identical(capacity(facet), result)
+        assert capacity(facet) == result
     assert len(calls) == 1 + 120
 
 

@@ -3,7 +3,8 @@
 import math
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, islice, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,12 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import gptlab.geometry
+from gptlab.composites import compose
+from gptlab.convex import simplex_vertices, vertices_of
+from gptlab.discrimination import SYMMETRY_ELEMENT_CAP, _vertex_permutations
 from gptlab.errors import BudgetExceededError, ValidationError
 from gptlab.geometry import (
+    _independent_rows,
     _integer_rows,
     affine_dimension,
     brute_force_dual_cone_rays,
@@ -22,7 +27,11 @@ from gptlab.geometry import (
     dual_cone_rays_exact,
     extremal_effect_vectors,
     vertex_permutation,
+    vertex_symmetries,
 )
+from gptlab.models import square_gbit
+from gptlab.runner import build_space, load_theory
+from gptlab.symmetry import polytope_symmetry_group
 
 BIT_VERTICES = np.array([[1.0, 0.0], [1.0, 1.0]])
 SQUARE_VERTICES = np.array(
@@ -414,3 +423,148 @@ def test_vertex_permutation_reads_the_images_within_100_tol():
     assert vertex_permutation(SQUARE_VERTICES, far, 1e-9) is None
     # every image is a vertex, but two vertices share one
     assert vertex_permutation(SQUARE_VERTICES, np.diag([1.0, 1.0, 0.0]), 1e-9) is None
+
+
+def _dfs_vertex_symmetries(vertices, tol, node_budget):
+    """Reference for vertex_symmetries: backtracking that visits one leaf per
+    group element, in lexicographic order of the images of the basis."""
+    verts = np.atleast_2d(np.asarray(vertices, dtype=float))
+    u, svals, _ = np.linalg.svd(verts, full_matrices=False)
+    white = u[:, : int(np.sum(svals > tol * max(1.0, svals[0])))]
+    digits = max(1, int(np.floor(-np.log10(100.0 * tol))))
+    gram = np.round(white @ white.T, digits) + 0.0
+    signature = np.column_stack([np.diag(gram), np.sort(gram, axis=1)])
+    basis = _independent_rows(white, tol)
+    basis_pinv = np.linalg.pinv(verts[basis].T)
+    alike = [(signature == signature[a]).all(axis=1) for a in basis]
+    used = np.zeros(verts.shape[0], dtype=bool)
+
+    def fits(images):
+        i = len(images)
+        ok = alike[i] & ~used & (gram[:, images] == gram[basis[i], basis[:i]]).all(axis=1)
+        return np.flatnonzero(ok)[::-1].tolist()
+
+    nodes = 0
+    images = []
+    pending = [fits(images)]
+    while pending:
+        if not pending[-1]:
+            pending.pop()
+            if images:
+                used[images.pop()] = False
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(f"symmetry search exceeded {node_budget} nodes")
+        j = pending[-1].pop()
+        if len(images) + 1 < len(basis):
+            used[j] = True
+            images.append(j)
+            pending.append(fits(images))
+            continue
+        perm = vertex_permutation(verts, verts[images + [j]].T @ basis_pinv, tol)
+        if perm is not None:
+            yield perm
+
+
+def _assert_search_matches_dfs(vertices, max_elements=None):
+    expected = list(islice(_dfs_vertex_symmetries(vertices, 1e-9, 10**6), max_elements))
+    got = vertex_symmetries(vertices, 1e-9, 10**6, max_elements)
+    assert got.tolist() == np.array(expected).tolist()
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+
+
+@pytest.mark.parametrize("name", ["square"] + [f"{n}-gon" for n in range(3, 13)]
+                         + ["cube", "octahedron", "tesseract"])
+def test_vertex_symmetries_match_the_dfs_on_the_corpus(name):
+    _assert_search_matches_dfs(vertices_of(build_space(load_theory(str(CORPUS / f"{name}.json")))))
+
+
+def test_vertex_symmetries_match_the_dfs_on_the_no_signalling_polytope_and_faces():
+    sq = square_gbit()
+    verts = vertices_of(compose(sq, sq, "max").space)
+    facets = np.array([[0.0, 1, 0], [1, -1, 0], [0, 0, 1], [1, 0, -1]])
+    tight = np.abs(verts @ np.array([np.kron(f, g) for f in facets for g in facets]).T) <= 1e-9
+    faces = [verts[tight[:, a] & tight[:, b]] for a, b in combinations(range(16), 2)]
+    faces = [face for face in faces if face.shape[0] == 8]
+    assert len(faces) == 16
+    rng = np.random.default_rng(20)
+    for polytope in [verts] + faces:
+        for _ in range(3):
+            _assert_search_matches_dfs(polytope[rng.permutation(polytope.shape[0])])
+
+
+@pytest.mark.parametrize("verts", [
+    np.column_stack([np.ones(10), np.vstack([np.eye(5), -np.eye(5)])]),
+    simplex_vertices(16),
+], ids=["5-cross", "16-simplex"])
+def test_a_capped_search_gives_the_first_elements_of_the_dfs(verts):
+    # 3840 and 16! symmetries
+    _assert_search_matches_dfs(verts, SYMMETRY_ELEMENT_CAP)
+
+
+def _signed_permutation_orbits(d, n_points, n_generators, data_seed):
+    """Vertices [1, x] for the orbits of random points under the group that
+    random signed permutation matrices generate, in seeded order."""
+    rng = np.random.default_rng(data_seed)
+    generators = [np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d)
+                  for _ in range(n_generators)]
+    orbit = {tuple(x) for x in rng.normal(size=(n_points, d))}
+    frontier = list(orbit)
+    while frontier:
+        images = {tuple(g @ x) for g in generators for x in frontier} - orbit
+        orbit |= images
+        frontier = list(images)
+    points = np.array(sorted(orbit))
+    return np.column_stack([np.ones(len(points)), points])[rng.permutation(len(points))]
+
+
+@seed(20121019)
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=4),
+    n_points=st.integers(min_value=1, max_value=2),
+    n_generators=st.integers(min_value=1, max_value=2),
+    data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_vertex_symmetries_match_the_dfs_on_signed_permutation_orbits(
+        d, n_points, n_generators, data_seed):
+    verts = _signed_permutation_orbits(d, n_points, n_generators, data_seed)
+    assume(verts.shape[0] <= 64)
+    _assert_search_matches_dfs(verts)
+
+
+def test_the_symmetry_budget_counts_products_before_forming_them(monkeypatch):
+    verts = simplex_vertices(16)
+    with pytest.raises(BudgetExceededError, match="symmetry search"):
+        vertex_symmetries(CUBE_VERTICES, 1e-9, node_budget=5)
+    formed = []
+    monkeypatch.setattr(gptlab.geometry, "_chain_products",
+                        lambda *args: formed.append(args))
+    with pytest.raises(BudgetExceededError, match="symmetry search"):
+        polytope_symmetry_group(verts)  # 16! products
+    assert formed == []
+    monkeypatch.undo()
+    expected = list(islice(_dfs_vertex_symmetries(verts, 1e-9, 10**6), SYMMETRY_ELEMENT_CAP))
+    assert _vertex_permutations(verts, 1e-9).tolist() == np.array(expected).tolist()
+
+
+def test_on_nearly_symmetric_vertices_the_search_keeps_only_what_the_dfs_accepts():
+    # within 100 tol, maps that permute perturbed vertices need not form a
+    # group: products of accepted maps can fail, and then they are dropped
+    rng = np.random.default_rng(22)
+    hexagon = np.column_stack([np.ones(6), np.cos(np.arange(6) * np.pi / 3),
+                               np.sin(np.arange(6) * np.pi / 3)])
+    octahedron = np.column_stack([np.ones(6), np.vstack([np.eye(3), -np.eye(3)])])
+    fewer = 0
+    for verts in [hexagon, octahedron, CUBE_VERTICES] * 20:
+        tol = rng.choice([1e-6, 1e-5, 1e-4])
+        noise = rng.uniform(5, 80) * tol * rng.uniform(-1, 1, size=verts.shape)
+        noise[:, 0] = 0.0
+        expected = [tuple(p) for p in _dfs_vertex_symmetries(verts + noise, tol, 10**6)]
+        got = [tuple(p) for p in vertex_symmetries(verts + noise, tol, 10**6)]
+        assert got == [p for p in expected if p in set(got)]  # in the DFS, in its order
+        fewer += len(got) < len(expected)
+    assert fewer > 0
