@@ -261,15 +261,19 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     systems.  For polytopes, a subset search over the vertices, level by
     level (monotonicity-pruned, distance-ordered).  A linear map that
     permutes the vertices maps distinguishable sets to distinguishable sets,
-    so one LP decides each orbit of candidates under the vertex symmetries
-    that ``geometry.vertex_symmetries`` finds; the space's own ``group`` is
-    not trusted.  Linearly independent vertices span a simplex, and then only
-    the LP on all of them runs.  Only the LPs solved count against
-    ``lp_budget``, not the candidates the orbit memo decides; running out
-    yields an indeterminate result carrying the best lower bound.  ``pairs``
-    holds the distinguishable vertex-index pairs ``(i, j)``, ``i < j``; it is
-    None for balls and quantum systems, and when the budget ran out among the
-    pairs.
+    so one LP decides each orbit of candidates under a set of vertex
+    symmetries: the ``perms`` of the space's group, which were found or
+    checked against the vertices when the group was built, and otherwise
+    those that ``geometry.vertex_symmetries`` finds.  The first
+    distinguishable candidate of each level always gets its own LP, so N,
+    the witness and ``pairs`` do not depend on which symmetries key the
+    memo, only the LP count does.  Linearly independent vertices span a
+    simplex, and then only the LP on all of them runs.  Only the LPs solved
+    count against ``lp_budget``, not the candidates the orbit memo decides;
+    running out yields an indeterminate result carrying the best lower
+    bound.  ``pairs`` holds the distinguishable vertex-index pairs
+    ``(i, j)``, ``i < j``; it is None for balls and quantum systems, and
+    when the budget ran out among the pairs.
     """
     tol = resolve_tol(tol)
     rep = space.rep
@@ -292,7 +296,9 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
         if w is not None:
             pairs = frozenset(combinations(range(nv), 2))
             return CapacityResult(nv, w, exact=True, lower_bound=nv, pairs=pairs)
-    perms = _vertex_permutations(verts, tol)
+    perms = getattr(space.group, "perms", None)  # a FiniteMatrixGroup's checked table
+    if perms is None:
+        perms = _vertex_permutations(verts, tol)
     dist = {(i, j): np.linalg.norm(verts[i] - verts[j]) for i, j in combinations(range(nv), 2)}
 
     def min_pairwise(subset: list[int]) -> float:

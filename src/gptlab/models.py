@@ -49,9 +49,9 @@ def gbit_ball(d: int) -> StateSpace:
         raise DomainError("ball dimension must be >= 1")
     if d == 1:
         # S^0 = two points; the connected rotation group is trivial, so the
-        # symmetry is the finite flip group.
+        # symmetry is the finite flip group, which swaps the two endpoints.
         flip = np.diag([1.0, -1.0])
-        group = FiniteMatrixGroup(np.stack([np.eye(2), flip]))
+        group = FiniteMatrixGroup(np.stack([np.eye(2), flip]), perms=[[0, 1], [1, 0]])
     else:
         group = RotationGroup(d)
     space = StateSpace(name=f"ball({d})", rep=BallRep(d), group=group)

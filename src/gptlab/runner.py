@@ -58,6 +58,7 @@ from gptlab.models import (
 )
 from gptlab.symmetry import (
     FiniteMatrixGroup,
+    _vertex_table,
     continuity_check,
     is_g2_exception,
     polytope_symmetry_group,
@@ -146,10 +147,11 @@ def build_space(td: TheoryDefinition) -> StateSpace:
     else:
         raise ValidationError(f"unknown space family {family!r}")
     if kind == "finite":
-        # explicit matrices replace the family's canonical group; P3 reads
-        # them as permutations of a vertex list
+        # explicit matrices replace the family's canonical group; they are
+        # checked here as permutations of a vertex list, which P3 and
+        # capacity read
         try:
-            vertices_of(space)
+            verts = vertices_of(space)
         except UnsupportedRepresentationError:
             raise ValidationError(
                 f"{space.name}: group kind {kind!r} needs a vertex list, and this "
@@ -160,7 +162,8 @@ def build_space(td: TheoryDefinition) -> StateSpace:
         k = space.ambient_dim
         if matrices.ndim != 3 or matrices.shape[1:] != (k, k):
             raise ValidationError(f"group matrices must have shape (M, {k}, {k})")
-        space = replace(space, group=FiniteMatrixGroup(matrices))
+        perms = _vertex_table(verts, matrices, resolve_tol(None))
+        space = replace(space, group=FiniteMatrixGroup(matrices, perms=perms))
     if not _all_effects_allowed(td.allowed_effects):
         allowed = np.atleast_2d(_float_array(td.allowed_effects, "allowed effects"))
         for f in allowed:

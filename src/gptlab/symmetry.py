@@ -11,7 +11,7 @@ connected and transitive on the pure states of an n-level system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -47,10 +47,19 @@ from gptlab.geometry import affine_dimension, vertex_permutation, vertex_symmetr
 
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
-    """Explicit finite matrix group acting on homogeneous coordinates; groups
-    are equal when their matrix stacks are."""
+    """Explicit finite matrix group acting on homogeneous coordinates.
+
+    ``perms``, when known, has one row per matrix: ``perms[m, i]`` is the
+    index of the image of vertex i of the space under ``matrices[m]``.  It
+    is filled only where those permutations were found or checked against
+    the vertices (``polytope_symmetry_group``, and ``runner.build_space``
+    for a ``"finite"`` group), and P3 and ``capacity`` read it.  Like
+    ``PolytopeRep.facets`` it is a read-only copy that takes no part in
+    equality or the repr: groups are equal when their matrix stacks are.
+    """
 
     matrices: np.ndarray  # (M, K, K)
+    perms: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         mats = np.asarray(self.matrices, dtype=float)
@@ -58,6 +67,15 @@ class FiniteMatrixGroup:
             raise ValidationError("matrices must have shape (M, K, K)")
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
+        if self.perms is not None:
+            perms = np.array(self.perms, dtype=int)
+            if perms.ndim != 2 or perms.shape[0] != mats.shape[0]:
+                raise ValidationError(
+                    f"perms must have one row per matrix, shape ({mats.shape[0]}, n), "
+                    f"got {perms.shape}"
+                )
+            perms.setflags(write=False)
+            object.__setattr__(self, "perms", perms)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMatrixGroup):
@@ -99,7 +117,8 @@ SYMMETRY_SEARCH_NODE_BUDGET = 200_000
 def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None) -> FiniteMatrixGroup:
     """The linear maps that permute the vertices, one matrix per permutation
     found by ``geometry.vertex_symmetries``, in lexicographic order of the
-    permutations (the identity first)."""
+    permutations (the identity first); the group keeps those permutations
+    as its ``perms``."""
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     nv = verts.shape[0]
     if nv > SYMMETRY_SEARCH_VERTEX_BUDGET:
@@ -109,7 +128,7 @@ def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None) -> F
     pinv = np.linalg.pinv(verts.T)
     perms = vertex_symmetries(verts, tol, SYMMETRY_SEARCH_NODE_BUDGET)
     perms = perms[np.lexsort(perms.T[::-1])]
-    return FiniteMatrixGroup(np.array([verts[p].T @ pinv for p in perms]))
+    return FiniteMatrixGroup(np.array([verts[p].T @ pinv for p in perms]), perms=perms)
 
 
 def _round_key(arr: np.ndarray) -> bytes:
@@ -227,22 +246,20 @@ class TransitivityResult:
     stranded: np.ndarray | None = None
 
 
-def _vertex_table(verts: np.ndarray, matrices: list[np.ndarray], tol: float) -> list[list[int]]:
-    """table[m][i]: index of the image of vertex i under matrices[m];
+def _vertex_table(verts: np.ndarray, matrices: np.ndarray | list[np.ndarray], tol: float
+                  ) -> np.ndarray:
+    """table[m, i]: index of the image of vertex i under matrices[m];
     ValidationError unless every matrix permutes the vertices."""
-    table = []
-    for mat in matrices:
+    table = np.empty((len(matrices), verts.shape[0]), dtype=int)
+    for row, mat in zip(table, matrices):
         perm = vertex_permutation(verts, mat, tol)
         if perm is None:
             raise ValidationError("group element does not permute the vertex set")
-        table.append(perm.tolist())
+        row[:] = perm
     return table
 
 
-def _vertex_orbits(space: StateSpace, matrices: list[np.ndarray], tol: float):
-    verts = vertices_of(space)
-    table = _vertex_table(verts, matrices, tol)
-
+def _vertex_orbits(space: StateSpace, matrices: list[np.ndarray], table: list[list[int]]):
     # BFS from vertex 0, recording a transporter matrix per reached vertex
     transporter: dict[int, np.ndarray] = {0: np.eye(space.ambient_dim)}
     frontier = [0]
@@ -255,7 +272,7 @@ def _vertex_orbits(space: StateSpace, matrices: list[np.ndarray], tol: float):
                     transporter[j] = mat @ transporter[i]
                     nxt.append(j)
         frontier = nxt
-    return transporter, verts.shape[0]
+    return transporter
 
 
 def _group_matrices(group: GroupDescriptor) -> list[np.ndarray]:
@@ -276,7 +293,9 @@ def transitivity_check(space: StateSpace, tol: float | None = None) -> Transitiv
     """Does the group act transitively on the pure states?
 
     Finite groups: orbit computation on the extreme points, with one
-    transporter matrix per reached vertex as witness.  Parametric groups:
+    transporter matrix per reached vertex as witness; a ``FiniteMatrixGroup``
+    that carries its ``perms`` is read through them, any other finite group
+    through a permutation table checked here.  Parametric groups:
     transitive by theorem once ``check_parametric_group`` accepts them; no
     witnesses.
     """
@@ -286,8 +305,13 @@ def transitivity_check(space: StateSpace, tol: float | None = None) -> Transitiv
         raise DomainError(f"{space.name} has no group descriptor")
 
     if isinstance(group, (FiniteMatrixGroup, PermutationGroup)):
-        transporter, nv = _vertex_orbits(space, _group_matrices(group), tol)
         verts = vertices_of(space)
+        matrices = _group_matrices(group)
+        table = group.perms if isinstance(group, FiniteMatrixGroup) else None
+        if table is None:
+            table = _vertex_table(verts, matrices, tol)
+        transporter = _vertex_orbits(space, matrices, table.tolist())
+        nv = verts.shape[0]
         if len(transporter) < nv:
             stranded = verts[min(set(range(nv)) - set(transporter))]
             return TransitivityResult(False, stranded=stranded)

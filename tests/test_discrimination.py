@@ -1,6 +1,7 @@
 """Distinguishability, capacity, and the K = N^r structure."""
 
 import sys
+from dataclasses import replace
 from itertools import combinations, product
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from gptlab.discrimination import (
 from gptlab.lp import LinearProgram, lp_feasible
 from gptlab.geometry import affine_dimension
 from gptlab.models import classical, gbit_ball, quantum, square_gbit
-from gptlab.runner import build_space, load_theory
+from gptlab.runner import build_space, load_theory, theory_from_dict
 from gptlab.symmetry import maximally_mixed, maximally_mixed_decomposition
 from gptlab import quantum as qc
 
@@ -461,11 +462,15 @@ def _identity_only(verts, tol):
 
 
 def _assert_orbits_change_nothing(monkeypatch, space, **kwargs):
+    # the memo keyed by the group's permutations, by a fresh search, and by
+    # the identity alone (one LP per candidate) gives one answer
     with_orbits = capacity(space, **kwargs)
+    groupless = replace(space, group=None)
+    searched = capacity(groupless, **kwargs)
     with monkeypatch.context() as m:
         m.setattr(discrimination, "_vertex_permutations", _identity_only)
-        every_lp = capacity(space, **kwargs)
-    assert with_orbits == every_lp, space.name
+        every_lp = capacity(groupless, **kwargs)
+    assert with_orbits == searched == every_lp, space.name
 
 
 def _count_pair_lps(monkeypatch) -> list:
@@ -484,6 +489,19 @@ def _count_pair_lps(monkeypatch) -> list:
 def test_orbit_memo_matches_an_lp_per_candidate_on_the_corpus(monkeypatch, name):
     # with the identity as the only symmetry, every candidate gets its own LP
     _assert_orbits_change_nothing(monkeypatch, build_space(load_theory(str(CORPUS / f"{name}.json"))))
+
+
+@pytest.mark.parametrize("matrices", [
+    [np.eye(3).tolist()],
+    [[[1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]],  # (x, y) -> (1 - y, x)
+], ids=["identity", "quarter-turn"])
+def test_orbit_memo_matches_an_lp_per_candidate_under_a_loaded_finite_group(monkeypatch, matrices):
+    # the square's capacity read through a "finite" group's permutations,
+    # the identity alone or the quarter-turn alone, which is no group
+    space = build_space(theory_from_dict({"name": "square", "space": {"family": "square"},
+                                          "group": {"kind": "finite", "matrices": matrices}}))
+    assert space.group.perms.shape == (len(matrices), 4)
+    _assert_orbits_change_nothing(monkeypatch, space)
 
 
 def test_orbit_memo_matches_an_lp_per_candidate_on_the_no_signalling_faces(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from gptlab import discrimination, runner, symmetry
+from gptlab import discrimination, geometry, runner, symmetry
 from gptlab.config import DEFAULT_TOL, get_tol, set_tol
 from gptlab.composites import compose
 from gptlab.convex import extremal_effects
@@ -780,6 +780,21 @@ def test_a_finite_group_on_a_space_without_vertex_list_fails_at_load(tmp_path, c
     assert cli_main(["check", _write(tmp_path, "segment.json", segment)]) == 0
 
 
+def test_a_finite_group_that_does_not_permute_the_vertices_fails_at_load(tmp_path, capsys):
+    # diag(1, 2, 1) sends the square's vertex (1, 1, 0) to (1, 2, 0), which
+    # is no vertex; capacity, which reads the group's permutations, must not
+    # run on it any more than P3
+    payload = {"name": "stretched", "space": {"family": "square"},
+               "group": {"kind": "finite", "matrices": [np.diag([1.0, 2.0, 1.0]).tolist()]}}
+    message = "group element does not permute the vertex set"
+    with pytest.raises(ValidationError, match=message):
+        build_space(theory_from_dict(payload))
+    path = _write(tmp_path, "stretched.json", payload)
+    for command in ("capacity", "check"):
+        assert cli_main([command, path]) == 2, command
+        assert message in capsys.readouterr().err
+
+
 def test_cli_exit_code_3_needs_a_budget_to_run_out(tmp_path, capsys):
     # P2 on the triangle is indeterminate for want of a reference space, not a budget
     triangle = {"name": "triangle", "space": {"family": "polytope",
@@ -847,6 +862,36 @@ def test_check_postulates_computes_capacity_once(monkeypatch, spec):
     monkeypatch.setattr(symmetry, "capacity", counting)
     check_postulates(TheoryDefinition(name="t", space_spec=spec), seed=0)
     assert len(calls) == 1
+
+
+CORPUS_POLYTOPES = ["square"] + [f"{n}-gon" for n in range(3, 13)] + [
+    "cube", "octahedron", "tesseract"]
+
+
+@pytest.mark.parametrize("rule", ["min", "max"])
+@pytest.mark.parametrize("name", CORPUS_POLYTOPES)
+def test_a_check_derives_the_vertex_group_once(monkeypatch, name, rule):
+    # build_space searches the group once; P3 and capacity read the
+    # permutations it keeps instead of recovering or searching them again.
+    # Each name is counted where its module binds it.
+    calls = []
+
+    def count(module, attr):
+        fn = getattr(module, attr)
+
+        def counting(*args, **kwargs):
+            calls.append(attr)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+
+    for module in (geometry, symmetry, discrimination):
+        count(module, "vertex_symmetries")
+    for module in (symmetry, runner):
+        count(module, "_vertex_table")
+    count(discrimination, "_vertex_permutations")
+    check_postulates(load_theory(str(ROOT / "perfbench" / "corpus" / f"{name}.json")), rule=rule)
+    assert calls == ["vertex_symmetries"]
 
 
 def test_finite_group_of_the_wrong_size_is_a_validation_error(tmp_path, capsys):

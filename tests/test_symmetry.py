@@ -1,5 +1,6 @@
 """Groups, transitivity, invariant states, strict convexity, faces, probes."""
 
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from gptlab.convex import (
 )
 from gptlab.geometry import brute_force_dual_cone_rays, dual_cone_rays
 from gptlab.models import classical, gbit_ball, quantum, square_gbit
-from gptlab.runner import build_space, load_theory
+from gptlab.runner import build_space, load_theory, theory_from_dict
 from gptlab.symmetry import (
     FiniteMatrixGroup,
     PermutationGroup,
@@ -295,6 +296,59 @@ def _corpus_polytopes():
 def test_strict_convexity_witness_is_an_edge_of_every_corpus_polytope(space):
     verts = vertices_of(space)
     _assert_edge_witness(verts, dual_cone_rays(verts), 1e-9)
+
+
+def _spaces_with_vertex_groups():
+    # every corpus polytope, the square and ball(1), plus the square with a
+    # "finite" group, whose permutations are checked when it is loaded
+    spaces = [build_space(load_theory(str(path))) for path in sorted(CORPUS.glob("*.json"))]
+    spaces = [s for s in spaces if isinstance(s.group, FiniteMatrixGroup)]
+    quarter = [[1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]
+    square_c4 = build_space(theory_from_dict({
+        "name": "square-c4", "space": {"family": "square"},
+        "group": {"kind": "finite", "matrices": [quarter]}}))
+    spaces.append(replace(square_c4, name="square-c4"))
+    assert len(spaces) == 16  # 13 JSON polytopes, the square, ball(1), square-c4
+    return spaces
+
+
+@pytest.mark.parametrize("space", _spaces_with_vertex_groups(), ids=lambda s: s.name)
+def test_a_group_keeps_the_vertex_permutations_of_its_matrices(space):
+    group = space.group
+    verts = vertices_of(space)
+    table = symmetry._vertex_table(verts, group.matrices, 1e-9)
+    assert np.array_equal(group.perms, table)
+    # P3 reads the stored permutations and finds what a fresh table finds
+    stored = transitivity_check(space)
+    fresh = transitivity_check(replace(space, group=FiniteMatrixGroup(group.matrices)))
+    assert stored.transitive == fresh.transitive
+    assert np.array_equal(stored.stranded, fresh.stranded)
+    assert len(stored.witnesses) == len(fresh.witnesses)
+    for a, b in zip(stored.witnesses, fresh.witnesses):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_group_perms_are_a_read_only_int_copy_outside_equality_and_repr():
+    group = square_gbit().group
+    given = np.array(group.perms)
+    kept = FiniteMatrixGroup(group.matrices, perms=given)
+    assert kept.perms.dtype == int and not kept.perms.flags.writeable
+    assert given.flags.writeable  # the caller's array is copied, not frozen
+    with pytest.raises(ValueError):
+        kept.perms[0, 0] = 1
+    assert FiniteMatrixGroup(group.matrices).perms is None
+    assert [f.name for f in fields(FiniteMatrixGroup) if f.compare] == ["matrices"]
+    assert kept == FiniteMatrixGroup(group.matrices) == FiniteMatrixGroup(group.matrices,
+                                                                          perms=given[::-1])
+    assert "perms" not in repr(kept)
+    assert repr(kept) == repr(FiniteMatrixGroup(group.matrices))
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (9, 4), (0, 4), (8,), (8, 4, 1)])
+def test_group_perms_need_one_row_per_matrix(shape):
+    matrices = square_gbit().group.matrices  # 8 elements
+    with pytest.raises(ValidationError, match="one row per matrix"):
+        FiniteMatrixGroup(matrices, perms=np.zeros(shape, dtype=int))
 
 
 @seed(20120321)
