@@ -184,20 +184,24 @@ def distinguishable_unchecked(space: StateSpace, states: np.ndarray, tol: float
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Capacity value with its witness; ``n`` is None when only a bound is known.
-    Results are equal when every field is, the witness by value."""
+    """Capacity value with its witness; ``n`` is None, and the result not
+    exact, when only a bound is known.  Results are equal when every field
+    is, the witness by value.  No field lists distinguishable pairs: every
+    boundary state of a polytope has a partner by theorem (P4′)."""
 
     n: int | None
     witness: DistinguishabilityWitness | None
-    exact: bool
     lower_bound: int
-    pairs: frozenset[tuple[int, int]] | None = None  # see capacity()
 
     def __eq__(self, other):
         if not isinstance(other, CapacityResult):
             return NotImplemented
-        return ((self.n, self.witness, self.exact, self.lower_bound, self.pairs)
-                == (other.n, other.witness, other.exact, other.lower_bound, other.pairs))
+        return ((self.n, self.witness, self.lower_bound)
+                == (other.n, other.witness, other.lower_bound))
+
+    @property
+    def exact(self) -> bool:
+        return self.n is not None
 
     @property
     def indeterminate(self) -> bool:
@@ -212,16 +216,14 @@ def _simplex_capacity(space: StateSpace) -> CapacityResult:
     effects[0, 1:] = -1.0
     for j in range(1, n):
         effects[j, j] = 1.0
-    witness = DistinguishabilityWitness(Measurement(effects), verts)
-    pairs = frozenset((i, j) for i in range(n) for j in range(i + 1, n))
-    return CapacityResult(n, witness, exact=True, lower_bound=n, pairs=pairs)
+    return CapacityResult(n, DistinguishabilityWitness(Measurement(effects), verts), lower_bound=n)
 
 
 def _ball_capacity(space: StateSpace, tol: float) -> CapacityResult:
     poles = np.zeros((2, space.ambient_dim))
     poles[:, 0] = 1.0
     poles[:, 1] = [1.0, -1.0]
-    return CapacityResult(2, _ball_distinguishable(space, poles, tol), exact=True, lower_bound=2)
+    return CapacityResult(2, _ball_distinguishable(space, poles, tol), lower_bound=2)
 
 
 def _quantum_capacity(space: StateSpace) -> CapacityResult:
@@ -235,7 +237,7 @@ def _quantum_capacity(space: StateSpace) -> CapacityResult:
         states.append(quantum.state_coords(proj, n))
         effects.append(quantum.effect_coords(proj, n))
     witness = DistinguishabilityWitness(Measurement(np.array(effects)), np.array(states))
-    return CapacityResult(n, witness, exact=True, lower_bound=n)
+    return CapacityResult(n, witness, lower_bound=n)
 
 
 def _vertex_permutations(verts: np.ndarray, tol: float) -> np.ndarray:
@@ -265,15 +267,15 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     symmetries: the ``perms`` of the space's group, which were found or
     checked against the vertices when the group was built, and otherwise
     those that ``geometry.vertex_symmetries`` finds.  The first
-    distinguishable candidate of each level always gets its own LP, so N,
-    the witness and ``pairs`` do not depend on which symmetries key the
-    memo, only the LP count does.  Linearly independent vertices span a
-    simplex, and then only the LP on all of them runs.  Only the LPs solved
-    count against ``lp_budget``, not the candidates the orbit memo decides;
+    distinguishable candidate of each level always gets its own LP, so N
+    and the witness do not depend on which symmetries key the memo, only
+    the LP count does.  Linearly independent vertices span a simplex, and
+    then only the LP on all of them runs.  Only the LPs solved count
+    against ``lp_budget``, not the candidates the orbit memo decides;
     running out yields an indeterminate result carrying the best lower
-    bound.  ``pairs`` holds the distinguishable vertex-index pairs
-    ``(i, j)``, ``i < j``; it is None for balls and quantum systems, and
-    when the budget ran out among the pairs.
+    bound.  The search records no distinguishable pairs: a polytope with
+    two or more vertices gives every vertex a partner by theorem, which is
+    how P4′ is decided (``runner._check_p4_prime``).
     """
     tol = resolve_tol(tol)
     rep = space.rep
@@ -294,8 +296,7 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
         # the search would decide every subset and end with this LP
         w = distinguishable_unchecked(space, verts.copy(), tol)
         if w is not None:
-            pairs = frozenset(combinations(range(nv), 2))
-            return CapacityResult(nv, w, exact=True, lower_bound=nv, pairs=pairs)
+            return CapacityResult(nv, w, lower_bound=nv)
     perms = getattr(space.group, "perms", None)  # a FiniteMatrixGroup's checked table
     if perms is None:
         perms = _vertex_permutations(verts, tol)
@@ -306,7 +307,6 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 
     best_witness = _single_state_witness(space, verts[0])
     best_n = 1
-    pairs = None  # decided by the size-2 level
     level = {frozenset([i]) for i in range(nv)}
     spent = 0  # LPs solved
     size = 2
@@ -329,23 +329,20 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
             key = images[np.lexsort(images.T[::-1])[0]].tobytes()
             if key not in decided:
                 if spent >= lp_budget:
-                    return CapacityResult(None, best_witness, exact=False,
-                                          lower_bound=best_n, pairs=pairs)
+                    return CapacityResult(None, best_witness, lower_bound=best_n)
                 spent += 1
                 w = distinguishable_unchecked(space, verts[cand], tol)
                 decided[key] = w is not None
                 witness = witness or w
             if decided[key]:
                 next_level.add(frozenset(cand))
-        if size == 2:
-            pairs = frozenset(tuple(sorted(c)) for c in next_level)
         if not next_level:
             break
         best_n = size
         best_witness = witness
         level = next_level
         size += 1
-    return CapacityResult(best_n, best_witness, exact=True, lower_bound=best_n, pairs=pairs)
+    return CapacityResult(best_n, best_witness, lower_bound=best_n)
 
 
 def complete_measurement(space: StateSpace, tol: float | None = None) -> DistinguishabilityWitness:

@@ -213,7 +213,8 @@ def validate_group(space: StateSpace, tol: float | None = None) -> None:
 
     A finite matrix group must be closed under product and inverse, and each
     of its elements, like each generator of a permutation group, must
-    permute the vertices; a parametric group must match the space.
+    permute the vertices; the ``perms`` a finite matrix group carries must
+    be those permutations.  A parametric group must match the space.
     """
     tol = resolve_tol(tol)
     group = space.group
@@ -232,7 +233,9 @@ def validate_group(space: StateSpace, tol: float | None = None) -> None:
     elif not isinstance(group, PermutationGroup):
         check_parametric_group(space)
         return
-    _vertex_table(vertices_of(space), _group_matrices(group), tol)
+    table = _vertex_table(vertices_of(space), _group_matrices(group), tol)
+    if getattr(group, "perms", None) is not None and not np.array_equal(group.perms, table):
+        raise ValidationError("group perms are not the vertex permutations of its matrices")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from gptlab.discrimination import (
 from gptlab.lp import LinearProgram, lp_feasible
 from gptlab.geometry import affine_dimension
 from gptlab.models import classical, gbit_ball, quantum, square_gbit
-from gptlab.runner import build_space, load_theory, theory_from_dict
+from gptlab.runner import PASS, _check_p4_prime, build_space, load_theory, theory_from_dict
 from gptlab.symmetry import maximally_mixed, maximally_mixed_decomposition
 from gptlab import quantum as qc
 
@@ -283,17 +283,37 @@ def test_capacity_values(space, expected):
     assert verify_witness(space, result.witness)
 
 
+def _assert_every_vertex_has_a_partner(space):
+    # oracle for the theorem P4' states on polytopes: one LP per vertex pair
+    verts = vertices_of(space)
+    partnered = {
+        k for i, j in combinations(range(verts.shape[0]), 2)
+        if distinguishable(space, verts[[i, j]]) is not None for k in (i, j)
+    }
+    assert partnered == set(range(verts.shape[0]))
+    assert _check_p4_prime(space) == {"status": PASS}
+
+
 @pytest.mark.parametrize(
     "space", [square_gbit(), _pentagon(), _ns_face(), classical(4)],
     ids=["square", "5-gon", "ns-face", "simplex4"],
 )
-def test_capacity_pairs_are_the_distinguishable_vertex_pairs(space):
-    verts = vertices_of(space)
-    expected = {
-        (i, j) for i, j in combinations(range(verts.shape[0]), 2)
-        if distinguishable(space, verts[[i, j]]) is not None
-    }
-    assert capacity(space).pairs == expected
+def test_every_vertex_has_a_distinguishable_partner(space):
+    # the no-signalling face spans only part of its ambient space
+    _assert_every_vertex_has_a_partner(space)
+
+
+@seed(20120321)
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), count=st.integers(min_value=4, max_value=9),
+       point_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_vertex_of_a_random_polytope_has_a_distinguishable_partner(dim, count, point_seed):
+    # polygons and 3-polytopes: the hull of 4 to 9 Gaussian points
+    hull = pytest.importorskip("scipy.spatial").ConvexHull
+    points = np.random.default_rng(point_seed).normal(size=(count, dim))
+    corners = points[np.sort(hull(points).vertices)]
+    verts = np.column_stack([np.ones(len(corners)), corners])
+    _assert_every_vertex_has_a_partner(StateSpace(name="random", rep=PolytopeRep(verts)))
 
 
 def test_measurements_witnesses_and_capacity_results_compare_by_value():
@@ -308,9 +328,20 @@ def test_measurements_witnesses_and_capacity_results_compare_by_value():
     assert witness != DistinguishabilityWitness(witness.measurement, witness.states[::-1])
     assert result == capacity(square_gbit())
     assert result != capacity(_pentagon())
-    assert result != CapacityResult(result.n, witness, result.exact, result.lower_bound)
-    assert result != CapacityResult(result.n, None, result.exact, result.lower_bound,
-                                    result.pairs)
+    assert result == CapacityResult(result.n, witness, result.lower_bound)
+    assert result != CapacityResult(result.n, None, result.lower_bound)
+    assert result != CapacityResult(None, witness, result.lower_bound)
+    assert result != CapacityResult(result.n, witness, result.lower_bound + 1)
+
+
+def test_a_capacity_result_is_exact_exactly_when_it_has_n():
+    # exactness is derived, so no result carries an N it calls inexact
+    witness = capacity(square_gbit()).witness
+    assert CapacityResult(2, witness, 2).exact and not CapacityResult(2, witness, 2).indeterminate
+    assert not CapacityResult(None, witness, 1).exact
+    assert CapacityResult(None, witness, 1).indeterminate
+    with pytest.raises(TypeError):
+        CapacityResult(2, witness, exact=False, lower_bound=2)
 
 
 def test_a_facet_less_rank_deficient_face_answers_through_the_lp(monkeypatch):
@@ -322,7 +353,7 @@ def test_a_facet_less_rank_deficient_face_answers_through_the_lp(monkeypatch):
     sq = square_gbit()
     off_face = vertices_of(compose(sq, sq, "max").space)
     off_face = off_face[np.abs(off_face[:, 3]) > 1e-9][0]
-    pairs = capacity(face).pairs
+    pair = capacity(face).witness.states[:2]
     calls = []
 
     def counting(*args, **kwargs):
@@ -333,11 +364,10 @@ def test_a_facet_less_rank_deficient_face_answers_through_the_lp(monkeypatch):
     assert convex.contains_state(face, verts.mean(axis=0))
     assert not convex.contains_state(face, off_face)
     assert len(calls) == 2
-    i, j = sorted(pairs)[0]
-    witness = distinguishable(face, verts[[i, j]])
+    witness = distinguishable(face, pair)
     assert witness is not None and verify_witness(face, witness)
     # an effect that is 0 at an interior point is 0 on the whole face
-    assert distinguishable(face, np.vstack([verts[i], verts.mean(axis=0)])) is None
+    assert distinguishable(face, np.vstack([pair[0], verts.mean(axis=0)])) is None
     assert len(calls) == 6  # one membership LP per state
 
 
@@ -371,11 +401,6 @@ def test_a_witness_verifies_for_states_off_normalization(off):
     witness = distinguishable(space, states, tol=1e-9)
     assert (witness is not None) == (abs(off) <= 1e-8)
     assert witness is None or verify_witness(space, witness, tol=1e-9)
-
-
-def test_capacity_pairs_unknown_for_continuous_spaces():
-    assert capacity(gbit_ball(3)).pairs is None
-    assert capacity(quantum(2)).pairs is None
 
 
 def test_square_capacity_matches_bruteforce():
@@ -535,6 +560,22 @@ def test_orbit_memo_with_a_capped_symmetry_search(monkeypatch):
     _assert_orbits_change_nothing(monkeypatch, space)
 
 
+def test_orbit_memo_falls_back_to_the_identity_past_the_node_budget(monkeypatch):
+    # a search that passes SYMMETRY_NODE_BUDGET nodes keeps only the identity:
+    # one LP per candidate, and the same result as the search's orbits
+    face = _ns_face()
+    assert face.group is None
+    calls = _count_pair_lps(monkeypatch)
+    searched = capacity(face)
+    assert len(calls) == 9
+    monkeypatch.setattr(discrimination, "SYMMETRY_NODE_BUDGET", 1)
+    assert discrimination._vertex_permutations(vertices_of(face), 1e-9).tolist() == [
+        list(range(8))]
+    calls.clear()
+    assert capacity(face) == searched
+    assert len(calls) > 9
+
+
 # Integer points on a circle and on a sphere: every subset is in convex position.
 CIRCLE = [p for p in product(range(-5, 6), repeat=2) if p[0] ** 2 + p[1] ** 2 == 25]
 SPHERE = [p for p in product(range(-3, 4), repeat=3) if sum(x * x for x in p) == 9]
@@ -598,7 +639,7 @@ def test_linearly_independent_vertices_take_one_lp(monkeypatch):
     calls = _count_pair_lps(monkeypatch)
     result = capacity(facet)
     assert len(calls) == 1
-    assert result.n == 7 and result.pairs == set(combinations(range(7), 2))
+    assert result.n == 7
     with monkeypatch.context() as m:
         m.setattr(discrimination.np.linalg, "matrix_rank", lambda verts: -1)
         m.setattr(discrimination, "_vertex_permutations", _identity_only)
@@ -615,9 +656,8 @@ def test_capacity_vertex_budget():
 def test_capacity_lp_budget_gives_lower_bound():
     # the square's 6 pairs fall into 2 orbits (edges, diagonals): 2 LPs
     result = capacity(square_gbit(), lp_budget=1)
-    assert result.indeterminate
+    assert result.indeterminate and not result.exact
     assert result.lower_bound >= 1
-    assert result.pairs is None  # the budget ran out among the 6 pairs
 
 
 def test_uniform_decomposition_size_equals_capacity():

@@ -306,8 +306,9 @@ def test_p4_prime_finds_a_partner_for_each_pentagon_vertex():
     assert check_postulates(PENTAGON, seed=0).postulates["P4prime"]["status"] == PASS
 
 
-def test_p4_prime_reads_the_pairs_of_the_capacity_search(monkeypatch):
-    # the capacity search has decided every vertex pair, so P4' solves no LP
+def test_p4_prime_solves_no_distinguishability_lp(monkeypatch):
+    # P4' holds by theorem on a polytope, so the check solves only the
+    # capacity search's LPs
     calls = []
     solve = discrimination._polytope_distinguishable
 
@@ -323,14 +324,40 @@ def test_p4_prime_reads_the_pairs_of_the_capacity_search(monkeypatch):
     assert len(calls) == alone
 
 
-def test_p4_prime_is_indeterminate_without_the_pair_level(monkeypatch):
-    def no_pairs(space, **kwargs):
-        return discrimination.CapacityResult(None, None, exact=False, lower_bound=1)
+def test_p4_prime_passes_when_the_capacity_search_runs_out(monkeypatch):
+    # P2 needs N; P4' holds by theorem whatever the search found
+    def out_of_budget(space, **kwargs):
+        return discrimination.CapacityResult(None, None, lower_bound=1)
 
-    monkeypatch.setattr(runner, "capacity", no_pairs)
+    monkeypatch.setattr(runner, "capacity", out_of_budget)
     report = check_postulates(PENTAGON, seed=0)
-    assert report.postulates["P4prime"] == report.postulates["P2"] == {
+    assert report.postulates["P2"] == {
         "status": INDETERMINATE, "reason": "capacity search budget exhausted"
+    }
+    assert report.postulates["P4prime"] == {"status": PASS}
+    assert report.any_budget_exhausted
+
+
+@pytest.mark.parametrize("rule", ["min", "max"])
+def test_p2_probes_the_faces_of_a_two_state_polytope(rule):
+    # the segment has N = 2 and two one-point faces, each exposed by a
+    # complete two-outcome measurement
+    segment = TheoryDefinition(name="segment", space_spec={
+        "family": "polytope", "vertices": [[1, 0], [1, 1]]})
+    report = check_postulates(segment, rule=rule)
+    assert report.metrics["N"] == 2
+    assert report.postulates["P2"] == {"status": PROBES_PASS}
+    assert report.postulates["P4prime"] == {"status": PASS}
+
+
+def test_p4_with_a_restricted_effect_list_on_a_ball_is_indeterminate():
+    # a ball has infinitely many extremal effects, so a finite list is not
+    # checked for reaching them
+    disk = TheoryDefinition(name="disk", space_spec={"family": "ball", "d": 2},
+                            allowed_effects=np.array([[0.5, 0.5, 0.0], [0.5, -0.5, 0.0]]))
+    assert check_postulates(disk).postulates["P4"] == {
+        "status": INDETERMINATE,
+        "reason": "restricted effect list on a continuous space: only listed effects checked",
     }
 
 

@@ -510,3 +510,36 @@ def test_the_exposing_effect_of_a_pure_state_has_a_one_point_face(space):
             face = face_extract(space, qc.effect_coords(rho, 2))
             assert face.kind == "quantum" and face.quantum_rank == 1
             assert np.allclose(face.projector, rho, atol=1e-9)
+
+
+QUARTER_TURN = np.array([[1.0, 0, 0], [1.0, 0, -1], [0, 1.0, 0]])  # (x, y) -> (1 - y, x)
+FLIP_X = np.array([[1.0, 0, 0], [1.0, -1, 0], [0, 0, 1]])  # x -> 1 - x on the square
+FLIP_Y = np.array([[1.0, 0, 0], [0, 1, 0], [1.0, 0, -1]])  # y -> 1 - y
+
+
+@pytest.mark.parametrize("matrices, message", [
+    ([np.eye(3), np.diag([1.0, 1.0, 0.0])], "singular group element"),
+    ([np.eye(3), QUARTER_TURN], "not closed under inverse"),
+    ([np.eye(3), FLIP_X, FLIP_Y], "not closed under product"),
+], ids=["singular", "no-inverse", "no-product"])
+def test_group_validation_rejects_a_matrix_set_that_is_no_group(matrices, message):
+    # the two flips are involutions, so the set is closed under inverse; their
+    # product, the half-turn, is missing
+    space = StateSpace(name="square", rep=square_gbit().rep,
+                       group=FiniteMatrixGroup(np.array(matrices)))
+    with pytest.raises(ValidationError, match=message):
+        validate_group(space)
+
+
+def test_group_validation_checks_the_perms_that_transitivity_reads():
+    # four identities claiming the square's Klein four-group of permutations:
+    # read through these perms, P3 would call the identity group transitive
+    # and give witnesses that send vertex 0 to itself
+    claimed = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    space = StateSpace(name="square", rep=square_gbit().rep,
+                       group=FiniteMatrixGroup(np.array([np.eye(3)] * 4), perms=claimed))
+    with pytest.raises(ValidationError, match="perms"):
+        validate_group(space)
+    validate_group(replace(space, group=FiniteMatrixGroup(space.group.matrices,
+                                                          perms=[[0, 1, 2, 3]] * 4)))
+    validate_group(square_gbit())
