@@ -60,7 +60,7 @@ def cmd_capacity(args) -> int:
         "lower_bound": result.lower_bound,
     }
     print(dump_json(out))
-    return EXIT_BUDGET if result.indeterminate else EXIT_OK
+    return EXIT_OK if result.exact else EXIT_BUDGET
 
 
 def _composite_to_dict(comp: Composite, a_dict: dict, b_dict: dict, name: str) -> dict:

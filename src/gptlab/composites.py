@@ -33,6 +33,7 @@ from gptlab.convex import (
     vertices_of,
 )
 from gptlab.discrimination import (
+    DEFAULT_LP_BUDGET,
     DistinguishabilityWitness,
     capacity,
     complete_measurement,
@@ -310,19 +311,23 @@ def maximally_mixed_composite(c: Composite, tol: float | None = None) -> np.ndar
 class MultiplicativityResult:
     product_bound: int                 # N_A * N_B, witnessed by product states
     witness: DistinguishabilityWitness
-    composite_capacity: int | None     # full-search result; None if not attempted
-    capacity_exact: bool               # False when the search ran out of budget
+    composite_capacity: int | None     # full-search result; None if not attempted or out of budget
     ok: bool
+
+    @property
+    def capacity_exact(self) -> bool:
+        return self.composite_capacity is not None
 
 
 def capacity_multiplicativity_check(c: Composite, full_search: bool = False,
-                                    lp_budget: int | None = None,
+                                    lp_budget: int = DEFAULT_LP_BUDGET,
                                     tol: float | None = None) -> MultiplicativityResult:
     """Verify that the parts' complete measurements combine into N_A*N_B
     jointly distinguishable product states; optionally confirm the composite
     capacity by full subset search (finite case, within budget).
 
-    A budget-exhausted full search downgrades to the lower-bound-only result
+    A full search that runs out of budget, of LPs or of vertices, leaves
+    ``composite_capacity`` None and ``ok`` as the product witness has it,
     rather than reporting a failure.
     """
     tol = resolve_tol(tol)
@@ -339,17 +344,11 @@ def capacity_multiplicativity_check(c: Composite, full_search: bool = False,
     if c.space is not None:
         ok = ok and verify_witness(c.space, witness, tol=tol)
     composite_capacity = None
-    capacity_exact = False
     if full_search and c.space is not None:
-        kwargs = {} if lp_budget is None else {"lp_budget": lp_budget}
-        result = capacity(c.space, tol=tol, **kwargs)
-        composite_capacity = result.n
-        capacity_exact = result.exact
-        if result.n is not None:
-            ok = ok and result.n == states.shape[0]
-    return MultiplicativityResult(
-        states.shape[0], witness, composite_capacity, capacity_exact, ok
-    )
+        composite_capacity = capacity(c.space, lp_budget=lp_budget, tol=tol).n
+        if composite_capacity is not None:
+            ok = ok and composite_capacity == states.shape[0]
+    return MultiplicativityResult(states.shape[0], witness, composite_capacity, ok)
 
 
 # ---------------------------------------------------------------------------

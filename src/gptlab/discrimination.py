@@ -13,7 +13,6 @@ support projectors are the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -24,11 +23,9 @@ from gptlab.convex import (
     BallRep,
     Measurement,
     QuantumRep,
-    SimplexRep,
     StateSpace,
     contains_effect,
     contains_state,
-    simplex_vertices,
     unit_effect_vector,
     vertices_of,
 )
@@ -184,46 +181,43 @@ def distinguishable_unchecked(space: StateSpace, states: np.ndarray, tol: float
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Capacity value with its witness; ``n`` is None, and the result not
-    exact, when only a bound is known.  Results are equal when every field
-    is, the witness by value.  No field lists distinguishable pairs: every
-    boundary state of a polytope has a partner by theorem (P4′)."""
+    """Capacity value with its witness.  ``n`` is None, and the result not
+    exact, when the search ran out of budget; the witness then shows the
+    lower bound it reached.  Results are equal when both fields are, the
+    witness by value.  No field lists distinguishable pairs: every boundary
+    state of a polytope has a partner by theorem (P4′)."""
 
     n: int | None
-    witness: DistinguishabilityWitness | None
-    lower_bound: int
-
-    def __eq__(self, other):
-        if not isinstance(other, CapacityResult):
-            return NotImplemented
-        return ((self.n, self.witness, self.lower_bound)
-                == (other.n, other.witness, other.lower_bound))
+    witness: DistinguishabilityWitness
 
     @property
     def exact(self) -> bool:
         return self.n is not None
 
     @property
-    def indeterminate(self) -> bool:
-        return self.n is None
+    def lower_bound(self) -> int:
+        return self.witness.n
 
 
-def _simplex_capacity(space: StateSpace) -> CapacityResult:
-    n = space.rep.n
-    verts = simplex_vertices(n)
-    effects = np.zeros((n, n))
-    effects[0, 0] = 1.0
-    effects[0, 1:] = -1.0
-    for j in range(1, n):
-        effects[j, j] = 1.0
-    return CapacityResult(n, DistinguishabilityWitness(Measurement(effects), verts), lower_bound=n)
+def _simplex_capacity(verts: np.ndarray) -> CapacityResult:
+    """Linearly independent vertices span a simplex, and its capacity is
+    their number by theorem.  The dual basis, the rows of (V Vᵀ)⁻¹ V, which
+    are those of ``pinv(V).T``, holds effects that are 1 on one vertex and
+    0 on the others, so on a state they are its barycentric weights, all in
+    [0, 1]: the first nv − 1 of them and u minus their sum are a
+    measurement that tells all vertices apart.  The solve costs a third of
+    ``pinv``'s SVD, and classical theories are a quarter of the checks of
+    the ``check_corpus`` benchmark."""
+    dual = np.linalg.solve(verts @ verts.T, verts)[:-1]
+    effects = np.vstack([dual, unit_effect_vector(verts.shape[1]) - dual.sum(axis=0)])
+    return CapacityResult(verts.shape[0], DistinguishabilityWitness(Measurement(effects), verts))
 
 
 def _ball_capacity(space: StateSpace, tol: float) -> CapacityResult:
     poles = np.zeros((2, space.ambient_dim))
     poles[:, 0] = 1.0
     poles[:, 1] = [1.0, -1.0]
-    return CapacityResult(2, _ball_distinguishable(space, poles, tol), lower_bound=2)
+    return CapacityResult(2, _ball_distinguishable(space, poles, tol))
 
 
 def _quantum_capacity(space: StateSpace) -> CapacityResult:
@@ -237,7 +231,7 @@ def _quantum_capacity(space: StateSpace) -> CapacityResult:
         states.append(quantum.state_coords(proj, n))
         effects.append(quantum.effect_coords(proj, n))
     witness = DistinguishabilityWitness(Measurement(np.array(effects)), np.array(states))
-    return CapacityResult(n, witness, lower_bound=n)
+    return CapacityResult(n, witness)
 
 
 def _vertex_permutations(verts: np.ndarray, tol: float) -> np.ndarray:
@@ -255,32 +249,35 @@ def _vertex_permutations(verts: np.ndarray, tol: float) -> np.ndarray:
         return np.arange(verts.shape[0])[None, :]
 
 
-def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-             lp_budget: int = DEFAULT_LP_BUDGET, tol: float | None = None) -> CapacityResult:
+def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
+             tol: float | None = None) -> CapacityResult:
     """Maximal number of jointly perfectly distinguishable states.
 
-    Closed form with a verified certificate for simplices, balls and quantum
-    systems.  For polytopes, a subset search over the vertices, level by
-    level (monotonicity-pruned, distance-ordered).  A linear map that
-    permutes the vertices maps distinguishable sets to distinguishable sets,
-    so one LP decides each orbit of candidates under a set of vertex
-    symmetries: the ``perms`` of the space's group, which were found or
-    checked against the vertices when the group was built, and otherwise
-    those that ``geometry.vertex_symmetries`` finds.  The first
-    distinguishable candidate of each level always gets its own LP, so N
-    and the witness do not depend on which symmetries key the memo, only
-    the LP count does.  Linearly independent vertices span a simplex, and
-    then only the LP on all of them runs.  Only the LPs solved count
-    against ``lp_budget``, not the candidates the orbit memo decides;
-    running out yields an indeterminate result carrying the best lower
-    bound.  The search records no distinguishable pairs: a polytope with
-    two or more vertices gives every vertex a partner by theorem, which is
-    how P4′ is decided (``runner._check_p4_prime``).
+    Closed form with a verified certificate for balls and quantum systems.
+    Linearly independent vertices, a simplex's among them, span a simplex,
+    whose capacity is the vertex count by theorem (``_simplex_capacity``).
+    For other polytopes, a subset search over the vertices, level by level:
+    a level is the lexicographically sorted list of the distinguishable
+    index tuples of one size, and a candidate of the next size is kept only
+    if all its subsets of the level's size are in it (monotonicity).  A
+    linear map that permutes the vertices maps distinguishable sets to
+    distinguishable sets, so one LP decides each orbit of candidates under
+    a set of vertex symmetries: the ``perms`` of the space's group, which
+    were found or checked against the vertices when the group was built,
+    and otherwise those that ``geometry.vertex_symmetries`` finds.  The
+    first distinguishable candidate of each level always gets its own LP,
+    so N and the witness do not depend on which symmetries key the memo,
+    only the LP count does.  Only the LPs solved count against
+    ``lp_budget``, not the candidates the orbit memo decides.  Every
+    budget ends in a result: past ``lp_budget`` LPs, or past
+    DEFAULT_VERTEX_BUDGET vertices, ``n`` is None and the witness is the
+    largest distinguishable set found.  The search records no
+    distinguishable pairs: a polytope with two or more vertices gives every
+    vertex a partner by theorem, which is how P4′ is decided
+    (``runner._check_p4_prime``).
     """
     tol = resolve_tol(tol)
     rep = space.rep
-    if isinstance(rep, SimplexRep):
-        return _simplex_capacity(space)
     if isinstance(rep, BallRep):
         return _ball_capacity(space, tol)
     if isinstance(rep, QuantumRep):
@@ -288,70 +285,49 @@ def capacity(space: StateSpace, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 
     verts = vertices_of(space)
     nv = verts.shape[0]
-    if nv > vertex_budget:
-        raise BudgetExceededError(
-            f"{nv} vertices exceed the budget of {vertex_budget}", lower_bound=1
-        )
-    if 2**nv - nv - 1 <= lp_budget and np.linalg.matrix_rank(verts) == nv:
-        # the search would decide every subset and end with this LP
-        w = distinguishable_unchecked(space, verts.copy(), tol)
-        if w is not None:
-            return CapacityResult(nv, w, lower_bound=nv)
+    if np.linalg.matrix_rank(verts) == nv:
+        return _simplex_capacity(verts)
+    best = _single_state_witness(space, verts[0])
+    if nv > DEFAULT_VERTEX_BUDGET:
+        return CapacityResult(None, best)
     perms = getattr(space.group, "perms", None)  # a FiniteMatrixGroup's checked table
     if perms is None:
         perms = _vertex_permutations(verts, tol)
-    dist = {(i, j): np.linalg.norm(verts[i] - verts[j]) for i, j in combinations(range(nv), 2)}
 
-    def min_pairwise(subset: list[int]) -> float:
-        return min(dist[pair] for pair in combinations(subset, 2))
-
-    best_witness = _single_state_witness(space, verts[0])
-    best_n = 1
-    level = {frozenset([i]) for i in range(nv)}
+    level = [(i,) for i in range(nv)]
     spent = 0  # LPs solved
-    size = 2
-    while level:
-        candidates = set()
-        for subset in level:
-            top = max(subset)
-            for j in range(top + 1, nv):
-                cand = subset | {j}
-                if all(frozenset(cand - {x}) in level for x in cand):
-                    candidates.add(frozenset(cand))
-
-        ordered = sorted(map(sorted, candidates), key=lambda s: (-min_pairwise(s), s))
-        next_level = set()
+    while True:
+        members = set(level)
+        next_level = []
         witness = None
         decided: dict[bytes, bool] = {}  # orbit key -> distinguishable
-        for cand in ordered:
-            # orbit key: the lexicographically least sorted image of cand
-            images = np.sort(perms[:, cand], axis=1)
-            key = images[np.lexsort(images.T[::-1])[0]].tobytes()
-            if key not in decided:
-                if spent >= lp_budget:
-                    return CapacityResult(None, best_witness, lower_bound=best_n)
-                spent += 1
-                w = distinguishable_unchecked(space, verts[cand], tol)
-                decided[key] = w is not None
-                witness = witness or w
-            if decided[key]:
-                next_level.add(frozenset(cand))
+        for subset in level:
+            for j in range(subset[-1] + 1, nv):
+                cand = subset + (j,)
+                if not all(cand[:x] + cand[x + 1:] in members for x in range(len(subset))):
+                    continue
+                # orbit key: the lexicographically least sorted image of cand
+                images = np.sort(perms[:, cand], axis=1)
+                key = images[np.lexsort(images.T[::-1])[0]].tobytes()
+                if key not in decided:
+                    if spent >= lp_budget:
+                        return CapacityResult(None, best)
+                    spent += 1
+                    w = distinguishable_unchecked(space, verts[list(cand)], tol)
+                    decided[key] = w is not None
+                    witness = witness or w
+                if decided[key]:
+                    next_level.append(cand)
         if not next_level:
-            break
-        best_n = size
-        best_witness = witness
-        level = next_level
-        size += 1
-    return CapacityResult(best_n, best_witness, lower_bound=best_n)
+            return CapacityResult(len(level[0]), best)
+        level, best = next_level, witness
 
 
 def complete_measurement(space: StateSpace, tol: float | None = None) -> DistinguishabilityWitness:
     """A measurement distinguishing as many states as the capacity allows."""
     result = capacity(space, tol=tol)
-    if result.indeterminate:
-        raise BudgetExceededError(
-            "capacity search exhausted its budget", lower_bound=result.lower_bound
-        )
+    if not result.exact:
+        raise BudgetExceededError("capacity search exhausted its budget")
     return result.witness
 
 

@@ -28,11 +28,7 @@ class SolverError(GptError):
 
 
 class BudgetExceededError(GptError):
-    """A bounded search ran out of budget; carries the best bound found."""
-
-    def __init__(self, message: str, lower_bound: int | None = None):
-        super().__init__(message)
-        self.lower_bound = lower_bound
+    """A bounded search ran out of budget."""
 
 
 class ZeroProbabilityConditioningError(GptError):

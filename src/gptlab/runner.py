@@ -350,7 +350,7 @@ def _check_p1(space: StateSpace, partner: StateSpace) -> dict:
 
 
 def _check_p2(space: StateSpace, cap: CapacityResult, tol: float) -> dict:
-    if cap.indeterminate:
+    if not cap.exact:
         return _status(INDETERMINATE, reason=CAPACITY_EXHAUSTED)
     n = cap.n
     if n == 1:

@@ -594,12 +594,15 @@ def maximally_mixed_decomposition(space: StateSpace):
 
     Closed form for simplices (all vertices), balls (antipodal poles) and
     quantum systems (an orthonormal basis); for polytopes, searched among
-    capacity witnesses.  Returns a DistinguishabilityWitness.
+    capacity witnesses.  Returns a DistinguishabilityWitness; like
+    ``complete_measurement``, raises BudgetExceededError when the capacity
+    search runs out of budget.
     """
-    rep = space.rep
-    if isinstance(rep, (SimplexRep, BallRep, QuantumRep)):
-        return capacity(space).witness
     cap = capacity(space)
+    if isinstance(space.rep, (SimplexRep, BallRep, QuantumRep)):
+        return cap.witness
+    if not cap.exact:
+        raise BudgetExceededError("capacity search exhausted its budget")
     mu = maximally_mixed(space)
     verts = vertices_of(space)
     tol = resolve_tol(None)

@@ -47,6 +47,7 @@ from gptlab.composites import (
     reduced_state,
     sample_composite_state,
 )
+from gptlab.discrimination import verify_witness
 from gptlab.geometry import affine_dimension, dual_cone_rays
 from gptlab.models import (
     bell_state,
@@ -581,6 +582,19 @@ def test_capacity_multiplicativity_max_square(square_pair):
     # default budget leaves the full capacity unconfirmed, not failed
     limited = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=50)
     assert limited.ok and not limited.capacity_exact
+
+
+def test_a_full_search_past_the_vertex_budget_keeps_the_product_bound():
+    # max(5-gon, 5-gon) has 135 vertices, more than the capacity search
+    # takes: the composite capacity stays unknown and the product witness
+    # alone decides ok
+    pentagon = _corpus_part("5-gon")
+    comp = compose(pentagon, pentagon, "max")
+    assert vertices_of(comp.space).shape[0] == 135
+    result = capacity_multiplicativity_check(comp, full_search=True)
+    assert (result.composite_capacity, result.capacity_exact) == (None, False)
+    assert result.ok and result.product_bound == 4
+    assert verify_witness(comp.space, result.witness)
 
 
 def test_no_signalling_polytope_capacity_is_multiplicative(square_pair):

@@ -2,6 +2,7 @@
 
 import sys
 from dataclasses import replace
+from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from gptlab import convex, discrimination
+from gptlab import convex, discrimination, symmetry
 from gptlab.composites import compose
 from gptlab.errors import BudgetExceededError, DomainError
 from gptlab.config import resolve_tol
@@ -38,7 +39,7 @@ from gptlab.lp import LinearProgram, lp_feasible
 from gptlab.geometry import affine_dimension
 from gptlab.models import classical, gbit_ball, quantum, square_gbit
 from gptlab.runner import PASS, _check_p4_prime, build_space, load_theory, theory_from_dict
-from gptlab.symmetry import maximally_mixed, maximally_mixed_decomposition
+from gptlab.symmetry import FiniteMatrixGroup, maximally_mixed, maximally_mixed_decomposition
 from gptlab import quantum as qc
 
 
@@ -120,6 +121,15 @@ def test_every_pure_state_has_a_distinguishable_partner(space):
         states = np.array([pure, _partner(space, pure, rng)])
         witness = distinguishable_unchecked(space, states, tol)
         assert witness is not None
+        assert verify_witness(space, witness)
+
+
+def test_a_single_state_is_distinguished_by_the_unit_effect():
+    space = _polygon(5)
+    for state in (vertices_of(space)[2], vertices_of(space).mean(axis=0)):
+        witness = distinguishable(space, state)
+        assert witness.n == 1
+        assert np.array_equal(witness.measurement.effects, [[1.0, 0.0, 0.0]])
         assert verify_witness(space, witness)
 
 
@@ -244,10 +254,10 @@ def _ns_face() -> StateSpace:
     return StateSpace(name="ns-face", rep=PolytopeRep(face))
 
 
-def _pentagon() -> StateSpace:
-    angles = 2 * np.pi * np.arange(5) / 5
-    corners = np.column_stack([np.ones(5), np.cos(angles), np.sin(angles)])
-    return StateSpace(name="5-gon", rep=PolytopeRep(corners))
+def _polygon(n: int) -> StateSpace:
+    angles = 2 * np.pi * np.arange(n) / n
+    corners = np.column_stack([np.ones(n), np.cos(angles), np.sin(angles)])
+    return StateSpace(name=f"{n}-gon", rep=PolytopeRep(corners))
 
 
 def test_capacity_of_own_vertices_runs_no_membership_check(monkeypatch):
@@ -295,7 +305,7 @@ def _assert_every_vertex_has_a_partner(space):
 
 
 @pytest.mark.parametrize(
-    "space", [square_gbit(), _pentagon(), _ns_face(), classical(4)],
+    "space", [square_gbit(), _polygon(5), _ns_face(), classical(4)],
     ids=["square", "5-gon", "ns-face", "simplex4"],
 )
 def test_every_vertex_has_a_distinguishable_partner(space):
@@ -327,21 +337,24 @@ def test_measurements_witnesses_and_capacity_results_compare_by_value():
     assert witness == DistinguishabilityWitness(Measurement(effects.copy()), witness.states.copy())
     assert witness != DistinguishabilityWitness(witness.measurement, witness.states[::-1])
     assert result == capacity(square_gbit())
-    assert result != capacity(_pentagon())
-    assert result == CapacityResult(result.n, witness, result.lower_bound)
-    assert result != CapacityResult(result.n, None, result.lower_bound)
-    assert result != CapacityResult(None, witness, result.lower_bound)
-    assert result != CapacityResult(result.n, witness, result.lower_bound + 1)
+    assert result != capacity(_polygon(5))
+    assert result == CapacityResult(result.n, witness)
+    assert result != CapacityResult(result.n, capacity(_polygon(5)).witness)
+    assert result != CapacityResult(None, witness)
+    assert result != CapacityResult(result.n + 1, witness)
 
 
 def test_a_capacity_result_is_exact_exactly_when_it_has_n():
-    # exactness is derived, so no result carries an N it calls inexact
+    # exactness and the lower bound are derived, so no result carries an N
+    # it calls inexact or a bound its witness does not show
     witness = capacity(square_gbit()).witness
-    assert CapacityResult(2, witness, 2).exact and not CapacityResult(2, witness, 2).indeterminate
-    assert not CapacityResult(None, witness, 1).exact
-    assert CapacityResult(None, witness, 1).indeterminate
+    assert CapacityResult(2, witness).exact and CapacityResult(2, witness).lower_bound == 2
+    assert not CapacityResult(None, witness).exact
+    assert CapacityResult(None, witness).lower_bound == witness.n == 2
     with pytest.raises(TypeError):
-        CapacityResult(2, witness, exact=False, lower_bound=2)
+        CapacityResult(2, witness, exact=False)
+    with pytest.raises(TypeError):
+        CapacityResult(2, witness, lower_bound=2)
 
 
 def test_a_facet_less_rank_deficient_face_answers_through_the_lp(monkeypatch):
@@ -541,12 +554,12 @@ def test_lp_budget_counts_only_the_lps_solved(monkeypatch, lp_budget):
     face = _ns_face()
     calls = _count_pair_lps(monkeypatch)
     with_orbits = capacity(face, lp_budget=lp_budget)
-    assert len(calls) == lp_budget if with_orbits.indeterminate else len(calls) <= lp_budget
+    assert len(calls) <= lp_budget if with_orbits.exact else len(calls) == lp_budget
     with monkeypatch.context() as m:
         m.setattr(discrimination, "_vertex_permutations", _identity_only)
         calls.clear()
         every_lp = capacity(face, lp_budget=lp_budget)
-    assert len(calls) == lp_budget and every_lp.indeterminate
+    assert len(calls) == lp_budget and not every_lp.exact
     assert with_orbits.lower_bound >= every_lp.lower_bound
     if with_orbits.exact:
         assert with_orbits == capacity(face, lp_budget=100_000)
@@ -632,32 +645,41 @@ def test_default_lp_budget_counts_lps_not_candidates(monkeypatch):
         assert (result.n, result.exact, len(calls)) == (n, True, lps)
 
 
-def test_linearly_independent_vertices_take_one_lp(monkeypatch):
-    # a facet of classical(8) is a simplex with 7 vertices: the search would
-    # decide all 120 subsets and end with the LP on all of them
+def test_linearly_independent_vertices_take_no_lp(monkeypatch):
+    # a facet of classical(8) is a simplex with 7 vertices: its capacity is 7
+    # by theorem, with the dual basis as witness, where the search decides
+    # all 120 subsets and ends with the LP on all of them
     facet = StateSpace(name="facet", rep=PolytopeRep(vertices_of(classical(8))[1:]))
     calls = _count_pair_lps(monkeypatch)
     result = capacity(facet)
-    assert len(calls) == 1
-    assert result.n == 7
+    assert (result.n, len(calls)) == (7, 0)
+    assert verify_witness(facet, result.witness)
     with monkeypatch.context() as m:
         m.setattr(discrimination.np.linalg, "matrix_rank", lambda verts: -1)
         m.setattr(discrimination, "_vertex_permutations", _identity_only)
-        assert capacity(facet) == result
-    assert len(calls) == 1 + 120
+        searched = capacity(facet)
+    assert len(calls) == 120
+    assert (searched.n, searched.exact) == (result.n, result.exact)
+    assert verify_witness(facet, searched.witness)
 
 
-def test_capacity_vertex_budget():
-    space = square_gbit()
-    with pytest.raises(BudgetExceededError):
-        capacity(space, vertex_budget=2)
+def test_capacity_vertex_budget(monkeypatch):
+    # past the vertex budget the search solves no LP and returns a result,
+    # not exact, with a single vertex as its witness
+    calls = _count_pair_lps(monkeypatch)
+    space = _polygon(discrimination.DEFAULT_VERTEX_BUDGET + 1)
+    result = capacity(space)
+    assert result.n is None and result.lower_bound == 1
+    assert np.array_equal(result.witness.states, vertices_of(space)[:1])
+    assert verify_witness(space, result.witness)
+    assert calls == []
 
 
 def test_capacity_lp_budget_gives_lower_bound():
     # the square's 6 pairs fall into 2 orbits (edges, diagonals): 2 LPs
     result = capacity(square_gbit(), lp_budget=1)
-    assert result.indeterminate and not result.exact
-    assert result.lower_bound >= 1
+    assert not result.exact
+    assert result.lower_bound == 1 and verify_witness(square_gbit(), result.witness)
 
 
 def test_uniform_decomposition_size_equals_capacity():
@@ -674,6 +696,18 @@ def test_uniform_decomposition_size_equals_capacity():
         mu = maximally_mixed(space)
         assert np.max(np.abs(states.mean(axis=0) - mu)) <= 1e-9
         assert states.shape[0] == capacity(space).n
+
+
+def test_decomposition_raises_when_the_capacity_search_runs_out(monkeypatch):
+    # the 5-cube with the identity as its only symmetry: all 496 pairs are
+    # distinguishable, and its 4960 triples exhaust the default 4000 LPs
+    # (4 s); 500 LPs run out among the triples the same way
+    cube = _hypercube(5)
+    space = replace(cube, group=FiniteMatrixGroup(np.eye(6)[None], perms=[range(32)]))
+    monkeypatch.setattr(symmetry, "capacity", partial(capacity, lp_budget=500))
+    assert symmetry.capacity(space).lower_bound == 2
+    with pytest.raises(BudgetExceededError, match="capacity search exhausted"):
+        maximally_mixed_decomposition(space)
 
 
 def test_fit_capacity_exponent():

@@ -190,6 +190,40 @@ def test_cone_lp_matches_highs():
     assert 40 <= sum(verdicts) <= 160  # both answers are exercised
 
 
+def test_variables_bounded_on_one_side_match_highs():
+    # a variable bounded above only is rewritten as x = hi - u with u >= 0;
+    # others are bounded below only, on both sides, or free
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(20120323)
+    optimal = 0
+    for _ in range(150):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        kind = rng.integers(4, size=n)  # 0: upper only, 1: lower only, 2: both, 3: free
+        kind[0] = 0
+        lo = rng.integers(-3, 1, size=n).astype(float)
+        hi = lo + rng.integers(0, 4, size=n)
+        lo[(kind == 0) | (kind == 3)] = -np.inf
+        hi[(kind == 1) | (kind == 3)] = np.inf
+        prog = LinearProgram(
+            objective=rng.integers(-3, 4, size=n).astype(float),
+            a_ub=rng.integers(-3, 4, size=(m, n)).astype(float),
+            b_ub=rng.integers(-2, 5, size=m).astype(float),
+            bounds=np.column_stack([lo, hi]),
+        )
+        sol = lp_solve(prog)
+        res = linprog(-prog.objective, A_ub=prog.a_ub, b_ub=prog.b_ub, method="highs",
+                      bounds=[(None if np.isinf(a) else a, None if np.isinf(b) else b)
+                              for a, b in zip(lo, hi)])
+        assert res.status in (0, 2, 3), res.message
+        # HiGHS may call an infeasible system unbounded, so those are one class
+        assert (sol.status == OPTIMAL) == (res.status == 0), prog
+        if sol.status == OPTIMAL:
+            assert sol.value == pytest.approx(-res.fun, abs=1e-7), prog
+            assert np.all(sol.point[kind == 0] <= hi[kind == 0] + 1e-9)
+            optimal += 1
+    assert 30 <= optimal <= 120  # both classes are exercised
+
+
 def _distinguishability_matches_highs(space, states) -> bool:
     """Our verdict on ``states`` against HiGHS on the n-effect formulation; a
     witness must verify and its last effect must be exactly u minus the others."""

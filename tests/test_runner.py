@@ -1,6 +1,7 @@
 """Theory I/O, postulate checker, report determinism, CLI."""
 
 import json
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -325,16 +326,31 @@ def test_p4_prime_solves_no_distinguishability_lp(monkeypatch):
 
 
 def test_p4_prime_passes_when_the_capacity_search_runs_out(monkeypatch):
-    # P2 needs N; P4' holds by theorem whatever the search found
-    def out_of_budget(space, **kwargs):
-        return discrimination.CapacityResult(None, None, lower_bound=1)
-
-    monkeypatch.setattr(runner, "capacity", out_of_budget)
+    # P2 needs N; P4' holds by theorem whatever the search found.  The
+    # pentagon's pairs fall into two orbits, so one LP does not decide them
+    monkeypatch.setattr(runner, "capacity", partial(capacity, lp_budget=1))
     report = check_postulates(PENTAGON, seed=0)
+    assert (report.metrics["N"], report.metrics["capacity_exact"]) == (None, False)
     assert report.postulates["P2"] == {
         "status": INDETERMINATE, "reason": "capacity search budget exhausted"
     }
     assert report.postulates["P4prime"] == {"status": PASS}
+    assert report.any_budget_exhausted
+
+
+def test_a_probe_out_of_budget_is_indeterminate_and_the_report_completes(monkeypatch):
+    # a probe that runs out of budget leaves its own status indeterminate,
+    # with the error as the reason, and the other probes still run
+    def exhausted(*args):
+        raise BudgetExceededError("symmetry search exceeded 5 nodes")
+
+    expected = check_postulates(PENTAGON, seed=0)
+    assert not expected.any_budget_exhausted
+    monkeypatch.setattr(runner, "_check_p3", exhausted)
+    report = check_postulates(PENTAGON, seed=0)
+    assert report.postulates == {**expected.postulates, "P3": {
+        "status": INDETERMINATE, "reason": "budget exhausted: symmetry search exceeded 5 nodes"}}
+    assert report.metrics == expected.metrics
     assert report.any_budget_exhausted
 
 
@@ -591,6 +607,27 @@ def test_cli_capacity(tmp_path, capsys):
     assert json.loads(out)["capacity"] == 4
 
 
+def test_cli_past_the_capacity_vertex_budget(tmp_path, capsys):
+    # a 70-gon with the identity as its "finite" group has more vertices than
+    # the capacity search takes: a full report, P2 and N unknown, exit code 3
+    n = 70
+    assert n > discrimination.DEFAULT_VERTEX_BUDGET
+    angles = 2 * np.pi * np.arange(n) / n
+    corners = np.column_stack([np.ones(n), np.cos(angles), np.sin(angles)])
+    theory = _write(tmp_path, "70-gon.json", {
+        "name": "70-gon", "space": {"family": "polytope", "vertices": corners.tolist()},
+        "group": {"kind": "finite", "matrices": [np.eye(3).tolist()]}})
+    assert cli_main(["check", theory]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report["postulates"]) == sorted(POSTULATE_KEYS)
+    assert report["postulates"]["P2"] == {
+        "status": INDETERMINATE, "reason": "capacity search budget exhausted"}
+    assert (report["metrics"]["N"], report["metrics"]["capacity_exact"]) == (None, False)
+    assert cli_main(["capacity", theory]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "theory": "70-gon", "capacity": None, "exact": False, "lower_bound": 1}
+
+
 def test_cli_compose_and_chsh(tmp_path, capsys):
     square = {"name": "square", "space": {"family": "square"}}
     a = _write(tmp_path, "a.json", square)
@@ -702,6 +739,12 @@ def test_cli_validation_errors(tmp_path, capsys):
     wrong = _write(tmp_path, "wrong.json", {"name": "x", "space": {"family": "nope"}})
     assert cli_main(["check", wrong]) == 2
     capsys.readouterr()
+    # an allowed effect outside [0, 1]: (1, 1, 0) is 2 on the square's vertex (1, 1, 1)
+    outside = _write(tmp_path, "outside.json", {"space": {"family": "square"},
+                                                "allowed_effects": [[1.0, 1.0, 0.0]]})
+    for command in ("check", "capacity"):
+        assert cli_main([command, outside]) == 2
+        assert "allowed effect outside [0, 1]" in capsys.readouterr().err
 
     # composite JSON handed to `chsh` is validated like a theory file
     square = _write(tmp_path, "square.json", {"name": "square", "space": {"family": "square"}})
