@@ -11,8 +11,13 @@ import sys
 import numpy as np
 
 from gptlab import config
-from gptlab.errors import BudgetExceededError, GptError, ValidationError
-from gptlab.composites import Composite, chsh_value, compose
+from gptlab.errors import (
+    BudgetExceededError,
+    GptError,
+    UnsupportedRepresentationError,
+    ValidationError,
+)
+from gptlab.composites import MAX_TENSOR, MIN_TENSOR, Composite, chsh_value, compose
 from gptlab.convex import (
     Measurement,
     PolytopeRep,
@@ -65,7 +70,7 @@ def cmd_capacity(args) -> int:
 
 def _composite_to_dict(comp: Composite, a_dict: dict, b_dict: dict, name: str) -> dict:
     if comp.space is None:
-        raise BudgetExceededError("composite has no finite vertex list to serialize")
+        raise UnsupportedRepresentationError("composite has no finite vertex list to serialize")
     return {
         "name": name,
         "rule": comp.rule,
@@ -82,13 +87,19 @@ def _composite_from_dict(data: dict) -> Composite:
         raise ValidationError("composite JSON must list its two parts")
     part_a = build_space(theory_from_dict(parts[0]))
     part_b = build_space(theory_from_dict(parts[1]))
-    k = part_a.ambient_dim * part_b.ambient_dim
+    rule = data.get("rule")
+    if rule not in (MIN_TENSOR, MAX_TENSOR):
+        raise ValidationError(f"composite rule must be 'min' or 'max', got {rule!r}")
+    dims = (part_a.ambient_dim, part_b.ambient_dim)
+    if (data.get("k_a"), data.get("k_b")) != dims:
+        raise ValidationError(f"composite k_a, k_b must be its parts' dimensions {dims}")
+    k = dims[0] * dims[1]
     verts = _float_array(data["vertices"], "composite vertices")
     if verts.ndim != 2 or verts.shape[1] != k:
         raise ValidationError(f"composite vertices must be rows of length k_a * k_b = {k}")
     space = StateSpace(name=data.get("name", "composite"), rep=PolytopeRep(verts))
     validate_space(space)
-    return Composite(part_a, part_b, data["rule"], space)
+    return Composite(part_a, part_b, rule, space)
 
 
 def cmd_compose(args) -> int:

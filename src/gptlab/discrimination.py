@@ -201,14 +201,16 @@ class CapacityResult:
 
 def _simplex_capacity(verts: np.ndarray) -> CapacityResult:
     """Linearly independent vertices span a simplex, and its capacity is
-    their number by theorem.  The dual basis, the rows of (V Vᵀ)⁻¹ V, which
-    are those of ``pinv(V).T``, holds effects that are 1 on one vertex and
-    0 on the others, so on a state they are its barycentric weights, all in
-    [0, 1]: the first nv − 1 of them and u minus their sum are a
-    measurement that tells all vertices apart.  The solve costs a third of
-    ``pinv``'s SVD, and classical theories are a quarter of the checks of
-    the ``check_corpus`` benchmark."""
-    dual = np.linalg.solve(verts @ verts.T, verts)[:-1]
+    their number by theorem.  The dual basis, the rows of R⁻¹ Qᵀ with
+    Vᵀ = QR, which are those of (V Vᵀ)⁻¹ V and of ``pinv(V).T``, holds
+    effects that are 1 on one vertex and 0 on the others, so on a state
+    they are its barycentric weights, all in [0, 1]: the first nv − 1 of
+    them and u minus their sum are a measurement that tells all vertices
+    apart.  One QR keeps V's condition number, which the normal equations
+    V Vᵀ would square, so the witness verifies on thin simplices too: on a
+    triangle of width 1e-6 theirs misses the delta values by 2e-4."""
+    q, r = np.linalg.qr(verts.T)
+    dual = np.linalg.solve(r, q.T)[:-1]
     effects = np.vstack([dual, unit_effect_vector(verts.shape[1]) - dual.sum(axis=0)])
     return CapacityResult(verts.shape[0], DistinguishabilityWitness(Measurement(effects), verts))
 

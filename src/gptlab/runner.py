@@ -52,7 +52,6 @@ from gptlab.models import (
     classical,
     gbit_ball,
     quantum,
-    qubit_measurement,
     square_gbit,
     square_measurements,
 )
@@ -445,11 +444,6 @@ def _canonical_binary_measurements(space: StateSpace):
             if not all(contains_effect(space, e) for e in m.effects):
                 return None  # the fiducial readouts are not effects of this polytope
         return candidates
-    if isinstance(rep, BallRep) and rep.d >= 2:
-        half = 0.5 * np.eye(space.ambient_dim)
-        return [two_outcome(half[0] + half[axis]) for axis in (1, 2)]
-    if isinstance(rep, QuantumRep) and rep.n == 2:
-        return [qubit_measurement([0, 0, 1]), qubit_measurement([1, 0, 0])]
     if isinstance(rep, SimplexRep) and rep.n >= 2:
         m = two_outcome(np.eye(space.ambient_dim)[1])
         return [m, m]
@@ -458,16 +452,25 @@ def _canonical_binary_measurements(space: StateSpace):
 
 def _chsh_metric(space: StateSpace, partner: StateSpace, rule: str,
                  tol: float) -> float | None:
+    """CHSH of the fiducial readouts, the maximum over the composite's
+    vertices; None where a part has no such readouts: balls, quantum
+    systems, classical(1) and polytopes whose coordinates do not fit them.
+
+    Two simplices score 2 with no composite.  Max = min for classical parts,
+    so under either rule the composite is the simplex of products.  Both
+    settings are the one measurement {e_1, u − e_1}, so CHSH = 2|⟨α⊗β⟩| ≤ 2
+    for its ±1 observables α and β, and the product of the two level-1
+    vertices reaches 2.  Only a pair with a polytope part is composed: the
+    square under either rule, or a simplex with a square-fiducial partner."""
     ma = _canonical_binary_measurements(space)
     mb = _canonical_binary_measurements(partner)
     if ma is None or mb is None:
         return None
+    if isinstance(space.rep, SimplexRep) and isinstance(partner.rep, SimplexRep):
+        return 2.0
     try:
-        # the only composite a check builds, under either rule
         comp = compose(space, partner, rule, tol=tol)
     except UnsupportedRepresentationError:
-        return None
-    if comp.space is None:
         return None
     return float(np.max(chsh_value(comp, vertices_of(comp.space), ma, mb)))
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from gptlab import runner
 from gptlab.lp import engine as lp_engine
 from gptlab.runner import check_postulates, report_render
 
@@ -112,3 +113,24 @@ def test_seed0_pass_zero_solves_its_pinned_number_of_lps(monkeypatch, workload, 
     wrong = [op.label for op in prepared.ops(0) if not op.check(op.run())]
     assert wrong == []
     assert len(calls) == lps
+
+
+def test_seed0_check_corpus_pass_zero_builds_two_composites(monkeypatch):
+    # the composite gate: a check composes only for the CHSH metric of a
+    # pair with a polytope part, which among the corpus is the square under
+    # either rule; two simplices score 2 by theorem, and balls and quantum
+    # systems have no readouts to score
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    prepared = workloads.WORKLOADS["check_corpus"].setup(0, False, workloads.load_golden())
+    built = []
+    compose = runner.compose
+
+    def counting_compose(a, b, rule, **kwargs):
+        built.append((a.name, b.name, rule))
+        return compose(a, b, rule, **kwargs)
+
+    monkeypatch.setattr(runner, "compose", counting_compose)
+    wrong = [op.label for op in prepared.ops(0) if not op.check(op.run())]
+    assert wrong == []
+    assert built == [("square", "square", "max"), ("square", "square", "min")]

@@ -12,7 +12,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from gptlab import convex, discrimination, symmetry
-from gptlab.composites import compose
+from gptlab.composites import capacity_multiplicativity_check, compose
 from gptlab.errors import BudgetExceededError, DomainError
 from gptlab.config import resolve_tol
 from gptlab.convex import (
@@ -661,6 +661,28 @@ def test_linearly_independent_vertices_take_no_lp(monkeypatch):
     assert len(calls) == 120
     assert (searched.n, searched.exact) == (result.n, result.exact)
     assert verify_witness(facet, searched.witness)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 3e-8, 1e-8, 1e-9])
+def test_a_thin_simplex_gets_a_witness_that_verifies(eps):
+    # the triangle (0, 0), (1, 0), (2, eps) is a simplex however thin; the
+    # normal equations V Vᵀ square V's condition number, and their witness
+    # missed the delta values by up to 3e-2, or the solve raised
+    # LinAlgError for eps <= 2e-8, where validate_space refuses the triangle
+    thin = StateSpace(name="thin", rep=PolytopeRep(np.array([[1, 0, 0], [1, 1, 0], [1, 2, eps]])))
+    if eps >= 3e-8:
+        convex.validate_space(thin)
+    result = capacity(thin)
+    delta = result.witness.measurement.effects @ result.witness.states.T
+    assert result.n == 3
+    assert np.max(np.abs(delta - np.eye(3))) <= 1e-12
+    assert verify_witness(thin, result.witness)
+
+
+def test_capacity_is_multiplicative_on_a_thin_triangle_times_a_bit():
+    thin = StateSpace(name="thin", rep=PolytopeRep(np.array([[1, 0, 0], [1, 1, 0], [1, 2, 1e-6]])))
+    result = capacity_multiplicativity_check(compose(thin, classical(2), "min"))
+    assert (result.product_bound, result.ok) == (6, True)
 
 
 def test_capacity_vertex_budget(monkeypatch):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from gptlab import discrimination, geometry, runner, symmetry
 from gptlab.config import DEFAULT_TOL, get_tol, set_tol
-from gptlab.composites import compose
-from gptlab.convex import extremal_effects
+from gptlab.composites import chsh_value, compose
+from gptlab.convex import extremal_effects, vertices_of
 from gptlab.errors import BudgetExceededError, UnsupportedRepresentationError, ValidationError
 from gptlab.cli import main as cli_main
 from gptlab.discrimination import capacity, distinguishable
@@ -217,9 +217,9 @@ def test_postulate_landscape_square():
 
 def test_check_postulates_builds_the_composite_once(monkeypatch):
     # P1 reads only the parts' spans; a composite is built, under either
-    # rule, only for the CHSH metric, which needs fiducial readouts that are
-    # effects of both parts (the square has them; the pentagon and the
-    # tesseract do not)
+    # rule, only for the CHSH metric of a pair with a polytope part, which
+    # needs fiducial readouts that are effects of both parts (the square has
+    # them; the pentagon and the tesseract do not)
     built = []
 
     def counting_compose(a, b, rule, **kwargs):
@@ -228,12 +228,19 @@ def test_check_postulates_builds_the_composite_once(monkeypatch):
 
     monkeypatch.setattr(runner, "compose", counting_compose)
     tesseract = load_theory(str(ROOT / "perfbench" / "corpus" / "tesseract.json"))
-    for theory, rule, expected, chsh in [
+    classical8 = TheoryDefinition("classical(8)", {"family": "classical", "N": 8})
+    ball2 = TheoryDefinition("ball(2)", {"family": "ball", "d": 2})
+    cases = [
         (SQUARE, "max", ["max"], 4.0),
         (SQUARE, "min", ["min"], 2.0),
         (PENTAGON, "max", [], None),
         (tesseract, "min", [], None),
-    ]:
+    ]
+    # two simplices score 2 by theorem; balls and quantum systems have no
+    # readouts to score
+    cases += [(td, rule, [], 2.0) for td in (CLASSICAL3, classical8) for rule in ("min", "max")]
+    cases += [(td, rule, [], None) for td in (ball2, QUANTUM2) for rule in ("min", "max")]
+    for theory, rule, expected, chsh in cases:
         built.clear()
         report = check_postulates(theory, rule=rule, seed=0)
         assert built == expected, (theory.name, rule)
@@ -244,12 +251,23 @@ def test_check_postulates_builds_the_composite_once(monkeypatch):
             assert report.metrics["chsh_max"] == pytest.approx(chsh, abs=1e-9)
 
 
-@pytest.mark.parametrize(
-    "theory, rule",
-    [(TheoryDefinition("classical(8)", {"family": "classical", "N": 8}), "min"), (SQUARE, "max")],
-    ids=["classical(8)|min", "square|max"],
-)
-def test_chsh_metric_evaluates_all_vertices_in_one_call(monkeypatch, theory, rule):
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("rule", ["min", "max"])
+def test_two_simplices_score_what_their_composite_gives(n, rule):
+    # the oracle for the theorem: the fiducial readouts on every vertex of
+    # the composite, built under the rule
+    theory = TheoryDefinition(f"classical({n})", {"family": "classical", "N": n})
+    space = build_space(theory)
+    readouts = runner._canonical_binary_measurements(space)
+    comp = compose(space, space, rule)
+    oracle = float(np.max(chsh_value(comp, vertices_of(comp.space), readouts, readouts)))
+    assert runner._chsh_metric(space, space, rule, get_tol()) == oracle == 2.0
+    assert check_postulates(theory, rule=rule).metrics["chsh_max"] == oracle
+
+
+@pytest.mark.parametrize("theory, rule, vertices", [(SQUARE, "min", 16), (SQUARE, "max", 24)],
+                         ids=["square|min", "square|max"])
+def test_chsh_metric_evaluates_all_vertices_in_one_call(monkeypatch, theory, rule, vertices):
     calls = []
     chsh = runner.chsh_value
 
@@ -260,6 +278,7 @@ def test_chsh_metric_evaluates_all_vertices_in_one_call(monkeypatch, theory, rul
     monkeypatch.setattr(runner, "chsh_value", counting_chsh)
     report = check_postulates(theory, rule=rule, seed=0)
     assert len(calls) == 1
+    assert calls[0][1].shape[0] == vertices
     assert report.metrics["chsh_max"] is not None
 
 def test_check_postulates_rejects_unknown_rule():
@@ -705,6 +724,43 @@ def test_cli_chsh_single_state(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err
+
+
+@pytest.mark.parametrize("a, b", [({"family": "ball", "d": 2}, {"family": "ball", "d": 2}),
+                                  ({"family": "quantum", "N": 2}, {"family": "square"})],
+                         ids=["ball(2)|ball(2)", "quantum(2)|square"])
+def test_cli_compose_of_a_part_without_a_vertex_list_is_unsupported(tmp_path, capsys, a, b):
+    # no budget runs out: such a composite has no vertex list to write
+    path_a = _write(tmp_path, "a.json", {"name": "a", "space": a})
+    path_b = _write(tmp_path, "b.json", {"name": "b", "space": b})
+    assert cli_main(["compose", path_a, path_b, "--rule", "max"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: composite has no finite vertex list" in captured.err
+
+
+def test_cli_chsh_rejects_a_composite_whose_rule_or_dimensions_are_not_its_parts(tmp_path,
+                                                                                capsys):
+    square = _write(tmp_path, "square.json", {"name": "square", "space": {"family": "square"}})
+    good = str(tmp_path / "composite.json")
+    assert cli_main(["compose", square, square, "--rule", "max", "--out", good]) == 0
+    composite = json.loads(Path(good).read_text())
+    x_meas = [[0.0, 1.0, 0.0], [1.0, -1.0, 0.0]]
+    settings = _write(tmp_path, "settings.json", {"A": [x_meas, x_meas], "B": [x_meas, x_meas]})
+    assert cli_main(["chsh", good, "--settings", settings]) == 0
+    capsys.readouterr()
+    bad = [
+        ("rule", "bogus", "composite rule must be 'min' or 'max'"),
+        ("rule", None, "composite rule must be 'min' or 'max'"),
+        ("k_a", 99, "composite k_a, k_b must be its parts' dimensions (3, 3)"),
+        ("k_b", 1, "composite k_a, k_b must be its parts' dimensions (3, 3)"),
+    ]
+    for i, (key, value, message) in enumerate(bad):
+        path = _write(tmp_path, f"bad{i}.json", dict(composite, **{key: value}))
+        assert cli_main(["chsh", path, "--settings", settings]) == 2, (key, value)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 def test_cli_compose_to_stdout(tmp_path, capsys):
