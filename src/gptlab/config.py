@@ -16,11 +16,14 @@ def get_tol() -> float:
 def set_tol(value: float) -> None:
     """Set the run-wide membership/feasibility tolerance."""
     global _tol
-    if not 0 < value < math.inf:
-        raise ValueError("tolerance must be positive and finite")
-    _tol = float(value)
+    _tol = resolve_tol(float(value))
 
 
 def resolve_tol(tol: float | None) -> float:
-    """One knob for all membership and feasibility checks."""
-    return _tol if tol is None else float(tol)
+    """One knob for all membership and feasibility checks: the run-wide
+    tolerance, or ``tol`` if it is positive and finite."""
+    if tol is None:
+        return _tol
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    return float(tol)

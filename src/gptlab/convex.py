@@ -251,7 +251,7 @@ def contains_state(space: StateSpace, v: np.ndarray, tol: float | None = None) -
         return False
     rep = space.rep
     if isinstance(rep, BallRep):
-        return np.linalg.norm(v[1:]) <= 1.0 + tol
+        return bool(np.linalg.norm(v[1:]) <= 1.0 + tol)
     if isinstance(rep, SimplexRep):
         probs = v[1:]
         return bool(np.all(probs >= -tol) and 1.0 - probs.sum() >= -tol)
@@ -294,7 +294,7 @@ def effect_range(space: StateSpace, f: np.ndarray) -> tuple[float, float]:
     rep = space.rep
     if isinstance(rep, BallRep):
         radius = float(np.linalg.norm(f[1:]))
-        return f[0] - radius, f[0] + radius
+        return float(f[0]) - radius, float(f[0]) + radius
     if isinstance(rep, QuantumRep):
         eig = np.linalg.eigvalsh(quantum.effect_matrix(f, rep.n))
         return float(eig[0]), float(eig[-1])
@@ -386,6 +386,8 @@ def validate_space(space: StateSpace, tol: float | None = None) -> None:
     tol = resolve_tol(tol)
     if isinstance(space.rep, PolytopeRep):
         verts = space.rep.vertices
+        if not np.all(np.isfinite(verts)):
+            raise ValidationError(f"{space.name}: non-finite vertex coordinate")
         if np.max(np.abs(verts[:, 0] - 1.0)) > tol:
             raise ValidationError(f"{space.name}: vertex with normalization coordinate != 1")
         for i in range(verts.shape[0]):

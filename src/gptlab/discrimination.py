@@ -29,16 +29,11 @@ from gptlab.convex import (
     unit_effect_vector,
     vertices_of,
 )
-from gptlab.geometry import vertex_symmetries
+from gptlab.geometry import SYMMETRY_NODE_BUDGET, vertex_symmetries
 from gptlab.lp import LinearProgram, lp_feasible
 
 DEFAULT_VERTEX_BUDGET = 64
 DEFAULT_LP_BUDGET = 4000
-# Orbit keys of the capacity search need only some verified symmetries, so
-# the vertex-symmetry search forms at most this many elements and gives up
-# after this many nodes.
-SYMMETRY_ELEMENT_CAP = 512
-SYMMETRY_NODE_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -237,16 +232,13 @@ def _quantum_capacity(space: StateSpace) -> CapacityResult:
 
 
 def _vertex_permutations(verts: np.ndarray, tol: float) -> np.ndarray:
-    """Vertex permutations of linear symmetries, one per row.
-
-    The first SYMMETRY_ELEMENT_CAP elements, in the search's order, of the
-    group that ``geometry.vertex_symmetries`` finds; the cap bounds the
-    products it forms, not the backtracking.  If the search passes
+    """Vertex permutations of linear symmetries, one per row: the group that
+    ``geometry.vertex_symmetries`` finds.  If the search passes
     SYMMETRY_NODE_BUDGET nodes, only the identity is kept: any set of
-    verified symmetries gives sound orbit keys, only fewer merged orbits.
+    verified symmetries marks sound orbits, only smaller ones.
     """
     try:
-        return vertex_symmetries(verts, tol, SYMMETRY_NODE_BUDGET, SYMMETRY_ELEMENT_CAP)
+        return vertex_symmetries(verts, tol, SYMMETRY_NODE_BUDGET)
     except BudgetExceededError:
         return np.arange(verts.shape[0])[None, :]
 
@@ -263,15 +255,17 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
     index tuples of one size, and a candidate of the next size is kept only
     if all its subsets of the level's size are in it (monotonicity).  A
     linear map that permutes the vertices maps distinguishable sets to
-    distinguishable sets, so one LP decides each orbit of candidates under
+    distinguishable sets, so one LP decides a candidate's whole orbit under
     a set of vertex symmetries: the ``perms`` of the space's group, which
     were found or checked against the vertices when the group was built,
-    and otherwise those that ``geometry.vertex_symmetries`` finds.  The
-    first distinguishable candidate of each level always gets its own LP,
-    so N and the witness do not depend on which symmetries key the memo,
-    only the LP count does.  Only the LPs solved count against
-    ``lp_budget``, not the candidates the orbit memo decides.  Every
-    budget ends in a result: past ``lp_budget`` LPs, or past
+    and otherwise those that ``geometry.vertex_symmetries`` finds.  After
+    each LP the answer is marked on the candidate, which a loaded group
+    need not fix, and on each of its sorted images, one per symmetry; a
+    marked candidate takes no LP.  The first distinguishable candidate of
+    each level always gets its own LP, so N and the witness do not depend
+    on which symmetries mark the orbits, only the LP count does.  Only the
+    LPs solved count against ``lp_budget``, not the candidates the marks
+    decide.  Every budget ends in a result: past ``lp_budget`` LPs, or past
     DEFAULT_VERTEX_BUDGET vertices, ``n`` is None and the witness is the
     largest distinguishable set found.  The search records no
     distinguishable pairs: a polytope with two or more vertices gives every
@@ -302,23 +296,22 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
         members = set(level)
         next_level = []
         witness = None
-        decided: dict[bytes, bool] = {}  # orbit key -> distinguishable
+        decided: dict[tuple, bool] = {}  # candidate -> distinguishable
         for subset in level:
             for j in range(subset[-1] + 1, nv):
                 cand = subset + (j,)
                 if not all(cand[:x] + cand[x + 1:] in members for x in range(len(subset))):
                     continue
-                # orbit key: the lexicographically least sorted image of cand
-                images = np.sort(perms[:, cand], axis=1)
-                key = images[np.lexsort(images.T[::-1])[0]].tobytes()
-                if key not in decided:
+                if cand not in decided:
                     if spent >= lp_budget:
                         return CapacityResult(None, best)
                     spent += 1
                     w = distinguishable_unchecked(space, verts[list(cand)], tol)
-                    decided[key] = w is not None
                     witness = witness or w
-                if decided[key]:
+                    # mark cand's orbit: cand and its sorted images
+                    images = np.sort(perms[:, cand], axis=1).tolist()
+                    decided.update(dict.fromkeys([cand, *map(tuple, images)], w is not None))
+                if decided[cand]:
                     next_level.append(cand)
         if not next_level:
             return CapacityResult(len(level[0]), best)

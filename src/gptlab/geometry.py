@@ -41,18 +41,17 @@ whitened Gram signatures, finds one verified symmetry per coset of each
 stabilizer in the next larger one, and the group elements are the products
 of these coset representatives, formed as arrays in the order of a search
 over the whole tree and each checked against its linear map.  Each image the
-backtracking tries and each product formed counts against the node budget;
-a caller that needs only the first elements caps the products, not the
-backtracking.
+backtracking tries and each product formed counts against one node budget,
+``SYMMETRY_NODE_BUDGET``, which the checker's groups and the capacity
+search's orbits share.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -394,15 +393,19 @@ def vertex_permutation(vertices: np.ndarray, matrix: np.ndarray, tol: float
     return None
 
 
-def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int,
-                      max_elements: int | None = None) -> np.ndarray:
+# Nodes a vertex-symmetry search may spend, one per image the backtracking
+# tries and one per product formed: the 46,080 symmetries of the 6-cube fit,
+# the 645,120 of the 7-cross do not.
+SYMMETRY_NODE_BUDGET = 200_000
+
+
+def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int) -> np.ndarray:
     """Vertex permutations induced by invertible linear maps, one per row.
 
     The rows come in lexicographic order of the images of a basis b_0, b_1,
-    .. among the vertices, which fix the linear map; with ``max_elements``,
-    only the first that many, and the products after them are not formed.
-    The search runs on the whitened vertices: the rows of U in the thin SVD
-    V = U S Wᵀ, with the rank cut at ``tol``.  Their Gram matrix
+    .. among the vertices, which fix the linear map.  The search runs on the
+    whitened vertices: the rows of U in the thin SVD V = U S Wᵀ, with the
+    rank cut at ``tol``.  Their Gram matrix
     U Uᵀ = V (VᵀV)⁺ Vᵀ is invariant under every linear map that permutes the
     vertices, so the search prunes on its rounded entries (Bremner, Dutour
     Sikirić, Pasechnik, Rehn & Schürmann, LMS J. Comput. Math. 17, 2014).
@@ -508,34 +511,27 @@ def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int,
                 level.append(perm)
         transversals.append(np.array(level))
 
-    # rows kept after level i: all products so far, or as many as the first
-    # max_elements elements of G extend
+    # the products of t_0..t_i, formed at each level i with |T_i| > 1
     sizes = [len(t) for t in transversals]
-    kept = list(accumulate(sizes, operator.mul))
-    if max_elements is not None:
-        kept = [min(rows, -(-max_elements // math.prod(sizes[i + 1:])))
-                for i, rows in enumerate(kept)]
-    formed = sum(prev * size for prev, size in zip([1] + kept, sizes) if size > 1)
+    formed = sum(math.prod(sizes[: i + 1]) for i, size in enumerate(sizes) if size > 1)
     if nodes + formed > node_budget:
         raise BudgetExceededError(
             f"symmetry search needs {nodes + formed} nodes (budget {node_budget})")
 
-    elements = _chain_products(transversals, basis, kept, nv)
+    elements = _chain_products(transversals, basis, nv)
     return elements[accepted(elements)]
 
 
-def _chain_products(transversals: list[np.ndarray], basis: list[int], kept: list[int],
-                    nv: int) -> np.ndarray:
+def _chain_products(transversals: list[np.ndarray], basis: list[int], nv: int) -> np.ndarray:
     """The products t_0 ∘ t_1 ∘ .. with t_i a row of ``transversals[i]``, in
-    lexicographic order of their images of ``basis``; level i keeps the first
-    ``kept[i]`` products of t_0..t_i."""
+    lexicographic order of their images of ``basis``."""
     elements = np.arange(nv)[None, :]
-    for b, level, rows in zip(basis, transversals, kept):
+    for b, level in zip(basis, transversals):
         if len(level) > 1:
             products = elements[:, level]  # prefix ∘ t for every t in the level
             order = np.argsort(products[:, :, b], axis=1)
             elements = np.take_along_axis(products, order[:, :, None], axis=1)
-            elements = elements.reshape(-1, nv)[:rows]
+            elements = elements.reshape(-1, nv)
     return elements
 
 

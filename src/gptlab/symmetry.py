@@ -38,7 +38,12 @@ from gptlab.convex import (
     vertices_of,
 )
 from gptlab.discrimination import capacity, distinguishable_unchecked
-from gptlab.geometry import affine_dimension, vertex_permutation, vertex_symmetries
+from gptlab.geometry import (
+    SYMMETRY_NODE_BUDGET,
+    affine_dimension,
+    vertex_permutation,
+    vertex_symmetries,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +116,6 @@ class UnitaryGroup:
 GroupDescriptor = FiniteMatrixGroup | PermutationGroup | RotationGroup | UnitaryGroup
 
 SYMMETRY_SEARCH_VERTEX_BUDGET = 16
-SYMMETRY_SEARCH_NODE_BUDGET = 200_000
 
 
 def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None) -> FiniteMatrixGroup:
@@ -126,7 +130,7 @@ def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None) -> F
             f"{nv} vertices exceed symmetry budget {SYMMETRY_SEARCH_VERTEX_BUDGET}"
         )
     pinv = np.linalg.pinv(verts.T)
-    perms = vertex_symmetries(verts, tol, SYMMETRY_SEARCH_NODE_BUDGET)
+    perms = vertex_symmetries(verts, tol, SYMMETRY_NODE_BUDGET)
     perms = perms[np.lexsort(perms.T[::-1])]
     return FiniteMatrixGroup(np.array([verts[p].T @ pinv for p in perms]), perms=perms)
 

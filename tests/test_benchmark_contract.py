@@ -91,28 +91,30 @@ def test_every_seed0_corpus_report_matches_its_golden_digest(monkeypatch):
     assert sum("digest" in expected[f"{n}|{r}"] for n, r in workloads.CORPUS_OPS) == 41
 
 
-@pytest.mark.parametrize("workload, lps", [
-    ("check_corpus", 202),
-    ("capacity_ns", 144),
-    ("membership", 100),
-])
-def test_seed0_pass_zero_solves_its_pinned_number_of_lps(monkeypatch, workload, lps):
-    # the LP-count gate: the lp.calls a traced seed-0 benchmark run reports
-    # per pass, counted in-process; every answer must still be right
+@pytest.mark.parametrize("workload, lps, iterations", [
+    ("check_corpus", 202, 558),
+    ("capacity_ns", 144, 1184),
+    ("membership", 100, 1408),
+], ids=["check_corpus-202", "capacity_ns-144", "membership-100"])
+def test_seed0_pass_zero_solves_its_pinned_number_of_lps(monkeypatch, workload, lps, iterations):
+    # the LP gate: the lp.calls and lp.iterations a traced seed-0 benchmark
+    # run reports per pass, counted in-process; every answer must still be
+    # right
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     prepared = workloads.WORKLOADS[workload].setup(0, False, workloads.load_golden())
-    calls = []
+    solutions = []
     solve = lp_engine.lp_solve
 
     def counting_solve(*args, **kwargs):
-        calls.append(None)
-        return solve(*args, **kwargs)
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
 
     monkeypatch.setattr(lp_engine, "lp_solve", counting_solve)
     wrong = [op.label for op in prepared.ops(0) if not op.check(op.run())]
     assert wrong == []
-    assert len(calls) == lps
+    assert len(solutions) == lps
+    assert sum(s.iterations for s in solutions) == iterations
 
 
 def test_seed0_check_corpus_pass_zero_builds_two_composites(monkeypatch):

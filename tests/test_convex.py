@@ -305,6 +305,27 @@ def test_polytope_vertex_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validation_rejects_a_non_finite_vertex_coordinate(bad):
+    # NaN passes the normalization check (NaN > tol is false), and the SVD
+    # of the affine dimension would fail inside LAPACK
+    verts = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    verts[3, 2] = bad
+    with np.errstate(invalid="ignore"):  # canonicalizing subtracts inf from inf
+        space = StateSpace(name="bad", rep=PolytopeRep(verts))
+    with pytest.raises(ValidationError, match="non-finite"):
+        validate_space(space)
+
+
+def test_membership_answers_are_python_bools_on_every_representation():
+    for space in (classical(3), gbit_ball(3), square_gbit(), quantum(2)):
+        state = sample_state(space, np.random.default_rng(0))
+        half_unit = 0.5 * unit_effect_vector(space.ambient_dim)
+        for answer in (contains_state(space, state), contains_effect(space, half_unit),
+                       effect_in_cone(space, half_unit)):
+            assert type(answer) is bool, space.name
+
+
 def test_vertex_canonicalization_is_deterministic():
     # same vertex set in different order, with a duplicate: identical result
     a = PolytopeRep(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))

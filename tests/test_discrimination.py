@@ -36,7 +36,7 @@ from gptlab.discrimination import (
     verify_witness,
 )
 from gptlab.lp import LinearProgram, lp_feasible
-from gptlab.geometry import affine_dimension
+from gptlab.geometry import affine_dimension, vertex_symmetries
 from gptlab.models import classical, gbit_ball, quantum, square_gbit
 from gptlab.runner import PASS, _check_p4_prime, build_space, load_theory, theory_from_dict
 from gptlab.symmetry import FiniteMatrixGroup, maximally_mixed, maximally_mixed_decomposition
@@ -565,11 +565,10 @@ def test_lp_budget_counts_only_the_lps_solved(monkeypatch, lp_budget):
         assert with_orbits == capacity(face, lp_budget=100_000)
 
 
-def test_orbit_memo_with_a_capped_symmetry_search(monkeypatch):
-    # the 5-cross-polytope has 3840 symmetries, more than the search keeps
+def test_orbit_memo_with_a_large_symmetry_group(monkeypatch):
+    # the 5-cross-polytope has 3840 symmetries, all of which mark orbits
     space = _cross_polytope(5)
-    assert len(discrimination._vertex_permutations(vertices_of(space), 1e-9)) == (
-        discrimination.SYMMETRY_ELEMENT_CAP)
+    assert len(discrimination._vertex_permutations(vertices_of(space), 1e-9)) == 3840
     _assert_orbits_change_nothing(monkeypatch, space)
 
 
@@ -634,12 +633,64 @@ def _hypercube(d: int) -> StateSpace:
                       rep=PolytopeRep(np.column_stack([np.ones(2**d), corners])))
 
 
+def _solved_candidates(monkeypatch, space, **kwargs) -> tuple[CapacityResult, list]:
+    """The capacity result and the index tuple of each candidate given an LP."""
+    row = {v.tobytes(): i for i, v in enumerate(vertices_of(space))}
+    solved = []
+    solve = discrimination.distinguishable_unchecked
+
+    def recording_solve(space, states, tol):
+        solved.append(tuple(row[s.tobytes()] for s in states))
+        return solve(space, states, tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(discrimination, "distinguishable_unchecked", recording_solve)
+        return capacity(space, **kwargs), solved
+
+
+def _lexicographic_orbit_key(perms: np.ndarray, cand: tuple) -> bytes:
+    """Reference orbit key: the lexicographically least sorted image."""
+    images = np.sort(perms[:, cand], axis=1)
+    return images[np.lexsort(images.T[::-1])[0]].tobytes()
+
+
+def _spaces(name: str) -> list[StateSpace]:
+    if name == "ns-faces":
+        return _ns_faces()
+    if name == "5-cube":
+        return [_hypercube(5)]
+    if name == "5-cross":
+        return [_cross_polytope(5)]
+    return [build_space(load_theory(str(CORPUS / f"{name}.json")))]
+
+
+@pytest.mark.parametrize("name", CORPUS_POLYTOPES + ["ns-faces", "5-cube", "5-cross"])
+def test_the_marked_search_solves_one_lp_per_orbit(monkeypatch, name):
+    # the identity-only search solves every candidate; the marked search
+    # solves one of each orbit of them under the whole vertex group, and
+    # gives the same result
+    for space in _spaces(name):
+        groupless = replace(space, group=None)
+        perms = getattr(space.group, "perms", None)
+        if perms is None:
+            perms = vertex_symmetries(vertices_of(space), 1e-9, 10**6)
+        marked, marked_lps = _solved_candidates(monkeypatch, space, lp_budget=100_000)
+        with monkeypatch.context() as m:
+            m.setattr(discrimination, "_vertex_permutations", _identity_only)
+            every_lp, candidates = _solved_candidates(monkeypatch, groupless, lp_budget=100_000)
+        orbits = {_lexicographic_orbit_key(perms, cand) for cand in candidates}
+        assert marked == every_lp, space.name
+        assert len(marked_lps) == len(orbits), space.name
+
+
 def test_default_lp_budget_counts_lps_not_candidates(monkeypatch):
-    # 91 LPs decide the no-signalling polytope's 5760 candidates and 204 the
-    # 5-cube's, both far below the default budget of 4000 LPs
+    # 91 LPs decide the no-signalling polytope's 5760 candidates, 15 the
+    # 5-cube's and 4 the 6-cross's, whose 46,080 symmetries mark each level
+    # with one LP, all far below the default budget of 4000 LPs
     sq = square_gbit()
     calls = _count_pair_lps(monkeypatch)
-    for space, n, lps in [(compose(sq, sq, "max").space, 4, 91), (_hypercube(5), 2, 204)]:
+    for space, n, lps in [(compose(sq, sq, "max").space, 4, 91), (_hypercube(5), 2, 15),
+                          (_cross_polytope(6), 2, 4)]:
         calls.clear()
         result = capacity(space)
         assert (result.n, result.exact, len(calls)) == (n, True, lps)

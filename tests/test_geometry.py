@@ -3,7 +3,7 @@
 import math
 import re
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 import gptlab.geometry
 from gptlab.composites import compose
 from gptlab.convex import simplex_vertices, vertices_of
-from gptlab.discrimination import SYMMETRY_ELEMENT_CAP, _vertex_permutations
+from gptlab.discrimination import _vertex_permutations
 from gptlab.errors import BudgetExceededError, ValidationError
 from gptlab.geometry import (
+    SYMMETRY_NODE_BUDGET,
     _independent_rows,
     _integer_rows,
     affine_dimension,
@@ -467,9 +468,9 @@ def _dfs_vertex_symmetries(vertices, tol, node_budget):
             yield perm
 
 
-def _assert_search_matches_dfs(vertices, max_elements=None):
-    expected = list(islice(_dfs_vertex_symmetries(vertices, 1e-9, 10**6), max_elements))
-    got = vertex_symmetries(vertices, 1e-9, 10**6, max_elements)
+def _assert_search_matches_dfs(vertices):
+    expected = list(_dfs_vertex_symmetries(vertices, 1e-9, 10**6))
+    got = vertex_symmetries(vertices, 1e-9, 10**6)
     assert got.tolist() == np.array(expected).tolist()
 
 
@@ -496,13 +497,19 @@ def test_vertex_symmetries_match_the_dfs_on_the_no_signalling_polytope_and_faces
             _assert_search_matches_dfs(polytope[rng.permutation(polytope.shape[0])])
 
 
-@pytest.mark.parametrize("verts", [
-    np.column_stack([np.ones(10), np.vstack([np.eye(5), -np.eye(5)])]),
-    simplex_vertices(16),
+@pytest.mark.parametrize("verts, n_elements", [
+    (np.column_stack([np.ones(10), np.vstack([np.eye(5), -np.eye(5)])]), 3840),
+    (simplex_vertices(16), math.factorial(16)),
 ], ids=["5-cross", "16-simplex"])
-def test_a_capped_search_gives_the_first_elements_of_the_dfs(verts):
-    # 3840 and 16! symmetries
-    _assert_search_matches_dfs(verts, SYMMETRY_ELEMENT_CAP)
+def test_a_large_group_is_formed_whole_or_not_at_all(verts, n_elements):
+    # within the node budget every element is formed, in the order of the
+    # DFS; past it, none is
+    if n_elements > SYMMETRY_NODE_BUDGET:
+        with pytest.raises(BudgetExceededError, match="symmetry search"):
+            vertex_symmetries(verts, 1e-9, SYMMETRY_NODE_BUDGET)
+    else:
+        assert len(vertex_symmetries(verts, 1e-9, SYMMETRY_NODE_BUDGET)) == n_elements
+        _assert_search_matches_dfs(verts)
 
 
 def _signed_permutation_orbits(d, n_points, n_generators, data_seed):
@@ -547,8 +554,8 @@ def test_the_symmetry_budget_counts_products_before_forming_them(monkeypatch):
         polytope_symmetry_group(verts)  # 16! products
     assert formed == []
     monkeypatch.undo()
-    expected = list(islice(_dfs_vertex_symmetries(verts, 1e-9, 10**6), SYMMETRY_ELEMENT_CAP))
-    assert _vertex_permutations(verts, 1e-9).tolist() == np.array(expected).tolist()
+    # so the capacity search marks orbits under the identity alone
+    assert _vertex_permutations(verts, 1e-9).tolist() == [list(range(16))]
 
 
 def test_on_nearly_symmetric_vertices_the_search_keeps_only_what_the_dfs_accepts():

@@ -1037,6 +1037,16 @@ def test_finite_group_of_the_wrong_size_is_a_validation_error(tmp_path, capsys):
         assert "(M, 3, 3)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1.0])
+def test_a_per_call_tolerance_that_is_not_positive_and_finite_is_rejected(value):
+    # unchecked, -1 gives N = 1 and a trivial P2, inf N = 4, and nan a
+    # report that the renderer refuses
+    with pytest.raises(ValueError, match="positive and finite"):
+        check_postulates(TheoryDefinition(name="square", space_spec={"family": "square"}),
+                         tol=value)
+    assert get_tol() == DEFAULT_TOL
+
+
 def test_cli_tol_sets_the_report_tolerance_for_one_run(tmp_path, capsys):
     theory = _write(tmp_path, "c3.json", {"name": "c3", "space": {"family": "classical", "N": 3}})
     assert cli_main(["--tol", "1e-6", "check", theory]) == 0
