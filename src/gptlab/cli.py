@@ -97,7 +97,7 @@ def _composite_from_dict(data: dict) -> Composite:
     verts = _float_array(data["vertices"], "composite vertices")
     if verts.ndim != 2 or verts.shape[1] != k:
         raise ValidationError(f"composite vertices must be rows of length k_a * k_b = {k}")
-    space = StateSpace(name=data.get("name", "composite"), rep=PolytopeRep(verts))
+    space = StateSpace(name=data.get("name", "composite"), rep=PolytopeRep.with_facets(verts))
     validate_space(space)
     return Composite(part_a, part_b, rule, space)
 

@@ -18,12 +18,18 @@ import numpy as np
 from gptlab import quantum
 from gptlab.config import resolve_tol
 from gptlab.errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     DomainError,
     UnsupportedRepresentationError,
     ValidationError,
 )
-from gptlab.geometry import affine_dimension, canonicalize_vertices, extremal_effect_vectors
+from gptlab.geometry import (
+    affine_dimension,
+    canonicalize_vertices,
+    dual_cone_rays,
+    extremal_effect_vectors,
+)
 from gptlab.lp import LinearProgram, lp_feasible
 
 if TYPE_CHECKING:
@@ -34,21 +40,39 @@ if TYPE_CHECKING:
 # Representations
 # ---------------------------------------------------------------------------
 
+# ``PolytopeRep.with_facets`` runs its DD only on at most this many rows,
+# and keeps the facets only if there are at most this many.  Rows: the DD
+# of the 144 vertices of max(square, 6-gon) (24 facets) takes 22 s and
+# that of the 128 of max(square, cube) 0.55 s, where every composite and
+# cube of at most 64 vertices tried took at most 0.05 s.  Facets: 30 points
+# on the unit sphere of R^8 have 4,399 facets and a DD of 0.78 s, which
+# stops 4 ms in once it shows more than 64.
+FACET_DD_BUDGET = 64
+
+
 @dataclass(frozen=True)
 class PolytopeRep:
     """Convex hull of an explicit, canonicalized vertex list (rows).
 
     ``facets``, when known, are rows F such that {v : F v >= 0, v_0 = 1} is
-    exactly this hull; membership then reads F v on the rows' own scale.
-    They take no part in equality or the repr: reps are equal when their
-    canonicalized vertices are.
+    exactly this hull; membership then reads F v on the rows' own scale,
+    ``validate_space`` tests extremality by the rank of the facets tight at
+    a row, and ``capacity`` bounds its search by them.  Max composites carry
+    their product-effect rows; ``with_facets``, which builds JSON polytopes,
+    the square and reloaded composite files, enumerates them.  They take no
+    part in equality or the repr: reps are equal when their canonicalized
+    vertices are.  A NaN or infinite coordinate is rejected before the rows
+    are canonicalized.
     """
 
     vertices: np.ndarray
     facets: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        verts = canonicalize_vertices(np.atleast_2d(np.asarray(self.vertices, dtype=float)))
+        verts = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        if not np.all(np.isfinite(verts)):
+            raise ValidationError("non-finite vertex coordinate")
+        verts = canonicalize_vertices(verts)
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
         if self.facets is not None:
@@ -59,6 +83,23 @@ class PolytopeRep:
                 )
             facets.setflags(write=False)
             object.__setattr__(self, "facets", facets)
+
+    @classmethod
+    def with_facets(cls, vertices) -> "PolytopeRep":
+        """The hull of ``vertices`` with its facets from one ``dual_cone_rays``
+        call at the run-wide tolerance.  A list of more than FACET_DD_BUDGET
+        rows, one that does not span the space, and one whose cone has more
+        than FACET_DD_BUDGET facets keep ``facets=None``."""
+        rep = cls(vertices)
+        if rep.vertices.shape[0] > FACET_DD_BUDGET:
+            return rep
+        try:
+            facets = dual_cone_rays(rep.vertices, max_rays=FACET_DD_BUDGET)
+        except (ValidationError, BudgetExceededError):  # rank-deficient, or past the budget
+            return rep
+        facets.setflags(write=False)
+        object.__setattr__(rep, "facets", facets)
+        return rep
 
     def __eq__(self, other):
         if not isinstance(other, PolytopeRep):
@@ -270,8 +311,8 @@ def cone_contains(rows: np.ndarray, target: np.ndarray, tol: float) -> bool:
 
     ``tol`` bounds the LP's residual, not the values of any facet: a point
     up to about ten tol outside a facet can be accepted.  Its callers are
-    ``validate_space``, P4's hull test and ``contains_state`` on a polytope
-    without facets.
+    P4's hull test, and ``validate_space`` and ``contains_state`` on a
+    polytope without facets.
     """
     n = rows.shape[0]
     if n == 0:
@@ -377,25 +418,44 @@ def sample_pure_state(space: StateSpace, rng: np.random.Generator) -> np.ndarray
 # Validation
 # ---------------------------------------------------------------------------
 
+def _first_non_vertex(rep: PolytopeRep, tol: float) -> int | None:
+    """Index of the first row that is not a vertex of the hull, or None.
+
+    With facets, a row is a vertex iff the facets tight at it have rank
+    K − 1, tight within ``tol`` with row and facet scaled to unit max-abs,
+    as in the DD.  Without them, iff no LP puts it in the cone of the other
+    rows.  Both name the same row: a row that is not a vertex lies in the
+    hull of the vertices, and all of those are among the other rows.
+    """
+    verts = rep.vertices
+    if rep.facets is None:
+        for i in range(verts.shape[0]):
+            if cone_contains(np.delete(verts, i, axis=0), verts[i], tol):
+                return i
+        return None
+    facets = rep.facets / np.abs(rep.facets).max(axis=1, keepdims=True)
+    tight = np.abs(verts @ facets.T) <= tol * np.abs(verts).max(axis=1, keepdims=True)
+    # one stacked rank: row i's matrix holds the facets tight at it, the others zeroed
+    short = np.flatnonzero(np.linalg.matrix_rank(tight[:, :, None] * facets) < verts.shape[1] - 1)
+    return int(short[0]) if short.size else None
+
+
 def validate_space(space: StateSpace, tol: float | None = None) -> None:
     """Check structural invariants; raises ValidationError on failure.
 
-    For polytopes: vertices normalized and extreme; K = 1 + affine dimension
-    of the state set.
+    For polytopes: vertices normalized and extreme (``_first_non_vertex``);
+    K = 1 + affine dimension of the state set.
     """
     tol = resolve_tol(tol)
     if isinstance(space.rep, PolytopeRep):
         verts = space.rep.vertices
-        if not np.all(np.isfinite(verts)):
-            raise ValidationError(f"{space.name}: non-finite vertex coordinate")
         if np.max(np.abs(verts[:, 0] - 1.0)) > tol:
             raise ValidationError(f"{space.name}: vertex with normalization coordinate != 1")
-        for i in range(verts.shape[0]):
-            others = np.delete(verts, i, axis=0)
-            if cone_contains(others, verts[i], tol):
-                raise ValidationError(
-                    f"{space.name}: vertex {i} is a convex combination of the others"
-                )
+        i = _first_non_vertex(space.rep, tol)
+        if i is not None:
+            raise ValidationError(
+                f"{space.name}: vertex {i} is a convex combination of the others"
+            )
         if affine_dimension(verts, tol) != space.ambient_dim - 1:
             raise ValidationError(
                 f"{space.name}: ambient dimension {space.ambient_dim} does not equal "

@@ -243,6 +243,30 @@ def _vertex_permutations(verts: np.ndarray, tol: float) -> np.ndarray:
         return np.arange(verts.shape[0])[None, :]
 
 
+def _capacity_bound(verts: np.ndarray, facets: np.ndarray, tol: float) -> int | None:
+    """⌊β⌋ ≥ N, with μ the vertex mean and β the largest h(v)/h(μ) over
+    facets h and vertices v; None unless every h(μ) > tol.
+
+    Proof.  The facets cut out the state space S: a normalized y with
+    h(y) ≥ 0 for every h is a state.  For a state x, y = μ − (x − μ)/(β − 1)
+    is normalized and h(y) = (β·h(μ) − h(x))/(β − 1) ≥ 0, since
+    h(x) ≤ β·h(μ) at the vertices and so on their hull; so y is a state.
+    If effects e_1..e_N with Σ eᵢ = u tell states x_1..x_N apart, then
+    0 ≤ eᵢ(yᵢ) = (β·eᵢ(μ) − 1)/(β − 1), so eᵢ(μ) ≥ 1/β, and summing gives
+    1 = u(μ) ≥ N/β: N ≤ β, and N is an integer.  β − 1 is Minkowski's
+    measure of asymmetry of S about μ (Grünbaum, 1963); a simplex about its
+    centroid has β = N, a centrally symmetric space β = 2.  The LP accepts
+    effects up to about 10·tol below 0, which the same steps turn into
+    N ≤ β/(1 − 10·β·tol); the slack 100·β²·tol covers that and the
+    rounding of β, and it can only loosen the bound.
+    """
+    h_mu = facets @ verts.mean(axis=0)
+    if np.any(h_mu <= tol):
+        return None
+    beta = float(np.max((verts @ facets.T) / h_mu))
+    return int(beta + 100 * beta * beta * tol)
+
+
 def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
              tol: float | None = None) -> CapacityResult:
     """Maximal number of jointly perfectly distinguishable states.
@@ -263,7 +287,11 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
     need not fix, and on each of its sorted images, one per symmetry; a
     marked candidate takes no LP.  The first distinguishable candidate of
     each level always gets its own LP, so N and the witness do not depend
-    on which symmetries mark the orbits, only the LP count does.  Only the
+    on which symmetries mark the orbits, only the LP count does.  A polytope
+    with facets bounds the search by N ≤ ⌊β⌋ (``_capacity_bound``): the
+    first distinguishable candidate of size ⌊β⌋ ends it, with that
+    candidate's witness, which is the one the search would return after
+    finding the next level empty, and the next level is never opened.  Only the
     LPs solved count against ``lp_budget``, not the candidates the marks
     decide.  Every budget ends in a result: past ``lp_budget`` LPs, or past
     DEFAULT_VERTEX_BUDGET vertices, ``n`` is None and the witness is the
@@ -289,6 +317,8 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
     perms = getattr(space.group, "perms", None)  # a FiniteMatrixGroup's checked table
     if perms is None:
         perms = _vertex_permutations(verts, tol)
+    facets = getattr(rep, "facets", None)  # a PolytopeRep's, when known
+    bound = None if facets is None else _capacity_bound(verts, facets, tol)
 
     level = [(i,) for i in range(nv)]
     spent = 0  # LPs solved
@@ -312,6 +342,8 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
                     images = np.sort(perms[:, cand], axis=1).tolist()
                     decided.update(dict.fromkeys([cand, *map(tuple, images)], w is not None))
                 if decided[cand]:
+                    if len(cand) == bound:  # the first of its size has its own LP
+                        return CapacityResult(bound, witness)
                     next_level.append(cand)
         if not next_level:
             return CapacityResult(len(level[0]), best)

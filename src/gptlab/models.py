@@ -67,7 +67,7 @@ def square_gbit() -> StateSpace:
         [1.0, 0.0, 1.0],
         [1.0, 1.0, 1.0],
     ])
-    rep = PolytopeRep(verts)
+    rep = PolytopeRep.with_facets(verts)
     space = StateSpace(name="square", rep=rep, group=polytope_symmetry_group(rep.vertices))
     validate_space(space)
     return space

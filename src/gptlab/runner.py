@@ -138,7 +138,7 @@ def build_space(td: TheoryDefinition) -> StateSpace:
         verts = _float_array(_spec_field(spec, "vertices", family), "polytope vertices")
         if verts.ndim != 2 or verts.size == 0:
             raise ValidationError("polytope vertices must be a non-empty list of rows")
-        space = StateSpace(name=td.name, rep=PolytopeRep(verts))
+        space = StateSpace(name=td.name, rep=PolytopeRep.with_facets(verts))
         validate_space(space)
         if kind == "auto":
             # searched on the deduplicated vertices, once they are known to be extreme

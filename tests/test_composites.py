@@ -579,9 +579,12 @@ def test_capacity_multiplicativity_max_square(square_pair):
     result = capacity_multiplicativity_check(square_pair)
     assert result.ok
     assert result.product_bound == 4
-    # default budget leaves the full capacity unconfirmed, not failed
-    limited = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=50)
+    # a budget below the 44 LPs the search needs with the composite's
+    # facets leaves the full capacity unconfirmed, not failed
+    limited = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=40)
     assert limited.ok and not limited.capacity_exact
+    confirmed = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=50)
+    assert confirmed.ok and confirmed.composite_capacity == 4
 
 
 def test_a_full_search_past_the_vertex_budget_keeps_the_product_bound():

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptlab.errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     DomainError,
     UnsupportedRepresentationError,
     ValidationError,
 )
 from gptlab.convex import (
+    FACET_DD_BUDGET,
     Measurement,
     PolytopeRep,
     StateSpace,
@@ -32,6 +34,7 @@ from gptlab.convex import (
 from gptlab.models import bloch_map, classical, gbit_ball, quantum, square_gbit
 from gptlab import convex
 from gptlab import quantum as qc
+from gptlab.geometry import dual_cone_rays
 from gptlab.symmetry import FiniteMatrixGroup
 
 
@@ -197,8 +200,9 @@ def test_contains_state_reads_the_facets_when_a_polytope_has_them(monkeypatch):
     assert not contains_state(faceted, np.array([1.0, np.nan, 0.5]))
     with pytest.raises(DimensionMismatchError):
         contains_state(faceted, np.array([1.0, 0.5]))
+    bare = StateSpace("square", PolytopeRep(vertices_of(sq)))
     with pytest.raises(AssertionError, match="cone LP solved"):
-        contains_state(sq, np.array([1.0, 0.5, 0.25]))  # no facets: the LP
+        contains_state(bare, np.array([1.0, 0.5, 0.25]))  # no facets: the LP
 
 
 def test_cone_of_no_rows_holds_only_zero():
@@ -307,14 +311,56 @@ def test_polytope_vertex_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_validation_rejects_a_non_finite_vertex_coordinate(bad):
-    # NaN passes the normalization check (NaN > tol is false), and the SVD
-    # of the affine dimension would fail inside LAPACK
+    # NaN would pass the normalization check (NaN > tol is false), and the
+    # SVD of the affine dimension would fail inside LAPACK; the rep refuses
+    # the row before canonicalizing, which would subtract inf from inf
     verts = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
     verts[3, 2] = bad
-    with np.errstate(invalid="ignore"):  # canonicalizing subtracts inf from inf
-        space = StateSpace(name="bad", rep=PolytopeRep(verts))
-    with pytest.raises(ValidationError, match="non-finite"):
-        validate_space(space)
+    with pytest.raises(ValidationError, match="non-finite vertex coordinate"):
+        PolytopeRep(verts)
+
+
+def test_a_list_past_the_facet_budget_is_validated_by_lp(monkeypatch):
+    # 30 points on the unit sphere of R^8 have thousands of facets: the DD
+    # stops once it shows more than the budget, the rep keeps no facets,
+    # and validation solves one LP per row, with the LP's verdict
+    x = np.random.default_rng(0).normal(size=(30, 8))
+    rows = np.column_stack([np.ones(30), x / np.linalg.norm(x, axis=1, keepdims=True)])
+    with pytest.raises(BudgetExceededError):
+        dual_cone_rays(rows, max_rays=FACET_DD_BUDGET)
+    rep = PolytopeRep.with_facets(rows)
+    assert rep.facets is None
+    calls = []
+    solve = convex.cone_contains
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(convex, "cone_contains", counting)
+    validate_space(StateSpace(name="sphere", rep=rep))
+    assert len(calls) == 30
+    centre = rows.mean(axis=0)
+    centred = PolytopeRep.with_facets(np.vstack([rows, centre]))
+    assert centred.facets is None
+    i = int(np.flatnonzero(np.all(centred.vertices == centre, axis=1))[0])
+    with pytest.raises(ValidationError, match=f"vertex {i} is a convex combination"):
+        validate_space(StateSpace(name="sphere", rep=centred))
+
+
+def test_rank_deficient_and_long_lists_keep_no_facets(monkeypatch):
+    # a segment in K = 3 spans too little for a pointed dual cone; a list of
+    # more rows than the budget is not enumerated at all
+    segment = PolytopeRep.with_facets(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+    assert segment.facets is None
+    angles = 2 * np.pi * np.arange(FACET_DD_BUDGET + 1) / (FACET_DD_BUDGET + 1)
+    polygon = np.column_stack([np.ones(angles.size), np.cos(angles), np.sin(angles)])
+
+    def no_dd(*args, **kwargs):
+        raise AssertionError("DD run")
+
+    monkeypatch.setattr(convex, "dual_cone_rays", no_dd)
+    assert PolytopeRep.with_facets(polygon).facets is None
 
 
 def test_membership_answers_are_python_bools_on_every_representation():

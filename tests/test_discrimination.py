@@ -326,6 +326,31 @@ def test_every_vertex_of_a_random_polytope_has_a_distinguishable_partner(dim, co
     _assert_every_vertex_has_a_partner(StateSpace(name="random", rep=PolytopeRep(verts)))
 
 
+@seed(20120321)
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), count=st.integers(min_value=4, max_value=9),
+       point_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_the_facet_bound_holds_and_changes_no_capacity(dim, count, point_seed):
+    # N ≤ ⌊β⌋ on the hull of 4 to 9 Gaussian points and on a unit-fixing
+    # linear image of it; stopping at the bound leaves N, exact and the
+    # witness as the search without facets finds them
+    hull = pytest.importorskip("scipy.spatial").ConvexHull
+    rng = np.random.default_rng(point_seed)
+    points = rng.normal(size=(count, dim))
+    corners = points[np.sort(hull(points).vertices)]
+    verts = np.column_stack([np.ones(len(corners)), corners])
+    a = np.eye(dim + 1)
+    a[1:, 0] = rng.uniform(-0.5, 0.5, size=dim)
+    a[1:, 1:] = rng.uniform(-1.0, 1.0, size=(dim, dim)) + 1.5 * np.eye(dim)
+    assume(np.linalg.cond(a) < 20)
+    for rows in (verts, verts @ a.T):
+        rep = PolytopeRep.with_facets(rows)
+        result = capacity(StateSpace(name="random", rep=rep))
+        bound = discrimination._capacity_bound(rep.vertices, rep.facets, resolve_tol(None))
+        assert bound is not None and bound >= result.n
+        assert result == capacity(StateSpace(name="random", rep=PolytopeRep(rows)))
+
+
 def test_measurements_witnesses_and_capacity_results_compare_by_value():
     square = square_gbit()
     result = capacity(square)
@@ -684,12 +709,14 @@ def test_the_marked_search_solves_one_lp_per_orbit(monkeypatch, name):
 
 
 def test_default_lp_budget_counts_lps_not_candidates(monkeypatch):
-    # 91 LPs decide the no-signalling polytope's 5760 candidates, 15 the
-    # 5-cube's and 4 the 6-cross's, whose 46,080 symmetries mark each level
-    # with one LP, all far below the default budget of 4000 LPs
+    # 44 LPs decide the no-signalling polytope's candidates up to its first
+    # distinguishable 4-set, where its facets' bound ⌊β⌋ = 4 ends the search
+    # (91 LPs and 5760 candidates without it); 15 decide the 5-cube's and 4
+    # the 6-cross's, whose 46,080 symmetries mark each level with one LP,
+    # all far below the default budget of 4000 LPs
     sq = square_gbit()
     calls = _count_pair_lps(monkeypatch)
-    for space, n, lps in [(compose(sq, sq, "max").space, 4, 91), (_hypercube(5), 2, 15),
+    for space, n, lps in [(compose(sq, sq, "max").space, 4, 44), (_hypercube(5), 2, 15),
                           (_cross_polytope(6), 2, 4)]:
         calls.clear()
         result = capacity(space)
@@ -750,9 +777,15 @@ def test_capacity_vertex_budget(monkeypatch):
 
 def test_capacity_lp_budget_gives_lower_bound():
     # the square's 6 pairs fall into 2 orbits (edges, diagonals): 2 LPs
-    result = capacity(square_gbit(), lp_budget=1)
+    # without facets; with them, ⌊β⌋ = 2 ends the search at the first
+    # distinguishable pair, within a budget of 1 LP
+    sq = square_gbit()
+    bare = StateSpace(name="square", rep=PolytopeRep(vertices_of(sq)))
+    result = capacity(bare, lp_budget=1)
     assert not result.exact
-    assert result.lower_bound == 1 and verify_witness(square_gbit(), result.witness)
+    assert result.lower_bound == 1 and verify_witness(sq, result.witness)
+    result = capacity(sq, lp_budget=1)
+    assert (result.n, result.exact) == (2, True) and verify_witness(sq, result.witness)
 
 
 def test_uniform_decomposition_size_equals_capacity():

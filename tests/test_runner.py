@@ -10,13 +10,14 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from gptlab import discrimination, geometry, runner, symmetry
+from gptlab import cli, convex, discrimination, geometry, runner, symmetry
 from gptlab.config import DEFAULT_TOL, get_tol, set_tol
 from gptlab.composites import chsh_value, compose
-from gptlab.convex import extremal_effects, vertices_of
+from gptlab.convex import PolytopeRep, StateSpace, extremal_effects, validate_space, vertices_of
 from gptlab.errors import BudgetExceededError, UnsupportedRepresentationError, ValidationError
 from gptlab.cli import main as cli_main
 from gptlab.discrimination import capacity, distinguishable
+from gptlab.lp import engine as lp_engine
 from gptlab.models import square_gbit
 from gptlab.runner import (
     FAIL,
@@ -164,6 +165,52 @@ def test_an_interior_row_fails_validation_before_the_group_search(monkeypatch):
     monkeypatch.setattr(runner, "polytope_symmetry_group", no_search)
     with pytest.raises(ValidationError, match="vertex 8 is a convex combination of the others"):
         build_space(TESSERACT_AND_CENTRE)
+
+
+def _random_hull_rows(seed: int) -> np.ndarray:
+    """4 to 9 Gaussian points in 2-D or 3-D, some of them inside the hull,
+    with 1 to 3 convex combinations of them mixed in."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(rng.integers(4, 10), 2 + seed % 2))
+    inner = rng.dirichlet(np.ones(len(points)), size=rng.integers(1, 4)) @ points
+    rows = np.vstack([points, inner])[rng.permutation(len(points) + len(inner))]
+    return np.column_stack([np.ones(len(rows)), rows])
+
+
+_HEXAGON = np.column_stack([np.ones(6), np.cos(np.arange(6) * np.pi / 3),
+                            np.sin(np.arange(6) * np.pi / 3)])
+EXTREMALITY_CASES = {
+    **{name: np.array(load_theory(str(ROOT / "perfbench" / "corpus" / f"{name}.json"))
+                      .space_spec["vertices"]) for name in
+       [f"{n}-gon" for n in range(3, 13)] + ["cube", "octahedron", "tesseract"]},
+    "square": vertices_of(square_gbit()),
+    **{td.name: np.array(td.space_spec["vertices"])
+       for td in (TESSERACT_AND_CENTRE, NEAR_DUPLICATE, EXACT_DUPLICATE)},
+    "hexagon-and-edge-midpoint": np.vstack([_HEXAGON, (_HEXAGON[0] + _HEXAGON[1]) / 2]),
+    **{f"random-hull-{seed}": _random_hull_rows(seed) for seed in range(12)},
+}
+
+
+def _extremality_verdict(rep: PolytopeRep) -> str | None:
+    try:
+        validate_space(StateSpace(name="p", rep=rep))
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("rows", EXTREMALITY_CASES.values(), ids=EXTREMALITY_CASES.keys())
+def test_facet_and_lp_extremality_give_one_verdict(monkeypatch, rows):
+    # the tight-facet rank and the LP per row name the same row, or none
+    bare, faceted = PolytopeRep(rows), PolytopeRep.with_facets(rows)
+    assert bare.facets is None and faceted.facets is not None
+    by_lp = _extremality_verdict(bare)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("cone LP solved")
+
+    monkeypatch.setattr(convex, "cone_contains", no_lp)
+    assert _extremality_verdict(faceted) == by_lp
 
 
 def test_postulate_landscape_quantum2():
@@ -761,6 +808,35 @@ def test_cli_chsh_rejects_a_composite_whose_rule_or_dimensions_are_not_its_parts
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+def test_a_reloaded_composite_is_validated_by_its_facets(tmp_path, capsys, monkeypatch):
+    # the no-signalling polytope from `compose --out` gets its 16 facets
+    # when it is reloaded and validates with no LP; with its centroid added
+    # it is refused as before
+    square = _write(tmp_path, "square.json", {"name": "square", "space": {"family": "square"}})
+    good = str(tmp_path / "ns.json")
+    assert cli_main(["compose", square, square, "--rule", "max", "--out", good]) == 0
+    composite = json.loads(Path(good).read_text())
+    x_meas = [[0.0, 1.0, 0.0], [1.0, -1.0, 0.0]]
+    settings = _write(tmp_path, "settings.json", {"A": [x_meas, x_meas], "B": [x_meas, x_meas]})
+    capsys.readouterr()
+    solved = []
+    solve = lp_engine.lp_solve
+
+    def counting_solve(*args, **kwargs):
+        solved.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp_engine, "lp_solve", counting_solve)
+    assert cli._composite_from_dict(composite).space.rep.facets.shape == (16, 9)
+    assert cli_main(["chsh", good, "--settings", settings]) == 0
+    assert solved == []
+    verts = np.array(composite["vertices"])
+    centred = dict(composite, vertices=[*composite["vertices"], verts.mean(axis=0).tolist()])
+    assert cli_main(["chsh", _write(tmp_path, "centred.json", centred),
+                     "--settings", settings]) == 2
+    assert "is a convex combination of the others" in capsys.readouterr().err
 
 
 def test_cli_compose_to_stdout(tmp_path, capsys):
