@@ -109,12 +109,14 @@ class Composite:
 
 
 def _cone_rays(space: StateSpace, tol: float) -> np.ndarray | None:
-    """Extreme rays of a part's effect cone (facets of its state cone); None
-    for ball and quantum parts, whose cones are not polyhedral from K = 3 on."""
+    """Extreme rays of a part's effect cone (facets of its state cone): a
+    polytope's own facets when it carries them, else one DD; None for ball
+    and quantum parts, whose cones are not polyhedral from K = 3 on."""
     if isinstance(space.rep, (BallRep, QuantumRep)):  # ball(1): (1, ±1); quantum(1): (1)
         k = space.ambient_dim
         return np.array([[1.0, 1.0], [1.0, -1.0]])[:k, :k] if k <= 2 else None
-    return dual_cone_rays(vertices_of(space), tol=tol)
+    facets = getattr(space.rep, "facets", None)
+    return dual_cone_rays(vertices_of(space), tol=tol) if facets is None else facets
 
 
 def _part_cone_rays(a: StateSpace, b: StateSpace, tol: float):

@@ -46,7 +46,8 @@ if TYPE_CHECKING:
 # that of the 128 of max(square, cube) 0.55 s, where every composite and
 # cube of at most 64 vertices tried took at most 0.05 s.  Facets: 30 points
 # on the unit sphere of R^8 have 4,399 facets and a DD of 0.78 s, which
-# stops 4 ms in once it shows more than 64.
+# stops 4 ms in once it shows more than 64.  ``discrimination.capacity``
+# caps the facets of its DD in a vertex span by the same number.
 FACET_DD_BUDGET = 64
 
 

@@ -13,13 +13,15 @@ support projectors are the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from gptlab import quantum
 from gptlab.config import resolve_tol
-from gptlab.errors import BudgetExceededError, DomainError
+from gptlab.errors import BudgetExceededError, DomainError, ValidationError
 from gptlab.convex import (
+    FACET_DD_BUDGET,
     BallRep,
     Measurement,
     QuantumRep,
@@ -29,7 +31,7 @@ from gptlab.convex import (
     unit_effect_vector,
     vertices_of,
 )
-from gptlab.geometry import SYMMETRY_NODE_BUDGET, vertex_symmetries
+from gptlab.geometry import SYMMETRY_NODE_BUDGET, dual_cone_rays, vertex_symmetries
 from gptlab.lp import LinearProgram, lp_feasible
 
 DEFAULT_VERTEX_BUDGET = 64
@@ -146,11 +148,11 @@ def distinguishable(space: StateSpace, states, tol: float | None = None
     """Perfect-distinguishability witness for the given states, or None."""
     tol = resolve_tol(tol)
     states = np.atleast_2d(np.asarray(states, dtype=float))
+    if states.size == 0:  # [] and [[]] give shape (1, 0)
+        raise DomainError("empty state list")
     for s in states:
         if not contains_state(space, s, tol=max(tol, 1e-7)):
             raise DomainError("state not contained in the space")
-    if states.shape[0] == 0:
-        raise DomainError("empty state list")
     return distinguishable_unchecked(space, states, tol)
 
 
@@ -259,12 +261,36 @@ def _capacity_bound(verts: np.ndarray, facets: np.ndarray, tol: float) -> int | 
     effects up to about 10·tol below 0, which the same steps turn into
     N ≤ β/(1 − 10·β·tol); the slack 100·β²·tol covers that and the
     rounding of β, and it can only loosen the bound.
+
+    A space that spans only a subspace L of its ambient space has no facets
+    that cut it out (a facet test accepts points off L), and the proof runs
+    in L instead: ``_span_bound`` writes the vertices in an orthonormal
+    basis of L and takes the facets h of their cone there.  x, μ and so y
+    lie in L, where the h cut out S; the effects restricted to L are linear
+    functionals, nonnegative on S, that sum to u, so the same steps give
+    N ≤ β.  β is the same in any coordinates of L: each h(v)/h(μ) is one
+    linear functional at two points.
     """
     h_mu = facets @ verts.mean(axis=0)
     if np.any(h_mu <= tol):
         return None
     beta = float(np.max((verts @ facets.T) / h_mu))
     return int(beta + 100 * beta * beta * tol)
+
+
+def _span_bound(verts: np.ndarray, tol: float) -> int | None:
+    """``_capacity_bound`` on the vertices V written in an orthonormal basis
+    of their linear span, the leading rows of Wᵀ in the thin SVD V = U S Wᵀ
+    with the rank cut at ``tol`` as ``geometry.vertex_symmetries`` cuts it,
+    and the facets of their cone in that span from one DD; None if the DD
+    fails or shows more than FACET_DD_BUDGET facets."""
+    _, svals, wt = np.linalg.svd(verts, full_matrices=False)
+    coords = verts @ wt[: int(np.sum(svals > tol * max(1.0, svals[0])))].T
+    try:
+        facets = dual_cone_rays(coords, tol=tol, max_rays=FACET_DD_BUDGET)
+    except (ValidationError, BudgetExceededError):
+        return None
+    return _capacity_bound(coords, facets, tol)
 
 
 def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
@@ -274,28 +300,40 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
     Closed form with a verified certificate for balls and quantum systems.
     Linearly independent vertices, a simplex's among them, span a simplex,
     whose capacity is the vertex count by theorem (``_simplex_capacity``).
-    For other polytopes, a subset search over the vertices, level by level:
-    a level is the lexicographically sorted list of the distinguishable
-    index tuples of one size, and a candidate of the next size is kept only
-    if all its subsets of the level's size are in it (monotonicity).  A
-    linear map that permutes the vertices maps distinguishable sets to
-    distinguishable sets, so one LP decides a candidate's whole orbit under
-    a set of vertex symmetries: the ``perms`` of the space's group, which
-    were found or checked against the vertices when the group was built,
-    and otherwise those that ``geometry.vertex_symmetries`` finds.  After
-    each LP the answer is marked on the candidate, which a loaded group
-    need not fix, and on each of its sorted images, one per symmetry; a
-    marked candidate takes no LP.  The first distinguishable candidate of
-    each level always gets its own LP, so N and the witness do not depend
-    on which symmetries mark the orbits, only the LP count does.  A polytope
-    with facets bounds the search by N ≤ ⌊β⌋ (``_capacity_bound``): the
-    first distinguishable candidate of size ⌊β⌋ ends it, with that
-    candidate's witness, which is the one the search would return after
-    finding the next level empty, and the next level is never opened.  Only the
-    LPs solved count against ``lp_budget``, not the candidates the marks
-    decide.  Every budget ends in a result: past ``lp_budget`` LPs, or past
-    DEFAULT_VERTEX_BUDGET vertices, ``n`` is None and the witness is the
-    largest distinguishable set found.  The search records no
+    For other polytopes, one depth-first search over vertex index tuples
+    in lexicographic order: a distinguishable tuple is extended by each
+    index past its last, and a candidate is skipped when a subset one
+    element smaller is already known not to be distinguishable
+    (monotonicity).  A linear map that permutes the vertices maps
+    distinguishable sets to distinguishable sets, so one LP decides a
+    candidate's whole orbit under a set of vertex symmetries: the ``perms``
+    of the space's group, which were found or checked against the vertices
+    when the group was built, and otherwise those that
+    ``geometry.vertex_symmetries`` finds.  After each LP the answer is
+    marked on the candidate, which a loaded group need not fix, and on each
+    of its sorted images, one per symmetry; a marked candidate takes no LP.
+    The search bounds itself by N ≤ ⌊β⌋ (``_capacity_bound``), from the
+    polytope's facets or, without them, from one DD in the span of its
+    vertices (``_span_bound``): the first distinguishable candidate of size
+    ⌊β⌋ ends it.  Otherwise it ends when the tuples run out, and N is the
+    largest size it found.
+
+    The result is that of a search level by level, which keeps every
+    distinguishable tuple of one size before it opens the next: the
+    lexicographically first distinguishable set of the largest size, or of
+    size ⌊β⌋ when the bound ends the search, with the witness of its LP.
+    A pre-order DFS visits each size's candidates in lexicographic order,
+    and it reaches every distinguishable set, because every prefix of one
+    is distinguishable and no subset of one is marked otherwise.  The first
+    distinguishable candidate of a size gets its own LP on the same
+    ``verts[list(cand)]``: a mark on it could only come from an earlier
+    distinguishable candidate of that size, and there is none.  So N and
+    the witness do not depend on which symmetries mark the orbits or on
+    the bound, only the LP count does.  Only the LPs solved count against
+    ``lp_budget``, not the candidates the marks decide.  Every budget ends
+    in a result: past ``lp_budget`` LPs, or past DEFAULT_VERTEX_BUDGET
+    vertices, ``n`` is None and the witness is the lexicographically first
+    distinguishable set of the largest size found.  The search records no
     distinguishable pairs: a polytope with two or more vertices gives every
     vertex a partner by theorem, which is how P4′ is decided
     (``runner._check_p4_prime``).
@@ -318,36 +356,31 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
     if perms is None:
         perms = _vertex_permutations(verts, tol)
     facets = getattr(rep, "facets", None)  # a PolytopeRep's, when known
-    bound = None if facets is None else _capacity_bound(verts, facets, tol)
+    bound = _span_bound(verts, tol) if facets is None else _capacity_bound(verts, facets, tol)
 
-    level = [(i,) for i in range(nv)]
+    firsts = [best]  # the witness of the first distinguishable set of each size
+    decided: dict[tuple, bool] = {}  # candidate -> distinguishable
     spent = 0  # LPs solved
-    while True:
-        members = set(level)
-        next_level = []
-        witness = None
-        decided: dict[tuple, bool] = {}  # candidate -> distinguishable
-        for subset in level:
-            for j in range(subset[-1] + 1, nv):
-                cand = subset + (j,)
-                if not all(cand[:x] + cand[x + 1:] in members for x in range(len(subset))):
-                    continue
-                if cand not in decided:
-                    if spent >= lp_budget:
-                        return CapacityResult(None, best)
-                    spent += 1
-                    w = distinguishable_unchecked(space, verts[list(cand)], tol)
-                    witness = witness or w
-                    # mark cand's orbit: cand and its sorted images
-                    images = np.sort(perms[:, cand], axis=1).tolist()
-                    decided.update(dict.fromkeys([cand, *map(tuple, images)], w is not None))
-                if decided[cand]:
-                    if len(cand) == bound:  # the first of its size has its own LP
-                        return CapacityResult(bound, witness)
-                    next_level.append(cand)
-        if not next_level:
-            return CapacityResult(len(level[0]), best)
-        level, best = next_level, witness
+    stack = list(combinations(range(nv), 2))[::-1]  # popped in lexicographic order
+    while stack:
+        cand = stack.pop()
+        if any(decided.get(cand[:x] + cand[x + 1:]) is False for x in range(len(cand))):
+            continue
+        if cand not in decided:
+            if spent >= lp_budget:
+                return CapacityResult(None, firsts[-1])
+            spent += 1
+            w = distinguishable_unchecked(space, verts[list(cand)], tol)
+            # mark cand's orbit: cand and its sorted images
+            images = np.sort(perms[:, cand], axis=1).tolist()
+            decided.update(dict.fromkeys([cand, *map(tuple, images)], w is not None))
+        if decided[cand]:
+            if len(cand) > len(firsts):  # the first of its size has its own LP
+                firsts.append(w)
+                if len(cand) == bound:
+                    return CapacityResult(bound, w)
+            stack.extend(cand + (j,) for j in range(nv - 1, cand[-1], -1))
+    return CapacityResult(len(firsts), firsts[-1])
 
 
 def complete_measurement(space: StateSpace, tol: float | None = None) -> DistinguishabilityWitness:
@@ -362,9 +395,16 @@ def complete_measurement(space: StateSpace, tol: float | None = None) -> Disting
 # Capacity-exponent structure
 # ---------------------------------------------------------------------------
 
+def _count(x) -> int:
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        raise DomainError(f"capacities and dimensions must be integers, got {x!r}")
+    return int(x)
+
+
 def fit_capacity_exponent(pairs) -> int | None:
-    """The unique integer r >= 1 with K = N^r across all (N, K) pairs, else None."""
-    pairs = [(int(n), int(k)) for n, k in pairs]
+    """The unique integer r >= 1 with K = N^r across all (N, K) pairs, else
+    None.  N and K must be integers, Python's or numpy's, and not bools."""
+    pairs = [(_count(n), _count(k)) for n, k in pairs]
     if not pairs:
         raise DomainError("empty pair list")
     for n, k in pairs:

@@ -93,15 +93,15 @@ def test_every_seed0_corpus_report_matches_its_golden_digest(monkeypatch):
 
 @pytest.mark.parametrize("workload, lps, iterations", [
     ("check_corpus", 39, 115),
-    ("capacity_ns", 144, 1184),
+    ("capacity_ns", 56, 400),
     ("membership", 100, 1408),
-], ids=["check_corpus-39", "capacity_ns-144", "membership-100"])
+], ids=["check_corpus-39", "capacity_ns-56", "membership-100"])
 def test_seed0_pass_zero_solves_its_pinned_number_of_lps(monkeypatch, workload, lps, iterations):
     # the LP gate: the lp.calls and lp.iterations a traced seed-0 benchmark
     # run reports per pass, counted in-process; every answer must still be
     # right.  check_corpus validates its JSON polytopes and the square by
-    # their facets and stops each capacity search at ⌊β⌋; capacity_ns
-    # searches rank-deficient faces, which have no facets
+    # their facets; every capacity search stops at ⌊β⌋, which capacity_ns's
+    # rank-deficient faces get from a DD in their span
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     prepared = workloads.WORKLOADS[workload].setup(0, False, workloads.load_golden())

@@ -158,6 +158,30 @@ def test_float_max_tensor_vertex_bytes_are_pinned(name_a, name_b, count, digest)
     assert hashlib.sha256(np.ascontiguousarray(verts).tobytes()).hexdigest() == digest
 
 
+def test_a_part_with_facets_gives_compose_its_cone_rays_without_a_dd(monkeypatch):
+    # the square and JSON polytopes carry the facets that a DD of their
+    # vertices finds, so a max composite of them runs only its own DD, and
+    # membership in it none; bare parts run one DD each, to the same bytes
+    sq, tri = square_gbit(), _corpus_part("3-gon")
+    bare_sq, bare_tri = (StateSpace(name=s.name, rep=PolytopeRep(vertices_of(s))) for s in (sq, tri))
+    calls = []
+    dd = gptlab.composites.dual_cone_rays
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dd(*args, **kwargs)
+
+    monkeypatch.setattr(gptlab.composites, "dual_cone_rays", counting)
+    faceted = compose(tri, sq, "max")
+    assert len(calls) == 1
+    assert max_tensor_contains(faceted, vertices_of(faceted.space).mean(axis=0))
+    assert len(calls) == 1
+    bare = compose(bare_tri, bare_sq, "max")
+    assert len(calls) == 4
+    assert vertices_of(faceted.space).tobytes() == vertices_of(bare.space).tobytes()
+    assert faceted.space.rep.facets.tobytes() == bare.space.rep.facets.tobytes()
+
+
 @pytest.mark.parametrize(
     "make_a, make_b",
     [
@@ -579,11 +603,11 @@ def test_capacity_multiplicativity_max_square(square_pair):
     result = capacity_multiplicativity_check(square_pair)
     assert result.ok
     assert result.product_bound == 4
-    # a budget below the 44 LPs the search needs with the composite's
-    # facets leaves the full capacity unconfirmed, not failed
-    limited = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=40)
+    # a budget below the 4 LPs the search needs to reach the composite's
+    # bound ⌊β⌋ = 4 leaves the full capacity unconfirmed, not failed
+    limited = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=3)
     assert limited.ok and not limited.capacity_exact
-    confirmed = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=50)
+    confirmed = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=4)
     assert confirmed.ok and confirmed.composite_capacity == 4
 
 
@@ -658,9 +682,10 @@ def test_max_tensor_membership_for_continuous_parts(rng):
 
 
 def test_max_tensor_contains_enumerates_each_polytope_part_once(monkeypatch, rng):
-    ball, square = gbit_ball(3), square_gbit()
-    comp = compose(ball, square, "max")
-    assert comp.space is None
+    # a bare square part is enumerated once per query; the built square
+    # carries its facets and is enumerated never
+    ball = gbit_ball(3)
+    bare = StateSpace(name="square", rep=PolytopeRep(vertices_of(square_gbit())))
     calls = []
 
     def counting(*args, **kwargs):
@@ -668,16 +693,19 @@ def test_max_tensor_contains_enumerates_each_polytope_part_once(monkeypatch, rng
         return dual_cone_rays(*args, **kwargs)
 
     monkeypatch.setattr(gptlab.composites, "dual_cone_rays", counting)
-    for _ in range(5):
-        omega = product_state(sample_state(ball, rng), sample_state(square, rng))
+    for square, dds in [(bare, 1), (square_gbit(), 0)]:
+        comp = compose(ball, square, "max")
+        assert comp.space is None
+        for _ in range(5):
+            omega = product_state(sample_state(ball, rng), sample_state(square, rng))
+            calls.clear()
+            assert max_tensor_contains(comp, omega)
+            assert len(calls) == dds
+        # the A-marginal of this product vector lies outside the ball
+        stretched = product_state(np.array([1.0, 1.4, 0.0, 0.0]), vertices_of(square)[0])
         calls.clear()
-        assert max_tensor_contains(comp, omega)
-        assert len(calls) == 1
-    # the A-marginal of this product vector lies outside the ball
-    stretched = product_state(np.array([1.0, 1.4, 0.0, 0.0]), vertices_of(square)[0])
-    calls.clear()
-    assert not max_tensor_contains(comp, stretched)
-    assert len(calls) == 1
+        assert not max_tensor_contains(comp, stretched)
+        assert len(calls) == dds
 
 
 PENTAGON = build_space(load_theory(
@@ -1119,8 +1147,12 @@ def test_max_tensor_membership_of_a_polytope_pair_solves_no_lp(monkeypatch, squa
         square_pair.space).mean(axis=0))
 
 
-@pytest.mark.parametrize("part", [square_gbit(), classical(3)], ids=lambda s: s.name)
-def test_a_space_composed_with_itself_enumerates_its_facets_once(monkeypatch, part):
+@pytest.mark.parametrize("part, dds", [
+    (square_gbit(), 0),  # carries its facets
+    (classical(3), 1),
+    (StateSpace(name="bare-square", rep=PolytopeRep(vertices_of(square_gbit()))), 1),
+], ids=["square", "classical(3)", "bare-square"])
+def test_a_space_composed_with_itself_enumerates_its_facets_once(monkeypatch, part, dds):
     calls = []
 
     def counting(*args, **kwargs):
@@ -1129,7 +1161,7 @@ def test_a_space_composed_with_itself_enumerates_its_facets_once(monkeypatch, pa
 
     monkeypatch.setattr(gptlab.composites, "dual_cone_rays", counting)
     comp = compose(part, part, "max")
-    assert len(calls) == 1  # integral rows: the exact path enumerates the vertices
+    assert len(calls) == dds  # integral rows: the exact path enumerates the vertices
     calls.clear()
     assert max_tensor_contains(comp, sample_state(comp.space, np.random.default_rng(0)))
-    assert len(calls) == 1
+    assert len(calls) == dds

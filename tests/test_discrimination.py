@@ -260,6 +260,14 @@ def _polygon(n: int) -> StateSpace:
     return StateSpace(name=f"{n}-gon", rep=PolytopeRep(corners))
 
 
+@pytest.mark.parametrize("states", [[], [[]], np.zeros((0, 3))], ids=["list", "nested", "0x3"])
+def test_an_empty_state_list_is_a_domain_error(states):
+    # np.atleast_2d([]) has shape (1, 0), whose one empty row used to reach
+    # the membership test and raise DimensionMismatchError
+    with pytest.raises(DomainError, match="empty state list"):
+        distinguishable(square_gbit(), states)
+
+
 def test_capacity_of_own_vertices_runs_no_membership_check(monkeypatch):
     # capacity and the decomposition search pass only the space's own
     # vertices to the distinguishability core, which must not re-prove them
@@ -332,8 +340,9 @@ def test_every_vertex_of_a_random_polytope_has_a_distinguishable_partner(dim, co
        point_seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_the_facet_bound_holds_and_changes_no_capacity(dim, count, point_seed):
     # N ≤ ⌊β⌋ on the hull of 4 to 9 Gaussian points and on a unit-fixing
-    # linear image of it; stopping at the bound leaves N, exact and the
-    # witness as the search without facets finds them
+    # linear image of it; the bound from the facets leaves N, exact and the
+    # witness as the search on the bare vertices, bounded in their span,
+    # finds them
     hull = pytest.importorskip("scipy.spatial").ConvexHull
     rng = np.random.default_rng(point_seed)
     points = rng.normal(size=(count, dim))
@@ -349,6 +358,75 @@ def test_the_facet_bound_holds_and_changes_no_capacity(dim, count, point_seed):
         bound = discrimination._capacity_bound(rep.vertices, rep.facets, resolve_tol(None))
         assert bound is not None and bound >= result.n
         assert result == capacity(StateSpace(name="random", rep=PolytopeRep(rows)))
+
+
+def _highs_distinguishable(verts: np.ndarray, subset: tuple) -> bool:
+    """Oracle: one HiGHS feasibility LP over all n effects, E_i ≥ 0 on every
+    vertex, Σ E_i = u and E_i(ω_j) = δ_ij on the subset's vertices."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    (nv, k), n = verts.shape, len(subset)
+    eye = np.eye(n)
+    res = linprog(np.zeros(n * k), method="highs", bounds=(None, None),
+                  A_ub=-np.kron(eye, verts), b_ub=np.zeros(n * nv),
+                  A_eq=np.vstack([np.kron(eye, verts[list(subset)]), np.kron(np.ones(n), np.eye(k))]),
+                  b_eq=np.concatenate([eye.ravel(), np.eye(k)[0]]))
+    assert res.status in (0, 2), res.message  # feasible or infeasible
+    return res.status == 0
+
+
+@seed(20120321)
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([2, 3]), order=st.sampled_from([1, 2, 3, 4]),
+       count=st.integers(min_value=2, max_value=8), extra=st.sampled_from([0, 1, 2]),
+       point_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_capacity_matches_a_brute_force_oracle_on_random_hulls(dim, order, count, extra,
+                                                               point_seed):
+    # the hull of at most 8 Gaussian points, closed under a rotation of the
+    # given order in the first two coordinates so that orbit marks decide
+    # candidates, and its image under an injective linear map into `extra`
+    # more dimensions, rank-deficient like the no-signalling faces.  The
+    # oracle tries every subset of each size until a size has none: the
+    # search's N and witness size match it, ⌊β⌋ in the span is at least N,
+    # and no LP is solved on a candidate with a subset one element smaller
+    # in the orbit of a set an earlier LP found not distinguishable
+    hull = pytest.importorskip("scipy.spatial").ConvexHull
+    rng = np.random.default_rng(point_seed)
+    base = rng.normal(size=(min(count, 8 // order), dim))
+    turn = np.eye(dim)
+    turn[:2, :2] = [[np.cos(2 * np.pi / order), -np.sin(2 * np.pi / order)],
+                    [np.sin(2 * np.pi / order), np.cos(2 * np.pi / order)]]
+    points = np.vstack([base @ np.linalg.matrix_power(turn, i).T for i in range(order)])
+    assume(len(points) > dim + 1)
+    corners = points[np.sort(hull(points).vertices)]
+    verts = np.column_stack([np.ones(len(corners)), corners])
+    embed = np.vstack([np.eye(dim + 1)[:1], rng.normal(size=(dim + extra, dim + 1))])
+    assume(np.linalg.cond(embed) < 20)
+    tol = resolve_tol(None)
+    for rows in (verts, verts @ embed.T):
+        space = StateSpace(name="random", rep=PolytopeRep(rows))
+        verts_k = vertices_of(space)
+        answers = {}
+
+        def oracle(subset):
+            if subset not in answers:
+                answers[subset] = _highs_distinguishable(verts_k, subset)
+            return answers[subset]
+
+        n = 1
+        while n < len(verts_k) and any(oracle(c) for c in combinations(range(len(verts_k)), n + 1)):
+            n += 1
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            result, solved = _solved_candidates(monkeypatch, space)
+        assert (result.n, result.exact, result.witness.n) == (n, True, n)
+        assert verify_witness(space, result.witness)
+        bound = discrimination._span_bound(verts_k, tol)
+        assert bound is not None and bound >= n
+        perms = discrimination._vertex_permutations(verts_k, tol)
+        refuted = set()
+        for cand in solved:
+            assert not any(cand[:x] + cand[x + 1:] in refuted for x in range(len(cand))), cand
+            if not oracle(cand):
+                refuted.update(map(tuple, np.sort(perms[:, cand], axis=1).tolist()))
 
 
 def test_measurements_witnesses_and_capacity_results_compare_by_value():
@@ -524,6 +602,12 @@ def _identity_only(verts, tol):
     return np.arange(verts.shape[0])[None, :]
 
 
+def _without_bound(monkeypatch):
+    """Disable the ⌊β⌋ bound, from facets or from the span, so that the
+    search runs until its candidates run out."""
+    monkeypatch.setattr(discrimination, "_capacity_bound", lambda *args: None)
+
+
 def _assert_orbits_change_nothing(monkeypatch, space, **kwargs):
     # the memo keyed by the group's permutations, by a fresh search, and by
     # the identity alone (one LP per candidate) gives one answer
@@ -575,7 +659,9 @@ def test_orbit_memo_matches_an_lp_per_candidate_on_the_no_signalling_faces(monke
 @pytest.mark.parametrize("lp_budget", [2, 30, 60])
 def test_lp_budget_counts_only_the_lps_solved(monkeypatch, lp_budget):
     # candidates the orbit memo decides are free, so the orbit search gets at
-    # least as far as one LP per candidate on the same budget
+    # least as far as one LP per candidate on the same budget; without the
+    # bound, the face takes 11 LPs with its orbits and 177 without them
+    _without_bound(monkeypatch)
     face = _ns_face()
     calls = _count_pair_lps(monkeypatch)
     with_orbits = capacity(face, lp_budget=lp_budget)
@@ -600,17 +686,18 @@ def test_orbit_memo_with_a_large_symmetry_group(monkeypatch):
 def test_orbit_memo_falls_back_to_the_identity_past_the_node_budget(monkeypatch):
     # a search that passes SYMMETRY_NODE_BUDGET nodes keeps only the identity:
     # one LP per candidate, and the same result as the search's orbits
+    _without_bound(monkeypatch)
     face = _ns_face()
     assert face.group is None
     calls = _count_pair_lps(monkeypatch)
     searched = capacity(face)
-    assert len(calls) == 9
+    assert len(calls) == 11
     monkeypatch.setattr(discrimination, "SYMMETRY_NODE_BUDGET", 1)
     assert discrimination._vertex_permutations(vertices_of(face), 1e-9).tolist() == [
         list(range(8))]
     calls.clear()
     assert capacity(face) == searched
-    assert len(calls) > 9
+    assert len(calls) == 177
 
 
 # Integer points on a circle and on a sphere: every subset is in convex position.
@@ -639,17 +726,25 @@ def test_orbit_memo_on_integer_polytopes_and_their_linear_images(points, map_see
 
 
 def test_one_lp_per_orbit_on_the_no_signalling_polytope(monkeypatch):
-    # each 8-vertex face has 128 linear symmetries and 9 orbits of candidates;
-    # the whole polytope has 91 (10, 33, 39 and 9 by level)
-    calls = _count_pair_lps(monkeypatch)
-    for face in _ns_faces():
-        calls.clear()
-        assert capacity(face, lp_budget=100_000).n == 4
-        assert len(calls) == 9
-    calls.clear()
+    # each 8-vertex face has 128 linear symmetries, and its span bound
+    # ⌊β⌋ = 4 ends the search after 3 or 4 LPs, 56 over the 16 faces; the
+    # whole polytope's facet bound ends it after 4.  Without the bound the
+    # search decides every candidate: 11 LPs per face and 187 on the whole
+    # polytope, never two in one orbit
     sq = square_gbit()
-    assert capacity(compose(sq, sq, "max").space, lp_budget=100_000).n == 4
-    assert len(calls) <= 91
+    spaces = _ns_faces() + [compose(sq, sq, "max").space]
+    lps = []
+    for space in spaces:
+        result, solved = _solved_candidates(monkeypatch, space, lp_budget=100_000)
+        assert (result.n, result.exact) == (4, True)
+        lps.append(len(solved))
+    assert set(lps[:16]) == {3, 4} and sum(lps[:16]) == 56 and lps[16] == 4
+    _without_bound(monkeypatch)
+    for space, lps in zip(spaces, [11] * 16 + [187]):
+        perms = vertex_symmetries(vertices_of(space), 1e-9, 10**6)
+        result, solved = _solved_candidates(monkeypatch, space, lp_budget=100_000)
+        assert (result.n, result.exact) == (4, True)
+        assert len(solved) == len({_lexicographic_orbit_key(perms, c) for c in solved}) == lps
 
 
 def _hypercube(d: int) -> StateSpace:
@@ -693,40 +788,56 @@ def _spaces(name: str) -> list[StateSpace]:
 def test_the_marked_search_solves_one_lp_per_orbit(monkeypatch, name):
     # the identity-only search solves every candidate; the marked search
     # solves one of each orbit of them under the whole vertex group, and
-    # gives the same result
-    for space in _spaces(name):
-        groupless = replace(space, group=None)
-        perms = getattr(space.group, "perms", None)
-        if perms is None:
-            perms = vertex_symmetries(vertices_of(space), 1e-9, 10**6)
-        marked, marked_lps = _solved_candidates(monkeypatch, space, lp_budget=100_000)
-        with monkeypatch.context() as m:
-            m.setattr(discrimination, "_vertex_permutations", _identity_only)
-            every_lp, candidates = _solved_candidates(monkeypatch, groupless, lp_budget=100_000)
-        orbits = {_lexicographic_orbit_key(perms, cand) for cand in candidates}
-        assert marked == every_lp, space.name
-        assert len(marked_lps) == len(orbits), space.name
+    # gives the same result.  Without the bound the search runs to the end,
+    # where a subset marked non-distinguishable skips candidates that the
+    # identity-only search still solves: there the marked search solves no
+    # orbit twice and at most one LP per orbit of the identity-only search's
+    for bound in (True, False):
+        with monkeypatch.context() as unbounded:
+            if not bound:
+                _without_bound(unbounded)
+            for space in _spaces(name):
+                groupless = replace(space, group=None)
+                perms = getattr(space.group, "perms", None)
+                if perms is None:
+                    perms = vertex_symmetries(vertices_of(space), 1e-9, 10**6)
+                marked, marked_lps = _solved_candidates(monkeypatch, space, lp_budget=100_000)
+                with monkeypatch.context() as m:
+                    m.setattr(discrimination, "_vertex_permutations", _identity_only)
+                    every_lp, candidates = _solved_candidates(monkeypatch, groupless,
+                                                              lp_budget=100_000)
+                orbits = {_lexicographic_orbit_key(perms, cand) for cand in candidates}
+                solved = {_lexicographic_orbit_key(perms, cand) for cand in marked_lps}
+                assert marked == every_lp, space.name
+                if bound:
+                    assert len(marked_lps) == len(orbits), space.name
+                else:
+                    assert len(marked_lps) == len(solved) <= len(orbits), space.name
 
 
 def test_default_lp_budget_counts_lps_not_candidates(monkeypatch):
-    # 44 LPs decide the no-signalling polytope's candidates up to its first
-    # distinguishable 4-set, where its facets' bound ⌊β⌋ = 4 ends the search
-    # (91 LPs and 5760 candidates without it); 15 decide the 5-cube's and 4
-    # the 6-cross's, whose 46,080 symmetries mark each level with one LP,
-    # all far below the default budget of 4000 LPs
+    # without the bound ⌊β⌋, 187 LPs decide the no-signalling polytope's
+    # candidates, of which the identity-only search solves 10,578; 15 decide
+    # the 5-cube's and 4 the 6-cross's, whose 46,080 symmetries mark a whole
+    # size with one LP, all far below the default budget of 4000 LPs.  With
+    # the bound the first distinguishable 4-set or pair ends each search
     sq = square_gbit()
+    spaces = [(compose(sq, sq, "max").space, 4), (_hypercube(5), 2), (_cross_polytope(6), 2)]
     calls = _count_pair_lps(monkeypatch)
-    for space, n, lps in [(compose(sq, sq, "max").space, 4, 44), (_hypercube(5), 2, 15),
-                          (_cross_polytope(6), 2, 4)]:
-        calls.clear()
-        result = capacity(space)
-        assert (result.n, result.exact, len(calls)) == (n, True, lps)
+    for bounded_lps, unbounded_lps in [((4, 1, 1), None), (None, (187, 15, 4))]:
+        if unbounded_lps:
+            _without_bound(monkeypatch)
+        for (space, n), lps in zip(spaces, bounded_lps or unbounded_lps):
+            calls.clear()
+            result = capacity(space)
+            assert (result.n, result.exact, len(calls)) == (n, True, lps)
 
 
 def test_linearly_independent_vertices_take_no_lp(monkeypatch):
     # a facet of classical(8) is a simplex with 7 vertices: its capacity is 7
     # by theorem, with the dual basis as witness, where the search decides
-    # all 120 subsets and ends with the LP on all of them
+    # all 120 subsets, with the bound ⌊β⌋ = 7 disabled, and ends with the LP
+    # on all of them
     facet = StateSpace(name="facet", rep=PolytopeRep(vertices_of(classical(8))[1:]))
     calls = _count_pair_lps(monkeypatch)
     result = capacity(facet)
@@ -735,6 +846,7 @@ def test_linearly_independent_vertices_take_no_lp(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(discrimination.np.linalg, "matrix_rank", lambda verts: -1)
         m.setattr(discrimination, "_vertex_permutations", _identity_only)
+        _without_bound(m)
         searched = capacity(facet)
     assert len(calls) == 120
     assert (searched.n, searched.exact) == (result.n, result.exact)
@@ -775,17 +887,22 @@ def test_capacity_vertex_budget(monkeypatch):
     assert calls == []
 
 
-def test_capacity_lp_budget_gives_lower_bound():
-    # the square's 6 pairs fall into 2 orbits (edges, diagonals): 2 LPs
-    # without facets; with them, ⌊β⌋ = 2 ends the search at the first
-    # distinguishable pair, within a budget of 1 LP
+def test_capacity_lp_budget_gives_lower_bound(monkeypatch):
+    # ⌊β⌋ = 2, from the square's facets or from a DD of its bare vertices,
+    # ends the search at the first distinguishable pair, within a budget of
+    # 1 LP; without the bound the next candidate, a triple, finds the budget
+    # spent, and that pair is the lower bound; a budget of 0 LPs leaves one
+    # vertex
     sq = square_gbit()
     bare = StateSpace(name="square", rep=PolytopeRep(vertices_of(sq)))
-    result = capacity(bare, lp_budget=1)
-    assert not result.exact
-    assert result.lower_bound == 1 and verify_witness(sq, result.witness)
-    result = capacity(sq, lp_budget=1)
-    assert (result.n, result.exact) == (2, True) and verify_witness(sq, result.witness)
+    for space in (sq, bare):
+        result = capacity(space, lp_budget=1)
+        assert (result.n, result.exact) == (2, True) and verify_witness(sq, result.witness)
+    _without_bound(monkeypatch)
+    for budget, lower_bound in [(1, 2), (0, 1)]:
+        result = capacity(bare, lp_budget=budget)
+        assert not result.exact
+        assert result.lower_bound == lower_bound and verify_witness(sq, result.witness)
 
 
 def test_uniform_decomposition_size_equals_capacity():
@@ -805,9 +922,10 @@ def test_uniform_decomposition_size_equals_capacity():
 
 
 def test_decomposition_raises_when_the_capacity_search_runs_out(monkeypatch):
-    # the 5-cube with the identity as its only symmetry: all 496 pairs are
-    # distinguishable, and its 4960 triples exhaust the default 4000 LPs
-    # (4 s); 500 LPs run out among the triples the same way
+    # the 5-cube with the identity as its only symmetry and its bound
+    # ⌊β⌋ = 2 disabled: all 496 pairs are distinguishable, and 500 LPs run
+    # out among its 4960 triples
+    _without_bound(monkeypatch)
     cube = _hypercube(5)
     space = replace(cube, group=FiniteMatrixGroup(np.eye(6)[None], perms=[range(32)]))
     monkeypatch.setattr(symmetry, "capacity", partial(capacity, lp_budget=500))
@@ -826,6 +944,18 @@ def test_fit_capacity_exponent():
         fit_capacity_exponent([])
     with pytest.raises(DomainError):
         fit_capacity_exponent([(0, 1)])
+
+
+@pytest.mark.parametrize("pair", [(2, 4.9), (2.7, 4), (2.0, 4), (True, 1), (2, np.True_), ("2", 4)])
+def test_fit_capacity_exponent_rejects_a_value_that_is_not_an_integer(pair):
+    # capacities and dimensions are counts; int() truncated (2, 4.9) and
+    # (2.7, 4) to (2, 4), and both fitted r = 2
+    with pytest.raises(DomainError):
+        fit_capacity_exponent([pair])
+
+
+def test_fit_capacity_exponent_takes_numpy_integers():
+    assert fit_capacity_exponent([(np.int64(2), np.int32(4)), (np.uint8(3), 9)]) == 2
 
 
 def test_admissible_bit_dimensions():
