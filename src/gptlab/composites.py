@@ -120,9 +120,11 @@ def _cone_rays(space: StateSpace, tol: float) -> np.ndarray | None:
 
 
 def _part_cone_rays(a: StateSpace, b: StateSpace, tol: float):
-    """``_cone_rays`` of both parts, enumerated once when they are one space."""
+    """``_cone_rays`` of both parts, enumerated once when they are equal
+    spaces: parts whose reps are equal, as polytopes with the same
+    canonicalized vertices are, have one effect cone."""
     rays_a = _cone_rays(a, tol)
-    return rays_a, rays_a if b is a else _cone_rays(b, tol)
+    return rays_a, rays_a if b.rep == a.rep else _cone_rays(b, tol)
 
 
 def _integral(arr: np.ndarray) -> bool:
@@ -137,8 +139,10 @@ def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None) -
     product effects; vertices enumerated by double description from the
     product-effect inequalities, which the polytope keeps as its facets.
     Integral cases up to K = 16 run the exact path on primitive integer
-    rays; dividing by the first (normalization) entry with ``int / int``
-    rounds each coordinate correctly.  The
+    rays; dividing by the first (normalization) entry with ``int / int``,
+    one object-array division, rounds each coordinate correctly.  A ray
+    whose first entry is not positive (at most ``tol`` on the float path)
+    cannot be normalized and raises UnsupportedRepresentationError.  The
     enumeration raises BudgetExceededError as soon as it shows more than
     ``MAX_COMPOSITE_VERTICES`` vertices.
     """
@@ -156,17 +160,18 @@ def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None) -
 
     rays_a, rays_b = _part_cone_rays(a, b, tol)
     rows = product_effect(rays_a[:, None], rays_b[None]).reshape(-1, k)
-    if _integral(rows) and rows.shape[1] <= 16:
-        ints = dual_cone_rays_exact(np.round(rows).astype(int),
-                                    max_rays=MAX_COMPOSITE_VERTICES)
-        rays = np.array([[x / r[0] for x in r] for r in ints])
+    exact = _integral(rows) and k <= 16
+    if exact:
+        raw = np.array(dual_cone_rays_exact(np.round(rows).astype(int),
+                                            max_rays=MAX_COMPOSITE_VERTICES),
+                       dtype=object).reshape(-1, k)
     else:
         raw = dual_cone_rays(rows, tol=tol, max_rays=MAX_COMPOSITE_VERTICES)
-        if np.any(raw[:, 0] <= tol):
-            raise UnsupportedRepresentationError(
-                "max tensor enumeration produced an unnormalizable ray"
-            )
-        rays = raw / raw[:, 0:1]
+    if np.any(raw[:, 0] <= (0 if exact else tol)):
+        raise UnsupportedRepresentationError(
+            "max tensor enumeration produced an unnormalizable ray"
+        )
+    rays = (raw / raw[:, :1]).astype(float, copy=False)
     rep = PolytopeRep(rays, facets=rows)
     return Composite(a, b, rule, space=StateSpace(name=name, rep=rep))
 

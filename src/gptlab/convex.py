@@ -82,6 +82,8 @@ class PolytopeRep:
                 raise ValidationError(
                     f"facets must have shape (M, {verts.shape[1]}), got {facets.shape}"
                 )
+            if not np.all(np.isfinite(facets)):
+                raise ValidationError("non-finite facet coordinate")
             facets.setflags(write=False)
             object.__setattr__(self, "facets", facets)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gptlab import runner
+from gptlab import geometry, runner
 from gptlab.lp import engine as lp_engine
 from gptlab.runner import check_postulates, report_render
 
@@ -117,6 +117,40 @@ def test_seed0_pass_zero_solves_its_pinned_number_of_lps(monkeypatch, workload, 
     assert wrong == []
     assert len(solutions) == lps
     assert sum(s.iterations for s in solutions) == iterations
+
+
+def _count_calls(monkeypatch, name: str, calls: dict) -> None:
+    """Count the calls of ``geometry.<name>`` in ``calls[name]``, through every
+    gptlab module that imported it, as the benchmark tracer does."""
+    original = getattr(geometry, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (module is not None and module.__name__.startswith("gptlab")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counting)
+
+
+def test_seed0_compose_max_pass_zero_runs_its_pinned_number_of_dds(monkeypatch):
+    # the DD gate: the geometry.dd_calls and geometry.dd_exact_calls a traced
+    # seed-0 compose_max run reports per pass, counted in-process in every
+    # gptlab namespace that holds the entry points; every answer must still
+    # be right.  Each op enumerates its part once when both parts have equal
+    # vertices (square|square, 5-gon|5-gon) and twice otherwise, then the
+    # composite: exact for square|square and square|cube (9 ops), float for
+    # the other 15
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    prepared = workloads.WORKLOADS["compose_max"].setup(0, False, workloads.load_golden())
+    calls = {"dual_cone_rays": 0, "dual_cone_rays_exact": 0}
+    for name in calls:
+        _count_calls(monkeypatch, name, calls)
+    wrong = [op.label for op in prepared.ops(0) if not op.check(op.run())]
+    assert wrong == []
+    assert calls == {"dual_cone_rays": 53, "dual_cone_rays_exact": 9}
 
 
 def test_seed0_check_corpus_pass_zero_builds_two_composites(monkeypatch):

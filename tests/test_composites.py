@@ -182,6 +182,41 @@ def test_a_part_with_facets_gives_compose_its_cone_rays_without_a_dd(monkeypatch
     assert faceted.space.rep.facets.tobytes() == bare.space.rep.facets.tobytes()
 
 
+@pytest.mark.parametrize("name", ["square", "5-gon"], ids=["exact", "float"])
+def test_a_part_and_an_equal_copy_share_one_part_dd(monkeypatch, name):
+    # parts with equal vertices have one effect cone: a copy built apart, its
+    # vertices in another order, costs no second part DD, and the composite
+    # keeps the bytes of the part composed with itself
+    verts = vertices_of(_corpus_part(name))
+    part = StateSpace(name=name, rep=PolytopeRep(verts))
+    copy = StateSpace(name=name, rep=PolytopeRep(verts[::-1].copy()))
+    part_dds = []
+    dd = gptlab.composites.dual_cone_rays
+
+    def counting(generators, *args, **kwargs):
+        if np.shape(generators)[1] == verts.shape[1]:
+            part_dds.append(generators)
+        return dd(generators, *args, **kwargs)
+
+    monkeypatch.setattr(gptlab.composites, "dual_cone_rays", counting)
+    shared = compose(part, copy, "max").space.rep
+    assert len(part_dds) == 1
+    itself = compose(part, part, "max").space.rep
+    assert len(part_dds) == 2
+    assert shared.vertices.tobytes() == itself.vertices.tobytes()
+    assert shared.facets.tobytes() == itself.facets.tobytes()
+
+
+@pytest.mark.parametrize("verts", [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.5], [1.0, 0.25]]],
+                         ids=["exact", "float"])
+def test_an_unnormalizable_max_tensor_ray_is_refused_on_both_paths(verts):
+    # vertices with a zero normalization coordinate give rays with x_0 = 0,
+    # which neither path can scale to x_0 = 1
+    part = StateSpace(name="x", rep=PolytopeRep(np.array(verts)))
+    with pytest.raises(UnsupportedRepresentationError, match="unnormalizable ray"):
+        compose(part, part, "max")
+
+
 @pytest.mark.parametrize(
     "make_a, make_b",
     [

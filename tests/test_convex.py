@@ -182,6 +182,16 @@ def test_polytope_facets_of_the_wrong_shape_are_rejected(bad):
         PolytopeRep(vertices_of(square_gbit()), facets=bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_polytope_facets_with_a_non_finite_entry_are_rejected(bad):
+    # contains_state and compose trust the facets; a NaN row would reach
+    # compose as an "unnormalizable ray"
+    facets = np.array(SQUARE_FACETS, dtype=float)
+    facets[2, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite facet coordinate"):
+        PolytopeRep(vertices_of(square_gbit()), facets=facets)
+
+
 def test_contains_state_reads_the_facets_when_a_polytope_has_them(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("cone LP solved")

@@ -177,6 +177,17 @@ def test_not_pointed_raises():
         dual_cone_rays_exact(np.array([[2, 1, 0], [4, 2, 0], [0, 0, 1]]))  # rank 2 in R^3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("enumerate_rays", [dual_cone_rays, dual_cone_rays_exact],
+                         ids=["float", "exact"])
+def test_a_non_finite_generator_entry_is_refused(enumerate_rays, bad):
+    # a NaN row would drop out of the float enumeration unseen, since every
+    # comparison with NaN is false, and an infinite entry has no Fraction
+    rows = [[1.0, 0.0, 0.0], [1.0, bad, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+    with pytest.raises(ValidationError, match="non-finite generator entry"):
+        enumerate_rays(rows)
+
+
 def test_no_signalling_polytope_vertex_count_and_oracle():
     square_rays = dual_cone_rays(SQUARE_VERTICES)
     rows = np.array([np.kron(f, g) for f in square_rays for g in square_rays])
