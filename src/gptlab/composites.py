@@ -35,6 +35,7 @@ from gptlab.convex import (
 from gptlab.discrimination import (
     DEFAULT_LP_BUDGET,
     DistinguishabilityWitness,
+    _check_lp_budget,
     capacity,
     complete_measurement,
     verify_witness,
@@ -335,8 +336,10 @@ def capacity_multiplicativity_check(c: Composite, full_search: bool = False,
 
     A full search that runs out of budget, of LPs or of vertices, leaves
     ``composite_capacity`` None and ``ok`` as the product witness has it,
-    rather than reporting a failure.
+    rather than reporting a failure.  ``lp_budget`` is checked as
+    ``capacity`` checks it, with or without the full search.
     """
+    _check_lp_budget(lp_budget)
     tol = resolve_tol(tol)
     wa = complete_measurement(c.part_a, tol=tol)
     wb = complete_measurement(c.part_b, tol=tol)

@@ -235,7 +235,9 @@ def _quantum_capacity(space: StateSpace) -> CapacityResult:
 
 def _vertex_permutations(verts: np.ndarray, tol: float) -> np.ndarray:
     """Vertex permutations of linear symmetries, one per row: the group that
-    ``geometry.vertex_symmetries`` finds.  If the search passes
+    ``geometry.vertex_symmetries`` finds.  ``capacity`` calls it at most
+    once per search, at the first LP that answers "not distinguishable",
+    since only then can a mark save an LP.  If the search passes
     SYMMETRY_NODE_BUDGET nodes, only the identity is kept: any set of
     verified symmetries marks sound orbits, only smaller ones.
     """
@@ -293,6 +295,15 @@ def _span_bound(verts: np.ndarray, tol: float) -> int | None:
     return _capacity_bound(coords, facets, tol)
 
 
+def _check_lp_budget(lp_budget) -> None:
+    """Raise DomainError unless ``lp_budget`` is a nonnegative integer,
+    Python's or numpy's, and not a bool: a negative budget would end a
+    search at once, as if it had run out."""
+    if (isinstance(lp_budget, (bool, np.bool_)) or not isinstance(lp_budget, (int, np.integer))
+            or lp_budget < 0):
+        raise DomainError(f"lp_budget must be a nonnegative integer, got {lp_budget!r}")
+
+
 def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
              tol: float | None = None) -> CapacityResult:
     """Maximal number of jointly perfectly distinguishable states.
@@ -312,6 +323,16 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
     ``geometry.vertex_symmetries`` finds.  After each LP the answer is
     marked on the candidate, which a loaded group need not fix, and on each
     of its sorted images, one per symmetry; a marked candidate takes no LP.
+    Without a group, the symmetries are searched only at the first LP that
+    answers "not distinguishable" (``_vertex_permutations``), and the marks
+    of the LPs solved before it are then replayed in solve order.  Until
+    then only the candidate is marked, and no mark is lost: before the
+    first "no" the search follows one chain (0, 1), (0, 1, 2), .. whose
+    candidates each open a new size, so no earlier mark could decide one,
+    and no subset is marked not distinguishable; the LPs solved, and so the
+    result, are those of a search that finds the symmetries first.  A
+    search that meets no "no", such as one that the bound ends at the first
+    pair, searches no symmetries.
     The search bounds itself by N ≤ ⌊β⌋ (``_capacity_bound``), from the
     polytope's facets or, without them, from one DD in the span of its
     vertices (``_span_bound``): the first distinguishable candidate of size
@@ -336,8 +357,10 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
     distinguishable set of the largest size found.  The search records no
     distinguishable pairs: a polytope with two or more vertices gives every
     vertex a partner by theorem, which is how P4′ is decided
-    (``runner._check_p4_prime``).
+    (``runner._check_p4_prime``).  ``lp_budget`` must be a nonnegative
+    integer (``_check_lp_budget``), on every kind of space.
     """
+    _check_lp_budget(lp_budget)
     tol = resolve_tol(tol)
     rep = space.rep
     if isinstance(rep, BallRep):
@@ -353,14 +376,18 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
     if nv > DEFAULT_VERTEX_BUDGET:
         return CapacityResult(None, best)
     perms = getattr(space.group, "perms", None)  # a FiniteMatrixGroup's checked table
-    if perms is None:
-        perms = _vertex_permutations(verts, tol)
     facets = getattr(rep, "facets", None)  # a PolytopeRep's, when known
     bound = _span_bound(verts, tol) if facets is None else _capacity_bound(verts, facets, tol)
 
     firsts = [best]  # the witness of the first distinguishable set of each size
     decided: dict[tuple, bool] = {}  # candidate -> distinguishable
     spent = 0  # LPs solved
+
+    def mark(cand: tuple, answer: bool) -> None:
+        """Mark cand's orbit: cand and its sorted images."""
+        images = np.sort(perms[:, cand], axis=1).tolist()
+        decided.update(dict.fromkeys([cand, *map(tuple, images)], answer))
+
     stack = list(combinations(range(nv), 2))[::-1]  # popped in lexicographic order
     while stack:
         cand = stack.pop()
@@ -371,9 +398,14 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
                 return CapacityResult(None, firsts[-1])
             spent += 1
             w = distinguishable_unchecked(space, verts[list(cand)], tol)
-            # mark cand's orbit: cand and its sorted images
-            images = np.sort(perms[:, cand], axis=1).tolist()
-            decided.update(dict.fromkeys([cand, *map(tuple, images)], w is not None))
+            if perms is None and w is None:  # the first "no": replay the marks so far
+                perms = _vertex_permutations(verts, tol)
+                for solved in list(decided):  # in solve order, all distinguishable
+                    mark(solved, True)
+            if perms is None:
+                decided[cand] = True
+            else:
+                mark(cand, w is not None)
         if decided[cand]:
             if len(cand) > len(firsts):  # the first of its size has its own LP
                 firsts.append(w)

@@ -43,10 +43,14 @@ stabilizer chain along a basis among the vertices: backtracking, pruned by
 whitened Gram signatures, finds one verified symmetry per coset of each
 stabilizer in the next larger one, and the group elements are the products
 of these coset representatives, formed as arrays in the order of a search
-over the whole tree and each checked against its linear map.  Each image the
+over the whole tree and each checked against its linear map.  The pruning
+filter intersects Python-int bitmasks over the vertices, precomputed once
+per search for each pair of basis positions and each vertex, where a numpy
+comparison per node would cost more than the node.  Each image the
 backtracking tries and each product formed counts against one node budget,
 ``SYMMETRY_NODE_BUDGET``, which the checker's groups and the capacity
-search's orbits share.
+search's orbits share.  The capacity search asks for its orbits only at its
+first LP that answers "not distinguishable".
 """
 
 from __future__ import annotations
@@ -455,13 +459,8 @@ def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int)
     basis_pinv = np.linalg.pinv(verts[basis].T)
     nv = verts.shape[0]
     alike = np.array([(signature == signature[a]).all(axis=1) for a in basis]).reshape(-1, nv)
+    fits = _image_filter(gram, alike, basis)
     nodes = 0
-
-    def fits(images: list[int], used: np.ndarray) -> list[int]:
-        """Unused vertices that may be the image of the next basis vertex."""
-        i = len(images)
-        ok = alike[i] & ~used & (gram[:, images] == gram[basis[i], basis[:i]]).all(axis=1)
-        return np.flatnonzero(ok)[::-1].tolist()
 
     def visit() -> None:
         nonlocal nodes
@@ -474,21 +473,18 @@ def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int)
         that sends b_0.. to ``images``."""
         if len(images) == len(basis):
             return vertex_permutation(verts, verts[images].T @ basis_pinv, tol)
-        used = np.zeros(nv, dtype=bool)
-        used[images] = True
-        pending = [fits(images, used)]  # untried images, one list per basis vertex
+        pending = [fits(images)]  # untried images, one list per basis vertex
         while pending:
             if not pending[-1]:
                 pending.pop()
                 if pending:
-                    used[images.pop()] = False
+                    images.pop()
                 continue
             visit()
             j = pending[-1].pop()
             if len(images) + 1 < len(basis):
-                used[j] = True
                 images.append(j)
-                pending.append(fits(images, used))
+                pending.append(fits(images))
                 continue
             perm = vertex_permutation(verts, verts[images + [j]].T @ basis_pinv, tol)
             if perm is not None:
@@ -513,10 +509,8 @@ def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int)
     transversals = []  # T_i, one verified symmetry per image of b_i
     for i, b in enumerate(basis):
         fixed = basis[:i]
-        used = np.zeros(nv, dtype=bool)
-        used[fixed] = True
         level = []
-        for j in fits(fixed, used):
+        for j in fits(fixed):
             visit()
             perm = identity if j == b else completion(fixed + [j])
             if perm is not None:
@@ -532,6 +526,53 @@ def vertex_symmetries(vertices: np.ndarray, tol: float | None, node_budget: int)
 
     elements = _chain_products(transversals, basis, nv)
     return elements[accepted(elements)]
+
+
+def _image_filter(gram: np.ndarray, alike: np.ndarray, basis: list[int]
+                  ) -> Callable[[list[int]], list[int]]:
+    """The Gram filter of ``vertex_symmetries``: ``fits(images)`` lists,
+    from the highest index down, the vertices w outside ``images`` alike to
+    b_i, i = len(images), with gram[w, images[k]] == gram[b_i, b_k] for
+    every k < i.
+
+    The filter works on Python-int bitmasks over the vertices, bit w for
+    vertex w: one of the vertices alike to each b_i, and for each k < i and
+    each vertex v one of the w != v with gram[w, v] == gram[b_i, b_k], read
+    from the column gram[:, v] and shared by the pairs with one Gram value.
+    An image v of b_k has its own bit cleared in the masks it selects, so
+    no vertex is an image twice.
+    """
+    alike_bits = _bitmask_rows(alike)
+    by_value = {}  # Gram value g -> row v: the w != v with gram[w, v] == g
+
+    def masks(g: float) -> list[int]:
+        if g not in by_value:
+            same = gram.T == g
+            np.fill_diagonal(same, False)
+            by_value[g] = _bitmask_rows(same)
+        return by_value[g]
+
+    gram_bits = [[masks(gram[b, basis[k]]) for k in range(i)] for i, b in enumerate(basis)]
+
+    def fits(images: list[int]) -> list[int]:
+        i = len(images)
+        ok = alike_bits[i]
+        for row, v in zip(gram_bits[i], images):
+            ok &= row[v]
+        found = []
+        while ok:
+            j = ok.bit_length() - 1
+            found.append(j)
+            ok ^= 1 << j
+        return found
+
+    return fits
+
+
+def _bitmask_rows(mask: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a Python int, bit w for column w."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _chain_products(transversals: list[np.ndarray], basis: list[int], nv: int) -> np.ndarray:

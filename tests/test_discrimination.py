@@ -574,14 +574,14 @@ CORPUS_POLYTOPES = ["square"] + [f"{n}-gon" for n in range(3, 13)] + [
     "cube", "octahedron", "tesseract"]
 
 
-def _ns_faces() -> list[StateSpace]:
+def _ns_faces(order_seed: int = 0) -> list[StateSpace]:
     """The 16 faces of the no-signalling polytope with 8 vertices, each cut
     out by two of its 16 positivity facets, vertices in seeded order."""
     sq = square_gbit()
     verts = vertices_of(compose(sq, sq, "max").space)
     facets = np.array([[0.0, 1, 0], [1, -1, 0], [0, 0, 1], [1, 0, -1]])
     tight = np.abs(verts @ np.array([np.kron(f, g) for f in facets for g in facets]).T) <= 1e-9
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(order_seed)
     faces = []
     for a, b in combinations(range(16), 2):
         face = verts[tight[:, a] & tight[:, b]]
@@ -753,8 +753,10 @@ def _hypercube(d: int) -> StateSpace:
                       rep=PolytopeRep(np.column_stack([np.ones(2**d), corners])))
 
 
-def _solved_candidates(monkeypatch, space, **kwargs) -> tuple[CapacityResult, list]:
-    """The capacity result and the index tuple of each candidate given an LP."""
+def _solved_candidates(monkeypatch, space, search=capacity, **kwargs
+                       ) -> tuple[CapacityResult, list]:
+    """The result of a capacity search and the index tuple of each candidate
+    given an LP."""
     row = {v.tobytes(): i for i, v in enumerate(vertices_of(space))}
     solved = []
     solve = discrimination.distinguishable_unchecked
@@ -765,7 +767,7 @@ def _solved_candidates(monkeypatch, space, **kwargs) -> tuple[CapacityResult, li
 
     with monkeypatch.context() as m:
         m.setattr(discrimination, "distinguishable_unchecked", recording_solve)
-        return capacity(space, **kwargs), solved
+        return search(space, **kwargs), solved
 
 
 def _lexicographic_orbit_key(perms: np.ndarray, cand: tuple) -> bytes:
@@ -813,6 +815,123 @@ def test_the_marked_search_solves_one_lp_per_orbit(monkeypatch, name):
                     assert len(marked_lps) == len(orbits), space.name
                 else:
                     assert len(marked_lps) == len(solved) <= len(orbits), space.name
+
+
+def _eager_capacity(space: StateSpace, lp_budget: int = 100_000, tol: float = 1e-9
+                    ) -> CapacityResult:
+    """Reference for capacity on a polytope: the search that finds the vertex
+    group before its first LP and marks each orbit from the first LP on."""
+    verts = vertices_of(space)
+    nv = verts.shape[0]
+    if np.linalg.matrix_rank(verts) == nv:
+        return discrimination._simplex_capacity(verts)
+    perms = getattr(space.group, "perms", None)
+    if perms is None:
+        perms = discrimination._vertex_permutations(verts, tol)
+    facets = space.rep.facets
+    bound = (discrimination._span_bound(verts, tol) if facets is None
+             else discrimination._capacity_bound(verts, facets, tol))
+    firsts = [discrimination._single_state_witness(space, verts[0])]
+    decided = {}
+    spent = 0
+    stack = list(combinations(range(nv), 2))[::-1]
+    while stack:
+        cand = stack.pop()
+        if any(decided.get(cand[:x] + cand[x + 1:]) is False for x in range(len(cand))):
+            continue
+        if cand not in decided:
+            if spent >= lp_budget:
+                return CapacityResult(None, firsts[-1])
+            spent += 1
+            w = discrimination.distinguishable_unchecked(space, verts[list(cand)], tol)
+            images = np.sort(perms[:, cand], axis=1).tolist()
+            decided.update(dict.fromkeys([cand, *map(tuple, images)], w is not None))
+        if decided[cand]:
+            if len(cand) > len(firsts):
+                firsts.append(w)
+                if len(cand) == bound:
+                    return CapacityResult(bound, w)
+            stack.extend(cand + (j,) for j in range(nv - 1, cand[-1], -1))
+    return CapacityResult(len(firsts), firsts[-1])
+
+
+def _count_group_searches(monkeypatch) -> list:
+    calls = []
+    search = discrimination._vertex_permutations
+
+    def counting_search(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(discrimination, "_vertex_permutations", counting_search)
+    return calls
+
+
+def test_a_search_with_no_lp_answering_no_searches_no_group(monkeypatch):
+    # ⌊β⌋ = 2 ends the 6-cube's and the 6-cross's search at their first
+    # pair, and an NS face whose first 4-set is distinguishable ends after
+    # 3 LPs: none of them answers "no", so none searches the vertex group,
+    # whose 46,080 elements the cubes share.  A face that meets a "no"
+    # searches it once, at that LP
+    searches = _count_group_searches(monkeypatch)
+    for space, n in [(_hypercube(6), 2), (_cross_polytope(6), 2)]:
+        result = capacity(space)
+        assert (result.n, result.exact, len(searches)) == (n, True, 0), space.name
+    lps = []
+    for face in _ns_faces():
+        searches.clear()
+        answers = []
+        solve = discrimination.distinguishable_unchecked
+
+        def recording_solve(*args):
+            w = solve(*args)
+            answers.append(w is not None)
+            return w
+
+        with monkeypatch.context() as m:
+            m.setattr(discrimination, "distinguishable_unchecked", recording_solve)
+            assert capacity(face).n == 4
+        lps.append(len(answers))
+        assert len(searches) == (not all(answers)), face.name
+        assert all(answers) == (len(answers) == 3), face.name
+    assert lps.count(3) and lps.count(4) and set(lps) == {3, 4}
+
+
+def _lazy_group_inputs(name: str) -> list[StateSpace]:
+    if name == "ns-faces":
+        return [face for order_seed in range(3) for face in _ns_faces(order_seed)]
+    if name == "ns-polytope":
+        sq = square_gbit()
+        return [compose(sq, sq, "max").space]
+    if name == "corpus":
+        spaces = [build_space(load_theory(str(CORPUS / f"{n}.json"))) for n in CORPUS_POLYTOPES]
+        return ([replace(space, group=None) for space in spaces]
+                + [StateSpace(name=space.name, rep=PolytopeRep(vertices_of(space)))
+                   for space in spaces])
+    return {"5-cube": [_hypercube(5)], "5-cross": [_cross_polytope(5)],
+            "6-cross": [_cross_polytope(6)]}[name]
+
+
+@pytest.mark.parametrize("name", ["ns-faces", "ns-polytope", "corpus", "5-cube", "5-cross",
+                                  "6-cross"])
+def test_the_lazy_group_search_matches_the_eager_one(monkeypatch, name):
+    # searching the group at the first "no", and replaying the marks of the
+    # LPs before it, gives the result, its witness bytes and the LP count of
+    # the search that finds the group first, with the ⌊β⌋ bound and without
+    # it; the corpus polytopes run without their groups, with and without
+    # facets, so that capacity searches the group itself
+    for bound in (True, False):
+        with monkeypatch.context() as unbounded:
+            if not bound:
+                _without_bound(unbounded)
+            for space in _lazy_group_inputs(name):
+                assert space.group is None
+                lazy, lazy_lps = _solved_candidates(monkeypatch, space, lp_budget=100_000)
+                eager, eager_lps = _solved_candidates(monkeypatch, space, _eager_capacity)
+                assert lazy == eager and lazy_lps == eager_lps, (space.name, bound)
+                for a, b in [(lazy.witness.states, eager.witness.states),
+                             (lazy.witness.measurement.effects, eager.witness.measurement.effects)]:
+                    assert a.tobytes() == b.tobytes(), (space.name, bound)
 
 
 def test_default_lp_budget_counts_lps_not_candidates(monkeypatch):
@@ -903,6 +1022,29 @@ def test_capacity_lp_budget_gives_lower_bound(monkeypatch):
         result = capacity(bare, lp_budget=budget)
         assert not result.exact
         assert result.lower_bound == lower_bound and verify_witness(sq, result.witness)
+
+
+@pytest.mark.parametrize("lp_budget", [-1, True, False, 2.0, 1.5, "3", None])
+def test_capacity_rejects_a_budget_that_is_not_a_nonnegative_integer(lp_budget):
+    # a negative budget ended the search at once with N None, as if a budget
+    # had run out, and a bool or a float passed as a count of LPs; each is
+    # refused on entry, on every kind of space, and through the composite
+    # check that passes the budget on
+    for space in (square_gbit(), gbit_ball(2), quantum(2), classical(3)):
+        with pytest.raises(DomainError, match="lp_budget"):
+            capacity(space, lp_budget=lp_budget)
+    pair = compose(square_gbit(), classical(2), "min")
+    for full_search in (True, False):
+        with pytest.raises(DomainError, match="lp_budget"):
+            capacity_multiplicativity_check(pair, full_search=full_search, lp_budget=lp_budget)
+
+
+def test_capacity_takes_any_nonnegative_integer_budget():
+    # a budget of 0 LPs is a budget like any other, and numpy integers count
+    assert capacity(square_gbit(), lp_budget=0).lower_bound == 1
+    assert capacity(square_gbit(), lp_budget=np.int64(1)) == capacity(square_gbit())
+    pair = compose(square_gbit(), classical(2), "min")
+    assert capacity_multiplicativity_check(pair, full_search=True, lp_budget=np.int64(0)).ok
 
 
 def test_uniform_decomposition_size_equals_capacity():

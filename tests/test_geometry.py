@@ -494,7 +494,9 @@ def test_vertex_symmetries_match_the_dfs_on_the_corpus(name):
     _assert_search_matches_dfs(vertices_of(build_space(load_theory(str(CORPUS / f"{name}.json")))))
 
 
-def test_vertex_symmetries_match_the_dfs_on_the_no_signalling_polytope_and_faces():
+def _no_signalling_polytope_and_faces() -> tuple[np.ndarray, list[np.ndarray]]:
+    """The vertices of the no-signalling polytope and of its 16 faces with 8
+    vertices, each cut out by two of its 16 positivity facets."""
     sq = square_gbit()
     verts = vertices_of(compose(sq, sq, "max").space)
     facets = np.array([[0.0, 1, 0], [1, -1, 0], [0, 0, 1], [1, 0, -1]])
@@ -502,10 +504,103 @@ def test_vertex_symmetries_match_the_dfs_on_the_no_signalling_polytope_and_faces
     faces = [verts[tight[:, a] & tight[:, b]] for a, b in combinations(range(16), 2)]
     faces = [face for face in faces if face.shape[0] == 8]
     assert len(faces) == 16
+    return verts, faces
+
+
+def test_vertex_symmetries_match_the_dfs_on_the_no_signalling_polytope_and_faces():
+    verts, faces = _no_signalling_polytope_and_faces()
     rng = np.random.default_rng(20)
     for polytope in [verts] + faces:
         for _ in range(3):
             _assert_search_matches_dfs(polytope[rng.permutation(polytope.shape[0])])
+
+
+def _numpy_image_filter(gram, alike, basis):
+    """Reference for geometry._image_filter: one numpy comparison per call."""
+    nv = gram.shape[0]
+
+    def fits(images):
+        i = len(images)
+        used = np.zeros(nv, dtype=bool)
+        used[images] = True
+        ok = alike[i] & ~used & (gram[:, images] == gram[basis[i], basis[:i]]).all(axis=1)
+        return np.flatnonzero(ok)[::-1].tolist()
+
+    return fits
+
+
+def _assert_filter_matches_numpy(monkeypatch, vertices, tol=1e-9):
+    # every call of the bitmask filter lists the images the numpy filter
+    # lists, in its order, and the rows are byte-identical to the rows the
+    # search finds with the numpy filter
+    image_filter = gptlab.geometry._image_filter
+    calls = []
+
+    def checked_filter(gram, alike, basis):
+        fast, slow = image_filter(gram, alike, basis), _numpy_image_filter(gram, alike, basis)
+
+        def fits(images):
+            calls.append(images)
+            assert fast(images) == slow(images), images
+            return fast(images)
+
+        return fits
+
+    with monkeypatch.context() as m:
+        m.setattr(gptlab.geometry, "_image_filter", checked_filter)
+        checked = vertex_symmetries(vertices, tol, 10**6)
+        m.setattr(gptlab.geometry, "_image_filter", _numpy_image_filter)
+        expected = vertex_symmetries(vertices, tol, 10**6)
+    got = vertex_symmetries(vertices, tol, 10**6)
+    assert calls
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes() == checked.tobytes()
+
+
+def _polytope(name: str) -> list[np.ndarray]:
+    if name == "ns-faces":
+        return _no_signalling_polytope_and_faces()[1]
+    if name in ("5-cube", "6-cube"):
+        d = int(name[0])
+        return [np.column_stack([np.ones(2**d), np.array(list(product((-1.0, 1.0), repeat=d)))])]
+    if name == "5-cross":
+        return [np.column_stack([np.ones(10), np.vstack([np.eye(5), -np.eye(5)])])]
+    return [vertices_of(build_space(load_theory(str(CORPUS / f"{name}.json"))))]
+
+
+@pytest.mark.parametrize("name", ["square"] + [f"{n}-gon" for n in range(3, 13)]
+                         + ["cube", "octahedron", "tesseract", "ns-faces", "5-cube", "5-cross",
+                            "6-cube"])
+def test_the_bitmask_filter_matches_the_numpy_filter(monkeypatch, name):
+    for verts in _polytope(name):
+        _assert_filter_matches_numpy(monkeypatch, verts)
+
+
+# Integer points on a circle and on a sphere: every subset is in convex position.
+CIRCLE = [p for p in product(range(-5, 6), repeat=2) if p[0] ** 2 + p[1] ** 2 == 25]
+SPHERE = [p for p in product(range(-3, 4), repeat=3) if sum(x * x for x in p) == 9]
+
+
+@seed(20121020)
+@settings(max_examples=40, deadline=None)
+@given(
+    points=st.sampled_from([CIRCLE, SPHERE]).flatmap(
+        lambda pts: st.lists(st.sampled_from(pts), min_size=3, max_size=12, unique=True)),
+    map_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_the_bitmask_filter_matches_the_numpy_filter_on_integer_polytopes(points, map_seed):
+    # integer points in convex position and their image under a linear map
+    # that fixes the unit effect (1, 0, ..)
+    verts = np.array([[1.0, *p] for p in points])
+    k = verts.shape[1]
+    assume(affine_dimension(verts) == k - 1)
+    a = np.eye(k)
+    a[1:] = np.random.default_rng(map_seed).uniform(-1.0, 1.0, size=(k - 1, k))
+    a[1:, 1:] += 1.5 * np.eye(k - 1)
+    assume(np.linalg.cond(a) < 20)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for v in (verts, verts @ a.T):
+            _assert_filter_matches_numpy(monkeypatch, v)
 
 
 @pytest.mark.parametrize("verts, n_elements", [
