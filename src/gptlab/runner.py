@@ -158,9 +158,6 @@ def build_space(td: TheoryDefinition) -> StateSpace:
             ) from None
         matrices = _float_array(_spec_field(td.group_spec, "matrices", "finite group"),
                                 "group matrices")
-        k = space.ambient_dim
-        if matrices.ndim != 3 or matrices.shape[1:] != (k, k):
-            raise ValidationError(f"group matrices must have shape (M, {k}, {k})")
         perms = _vertex_table(verts, matrices, resolve_tol(None))
         space = replace(space, group=FiniteMatrixGroup(matrices, perms=perms))
     if not _all_effects_allowed(td.allowed_effects):
@@ -456,18 +453,19 @@ def _chsh_metric(space: StateSpace, partner: StateSpace, rule: str,
     vertices; None where a part has no such readouts: balls, quantum
     systems, classical(1) and polytopes whose coordinates do not fit them.
 
-    Two simplices score 2 with no composite.  Max = min for classical parts,
+    Two simplices score 2 with no composite and no readouts built, or None
+    when one is classical(1).  Max = min for classical parts,
     so under either rule the composite is the simplex of products.  Both
     settings are the one measurement {e_1, u − e_1}, so CHSH = 2|⟨α⊗β⟩| ≤ 2
     for its ±1 observables α and β, and the product of the two level-1
     vertices reaches 2.  Only a pair with a polytope part is composed: the
     square under either rule, or a simplex with a square-fiducial partner."""
+    if isinstance(space.rep, SimplexRep) and isinstance(partner.rep, SimplexRep):
+        return 2.0 if min(space.rep.n, partner.rep.n) >= 2 else None
     ma = _canonical_binary_measurements(space)
     mb = _canonical_binary_measurements(partner)
     if ma is None or mb is None:
         return None
-    if isinstance(space.rep, SimplexRep) and isinstance(partner.rep, SimplexRep):
-        return 2.0
     try:
         comp = compose(space, partner, rule, tol=tol)
     except UnsupportedRepresentationError:

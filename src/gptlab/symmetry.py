@@ -1,12 +1,14 @@
 """Transformation groups, transitivity, invariant states, faces and probes.
 
 Group elements act as K x K matrices on homogeneous coordinates, fixing the
-normalization coordinate.  Finite families are given by explicit matrices or
-permutation tables, and their transitivity is an orbit computation.
-Parametric families (ball rotations, unitary conjugations) are decided by
-theorem once the descriptor is checked to match the representation:
-SO(d), d >= 2, is connected and transitive on the sphere S^{d-1}, and U(n) is
-connected and transitive on the pure states of an n-level system.
+normalization coordinate.  An explicit ``FiniteMatrixGroup`` is checked
+against the vertices as permutations, and its transitivity is an orbit
+computation.  The descriptor groups are decided by theorem once the
+descriptor is checked to match the representation: S_n relabels the levels
+of an n-level classical system, and the transposition (0 k) takes level 0 to
+level k; SO(d), d >= 2, is connected and transitive on the sphere S^{d-1};
+and U(n) is connected and transitive on the pure states of an n-level
+quantum system.
 """
 
 from __future__ import annotations
@@ -115,20 +117,15 @@ class UnitaryGroup:
 
 GroupDescriptor = FiniteMatrixGroup | PermutationGroup | RotationGroup | UnitaryGroup
 
-SYMMETRY_SEARCH_VERTEX_BUDGET = 16
-
 
 def polytope_symmetry_group(vertices: np.ndarray, tol: float | None = None) -> FiniteMatrixGroup:
     """The linear maps that permute the vertices, one matrix per permutation
     found by ``geometry.vertex_symmetries``, in lexicographic order of the
     permutations (the identity first); the group keeps those permutations
-    as its ``perms``."""
+    as its ``perms``.  ``SYMMETRY_NODE_BUDGET`` is the search's one bound,
+    whatever the number of vertices: BudgetExceededError is raised once the
+    search would pass it."""
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
-    nv = verts.shape[0]
-    if nv > SYMMETRY_SEARCH_VERTEX_BUDGET:
-        raise BudgetExceededError(
-            f"{nv} vertices exceed symmetry budget {SYMMETRY_SEARCH_VERTEX_BUDGET}"
-        )
     pinv = np.linalg.pinv(verts.T)
     perms = vertex_symmetries(verts, tol, SYMMETRY_NODE_BUDGET)
     perms = perms[np.lexsort(perms.T[::-1])]
@@ -187,12 +184,15 @@ def sample_element(group: GroupDescriptor, rng: np.random.Generator) -> np.ndarr
     raise UnsupportedRepresentationError(f"unknown group descriptor {group!r}")
 
 
-def check_parametric_group(space: StateSpace) -> None:
-    """Raise ValidationError unless the space's parametric group acts on it:
-    ``RotationGroup(d)`` on ``BallRep(d)`` with d >= 2, or ``UnitaryGroup(n)``
-    on ``QuantumRep(n)``."""
+def check_group_descriptor(space: StateSpace) -> None:
+    """Raise ValidationError unless the space's descriptor group acts on it:
+    ``PermutationGroup(n)`` on ``SimplexRep(n)``, ``RotationGroup(d)`` on
+    ``BallRep(d)`` with d >= 2, or ``UnitaryGroup(n)`` on ``QuantumRep(n)``.
+    Each is then transitive on the pure states by theorem."""
     group, rep = space.group, space.rep
-    if isinstance(group, RotationGroup):
+    if isinstance(group, PermutationGroup):
+        matches = isinstance(rep, SimplexRep) and rep.n == group.n
+    elif isinstance(group, RotationGroup):
         matches = isinstance(rep, BallRep) and rep.d == group.d >= 2
     elif isinstance(group, UnitaryGroup):
         matches = isinstance(rep, QuantumRep) and rep.n == group.n
@@ -216,29 +216,27 @@ def validate_group(space: StateSpace, tol: float | None = None) -> None:
     reads the group.
 
     A finite matrix group must be closed under product and inverse, and each
-    of its elements, like each generator of a permutation group, must
-    permute the vertices; the ``perms`` a finite matrix group carries must
-    be those permutations.  A parametric group must match the space.
+    of its elements must permute the vertices; the ``perms`` it carries must
+    be those permutations.  A descriptor group must match the space.
     """
     tol = resolve_tol(tol)
     group = space.group
     if group is None:
         raise DomainError(f"{space.name} has no group descriptor")
-    if isinstance(group, FiniteMatrixGroup):
-        keys = {_round_key(m) for m in group.matrices}
-        for a in group.matrices:
-            if np.abs(np.linalg.det(a)) < 1e-12:
-                raise ValidationError("singular group element")
-            if _round_key(np.linalg.inv(a)) not in keys:
-                raise ValidationError("group not closed under inverse")
-            for b in group.matrices:
-                if _round_key(a @ b) not in keys:
-                    raise ValidationError("group not closed under product")
-    elif not isinstance(group, PermutationGroup):
-        check_parametric_group(space)
+    if not isinstance(group, FiniteMatrixGroup):
+        check_group_descriptor(space)
         return
-    table = _vertex_table(vertices_of(space), _group_matrices(group), tol)
-    if getattr(group, "perms", None) is not None and not np.array_equal(group.perms, table):
+    keys = {_round_key(m) for m in group.matrices}
+    for a in group.matrices:
+        if np.abs(np.linalg.det(a)) < 1e-12:
+            raise ValidationError("singular group element")
+        if _round_key(np.linalg.inv(a)) not in keys:
+            raise ValidationError("group not closed under inverse")
+        for b in group.matrices:
+            if _round_key(a @ b) not in keys:
+                raise ValidationError("group not closed under product")
+    table = _vertex_table(vertices_of(space), group.matrices, tol)
+    if group.perms is not None and not np.array_equal(group.perms, table):
         raise ValidationError("group perms are not the vertex permutations of its matrices")
 
 
@@ -249,14 +247,17 @@ def validate_group(space: StateSpace, tol: float | None = None) -> None:
 @dataclass(frozen=True)
 class TransitivityResult:
     transitive: bool
-    witnesses: tuple = ()       # (source, target, matrix) triples; finite groups only
+    witnesses: tuple = ()       # (source, target, matrix) triples; finite groups and S_n
     stranded: np.ndarray | None = None
 
 
-def _vertex_table(verts: np.ndarray, matrices: np.ndarray | list[np.ndarray], tol: float
-                  ) -> np.ndarray:
+def _vertex_table(verts: np.ndarray, matrices: np.ndarray, tol: float) -> np.ndarray:
     """table[m, i]: index of the image of vertex i under matrices[m];
-    ValidationError unless every matrix permutes the vertices."""
+    ValidationError unless ``matrices`` is a (M, K, K) stack for K-coordinate
+    vertices and every matrix permutes the vertices."""
+    k = verts.shape[1]
+    if matrices.ndim != 3 or matrices.shape[1:] != (k, k):
+        raise ValidationError(f"group matrices must have shape (M, {k}, {k})")
     table = np.empty((len(matrices), verts.shape[0]), dtype=int)
     for row, mat in zip(table, matrices):
         perm = vertex_permutation(verts, mat, tol)
@@ -266,7 +267,7 @@ def _vertex_table(verts: np.ndarray, matrices: np.ndarray | list[np.ndarray], to
     return table
 
 
-def _vertex_orbits(space: StateSpace, matrices: list[np.ndarray], table: list[list[int]]):
+def _vertex_orbits(space: StateSpace, matrices: np.ndarray, table: list[list[int]]):
     # BFS from vertex 0, recording a transporter matrix per reached vertex
     transporter: dict[int, np.ndarray] = {0: np.eye(space.ambient_dim)}
     frontier = [0]
@@ -299,25 +300,25 @@ def _group_matrices(group: GroupDescriptor) -> list[np.ndarray]:
 def transitivity_check(space: StateSpace, tol: float | None = None) -> TransitivityResult:
     """Does the group act transitively on the pure states?
 
-    Finite groups: orbit computation on the extreme points, with one
-    transporter matrix per reached vertex as witness; a ``FiniteMatrixGroup``
-    that carries its ``perms`` is read through them, any other finite group
-    through a permutation table checked here.  Parametric groups:
-    transitive by theorem once ``check_parametric_group`` accepts them; no
-    witnesses.
+    A ``FiniteMatrixGroup``: orbit computation on the extreme points, with
+    one transporter matrix per reached vertex as witness, read through the
+    ``perms`` the group carries or else through a permutation table checked
+    here.  A descriptor group: transitive by theorem once
+    ``check_group_descriptor`` accepts it.  For S_n the witness of vertex k
+    is the transposition (0 k), which sends level 0 to level k, and the
+    identity for vertex 0; SO(d) and U(n) get no witnesses.
     """
     tol = resolve_tol(tol)
     group = space.group
     if group is None:
         raise DomainError(f"{space.name} has no group descriptor")
 
-    if isinstance(group, (FiniteMatrixGroup, PermutationGroup)):
+    if isinstance(group, FiniteMatrixGroup):
         verts = vertices_of(space)
-        matrices = _group_matrices(group)
-        table = group.perms if isinstance(group, FiniteMatrixGroup) else None
+        table = group.perms
         if table is None:
-            table = _vertex_table(verts, matrices, tol)
-        transporter = _vertex_orbits(space, matrices, table.tolist())
+            table = _vertex_table(verts, group.matrices, tol)
+        transporter = _vertex_orbits(space, group.matrices, table.tolist())
         nv = verts.shape[0]
         if len(transporter) < nv:
             stranded = verts[min(set(range(nv)) - set(transporter))]
@@ -327,7 +328,12 @@ def transitivity_check(space: StateSpace, tol: float | None = None) -> Transitiv
         )
         return TransitivityResult(True, witnesses=witnesses)
 
-    check_parametric_group(space)
+    check_group_descriptor(space)
+    if isinstance(group, PermutationGroup):
+        verts = vertices_of(space)
+        transporters = [np.eye(space.ambient_dim)] + _group_matrices(group)
+        return TransitivityResult(True, witnesses=tuple(
+            (verts[0], verts[k], mat) for k, mat in enumerate(transporters)))
     return TransitivityResult(True)
 
 
@@ -336,14 +342,15 @@ def continuity_check(space: StateSpace) -> bool:
 
     Finite groups and permutation groups are discrete, hence False.  A
     parametric group that matches the space is connected and transitive.
+    A descriptor group must match the space, as in ``transitivity_check``.
     """
     group = space.group
     if group is None:
         raise DomainError(f"{space.name} has no group descriptor")
-    if isinstance(group, (FiniteMatrixGroup, PermutationGroup)):
+    if isinstance(group, FiniteMatrixGroup):
         return False
-    check_parametric_group(space)
-    return True
+    check_group_descriptor(space)
+    return not isinstance(group, PermutationGroup)
 
 
 # ---------------------------------------------------------------------------

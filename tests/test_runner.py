@@ -18,7 +18,7 @@ from gptlab.errors import BudgetExceededError, UnsupportedRepresentationError, V
 from gptlab.cli import main as cli_main
 from gptlab.discrimination import capacity, distinguishable
 from gptlab.lp import engine as lp_engine
-from gptlab.models import square_gbit
+from gptlab.models import classical, square_gbit
 from gptlab.runner import (
     FAIL,
     INDETERMINATE,
@@ -310,6 +310,15 @@ def test_two_simplices_score_what_their_composite_gives(n, rule):
     oracle = float(np.max(chsh_value(comp, vertices_of(comp.space), readouts, readouts)))
     assert runner._chsh_metric(space, space, rule, get_tol()) == oracle == 2.0
     assert check_postulates(theory, rule=rule).metrics["chsh_max"] == oracle
+
+
+@pytest.mark.parametrize("n, m, chsh", [(1, 1, None), (1, 3, None), (3, 1, None), (2, 5, 2.0)])
+def test_two_simplices_are_scored_before_any_readout_is_built(monkeypatch, n, m, chsh):
+    def refuse(space):
+        raise AssertionError("readouts built for a pair of simplices")
+
+    monkeypatch.setattr(runner, "_canonical_binary_measurements", refuse)
+    assert runner._chsh_metric(classical(n), classical(m), "min", get_tol()) == chsh
 
 
 @pytest.mark.parametrize("theory, rule, vertices", [(SQUARE, "min", 16), (SQUARE, "max", 24)],
@@ -951,14 +960,60 @@ def test_cli_validation_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _cross_polytope(d):
+    return [[1.0] + [float(s) if j == i else 0.0 for j in range(d)]
+            for i in range(d) for s in (-1, 1)]
+
+
 def test_cli_budget_exit_code(tmp_path, capsys):
-    # 18-vertex polytope: exceeds the auto symmetry-search vertex budget (16)
-    angles = np.linspace(0, 2 * np.pi, 18, endpoint=False)
-    verts = [[1.0, float(np.cos(a)), float(np.sin(a))] for a in angles]
-    theory = _write(tmp_path, "poly.json", {"name": "many", "space": {"family": "polytope", "vertices": verts}})
+    # the 7-cross's symmetry search needs 1,063,931 nodes, past the node budget
+    theory = _write(tmp_path, "poly.json",
+                    {"name": "7-cross", "space": {"family": "polytope", "vertices": _cross_polytope(7)}})
     code = cli_main(["check", theory])
     capsys.readouterr()
     assert code == 3
+
+
+_ANGLES_18 = 2 * np.pi * np.arange(18) / 18
+POLYTOPES_PAST_16_VERTICES = {
+    "18-gon": np.column_stack([np.ones(18), np.cos(_ANGLES_18), np.sin(_ANGLES_18)]).tolist(),
+    "5-cube": [[1.0, *map(float, signs)] for signs in product([-1, 1], repeat=5)],
+}
+
+
+def _full_report(out):
+    report = json.loads(out)
+    assert set(report["postulates"]) == set(POSTULATE_KEYS)
+    assert not PostulateReport.from_dict(report).any_budget_exhausted
+    return report
+
+
+@pytest.mark.parametrize("name", POLYTOPES_PAST_16_VERTICES)
+def test_a_polytope_past_16_vertices_gets_a_full_report(tmp_path, capsys, name):
+    # the node budget is the only bound on the group search, and it admits
+    # the 36 symmetries of the 18-gon and the 3,840 of the 5-cube
+    theory = _write(tmp_path, f"{name}.json", {"name": name, "space": {
+        "family": "polytope", "vertices": POLYTOPES_PAST_16_VERTICES[name]}})
+    for rule in ("min", "max"):
+        assert cli_main(["check", theory, "--rule", rule]) == 0
+        report = _full_report(capsys.readouterr().out)
+        assert (report["metrics"]["N"], report["metrics"]["capacity_exact"]) == (2, True)
+        assert report["postulates"]["P3"] == {"status": PASS}
+    assert cli_main(["capacity", theory]) == 0
+    assert json.loads(capsys.readouterr().out)["capacity"] == 2
+
+
+def test_the_no_signalling_polytope_checks_as_a_theory(tmp_path, capsys):
+    ns = compose(square_gbit(), square_gbit(), "max").space
+    theory = _write(tmp_path, "ns.json", {"name": "NS", "space": {
+        "family": "polytope", "vertices": vertices_of(ns).tolist()}})
+    for rule in ("min", "max"):
+        assert cli_main(["check", theory, "--rule", rule]) == 0
+        report = _full_report(capsys.readouterr().out)
+        assert (report["metrics"]["N"], report["metrics"]["capacity_exact"]) == (4, True)
+        # no symmetry of the 24 vertices takes a product vertex to a PR box
+        assert report["postulates"]["P3"] == {"status": FAIL, "witness": {
+            "stranded_state": [1.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.5]}}
 
 
 @pytest.mark.parametrize("space, k", [({"family": "quantum", "N": 2}, 4),
@@ -1094,6 +1149,20 @@ def test_a_check_derives_the_vertex_group_once(monkeypatch, name, rule):
     count(discrimination, "_vertex_permutations")
     check_postulates(load_theory(str(ROOT / "perfbench" / "corpus" / f"{name}.json")), rule=rule)
     assert calls == ["vertex_symmetries"]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_classical_check_matches_no_matrix_against_the_vertices(monkeypatch, n):
+    # S_n is transitive by theorem, with the transpositions as witnesses
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group matrix was matched against the vertices")
+
+    for module in (geometry, symmetry):
+        monkeypatch.setattr(module, "vertex_permutation", refuse)
+    for rule in ("min", "max"):
+        report = check_postulates(TheoryDefinition(
+            name="c", space_spec={"family": "classical", "N": n}), rule=rule)
+        assert report.postulates["P3"] == {"status": PASS}
 
 
 def test_finite_group_of_the_wrong_size_is_a_validation_error(tmp_path, capsys):

@@ -31,7 +31,7 @@ from gptlab.symmetry import (
     RotationGroup,
     UnitaryGroup,
     apply,
-    check_parametric_group,
+    check_group_descriptor,
     continuity_check,
     equivalence_probe,
     face_extract,
@@ -100,9 +100,56 @@ def test_group_validation_rejects_a_permutation_group_that_does_not_fit():
     triangle = StateSpace(name="triangle", rep=PolytopeRep(np.array(
         [[1.0, 0, 0], [1.0, 2, 0], [1.0, 0, 2]])), group=PermutationGroup(3))
     for check in (validate_group, transitivity_check):
-        with pytest.raises(ValidationError, match="does not permute the vertex set"):
+        with pytest.raises(ValidationError, match="does not act on"):
             check(triangle)
     validate_group(classical(5))
+
+
+@pytest.mark.parametrize("space, message, checks", [
+    (replace(classical(3), group=PermutationGroup(4)), "does not act on",
+     (validate_group, transitivity_check, continuity_check)),
+    (replace(square_gbit(), group=FiniteMatrixGroup(np.eye(2)[None])), r"\(M, 3, 3\)",
+     (validate_group, transitivity_check)),
+], ids=["classical(3) under S_4", "square under a 2x2 group"])
+def test_a_group_of_the_wrong_size_is_a_validation_error(space, message, checks):
+    # validate_group and transitivity_check used to fail inside a matrix
+    # product with numpy's ValueError, and continuity_check called S_4 on
+    # three levels discrete without checking it
+    for check in checks:
+        with pytest.raises(ValidationError, match=message):
+            check(space)
+
+
+def _bfs_permutation_witnesses(space):
+    """P3's witnesses for S_n by an orbit search: each transposition (0 k)
+    matched against the vertices, then a BFS from vertex 0 recording a
+    transporter matrix per reached vertex."""
+    verts = vertices_of(space)
+    gens = symmetry._group_matrices(space.group)
+    table = [geometry.vertex_permutation(verts, g, 1e-9).tolist() for g in gens]
+    transporter = {0: np.eye(space.ambient_dim)}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for mat, images in zip(gens, table):
+                j = images[i]
+                if j not in transporter:
+                    transporter[j] = mat @ transporter[i]
+                    nxt.append(j)
+        frontier = nxt
+    return tuple((verts[0], verts[j], transporter[j]) for j in sorted(transporter))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_symmetric_group_witnesses_are_the_transpositions_the_orbit_search_finds(n):
+    result = transitivity_check(classical(n))
+    expected = _bfs_permutation_witnesses(classical(n))
+    assert result.transitive and result.stranded is None
+    assert len(result.witnesses) == len(expected) == n
+    for got, want in zip(result.witnesses, expected):
+        for x, y in zip(got, want):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
 def test_transitivity_ball_rotations():
@@ -141,8 +188,8 @@ MISMATCHED_GROUPS = [
 @pytest.mark.parametrize("space", MISMATCHED_GROUPS, ids=lambda s: s.name)
 def test_a_parametric_group_that_does_not_match_the_space_is_rejected(space, monkeypatch):
     calls = []
-    real = symmetry.check_parametric_group
-    monkeypatch.setattr(symmetry, "check_parametric_group",
+    real = symmetry.check_group_descriptor
+    monkeypatch.setattr(symmetry, "check_group_descriptor",
                         lambda s: calls.append(s) or real(s))
     for check in (transitivity_check, continuity_check, validate_group):
         with pytest.raises(ValidationError, match="does not act on"):
@@ -150,7 +197,7 @@ def test_a_parametric_group_that_does_not_match_the_space_is_rejected(space, mon
     # each check is refused by the one helper
     assert calls == [space] * 3
     with pytest.raises(ValidationError, match="does not act on"):
-        check_parametric_group(space)
+        check_group_descriptor(space)
 
 
 def test_transitivity_fails_with_trivial_group():
