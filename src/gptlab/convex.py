@@ -320,12 +320,7 @@ def cone_contains(rows: np.ndarray, target: np.ndarray, tol: float) -> bool:
     n = rows.shape[0]
     if n == 0:
         return bool(np.all(np.abs(target) <= tol))
-    prog = LinearProgram(
-        objective=np.zeros(n),
-        a_eq=rows.T,
-        b_eq=target,
-        bounds=np.column_stack([np.zeros(n), np.full(n, np.inf)]),
-    )
+    prog = LinearProgram(n_vars=n, a_eq=rows.T, b_eq=target, nonneg=True)
     feasible, _ = lp_feasible(prog, tol=tol)
     return feasible
 

@@ -94,7 +94,7 @@ def _polytope_distinguishable(space: StateSpace, states: np.ndarray,
     a_ub[blocks, :, blocks] = -verts
     a_ub[m] = verts[:, None]  # sum_i E_i(v) <= u(v)
     feasible, point = lp_feasible(LinearProgram(
-        objective=np.zeros(m * K),
+        n_vars=m * K,
         a_eq=a_eq.reshape(m * n, m * K),
         b_eq=np.eye(m, n).ravel(),
         a_ub=a_ub.reshape(n * nv, m * K),

