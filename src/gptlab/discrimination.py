@@ -2,12 +2,17 @@
 
 Distinguishability of n states asks for n effects that sum to the unit
 effect u and evaluate to the Kronecker delta on the given states.  For
-polytopes this is an LP in n − 1 effects over the vertex-dual description of
-the effect cone; the last effect is u minus the others.  Balls and quantum
-systems have exact criteria and solve no LP: on a ball, only a pair of
-antipodal boundary points is distinguishable; quantum states are
-distinguishable iff their supports are pairwise orthogonal, and then the
-support projectors are the witness.
+polytopes, ``distinguishable`` solves an LP in n − 1 effects over the
+vertex-dual description of the effect cone; the last effect is u minus the
+others.  The capacity search holds the polytope's facets, its own or those
+of one DD in the span of its vertices, and decides each candidate by a cone
+test over them instead (``_facet_distinguishable``): one LP with a row per
+dimension of the span and a nonnegative column per facet that vanishes on
+all but at most one of the states.  Balls and quantum systems have exact
+criteria and solve no LP: on a ball, only a pair of antipodal boundary
+points is distinguishable; quantum states are distinguishable iff their
+supports are pairwise orthogonal, and then the support projectors are the
+witness.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from gptlab.convex import (
     FACET_DD_BUDGET,
     BallRep,
     Measurement,
+    PolytopeRep,
     QuantumRep,
     StateSpace,
     contains_effect,
@@ -103,6 +109,64 @@ def _polytope_distinguishable(space: StateSpace, states: np.ndarray,
     if not feasible:
         return None
     effects = np.vstack([point.reshape(m, K), unit - point.reshape(m, K).sum(axis=0)])
+    return DistinguishabilityWitness(Measurement(effects), states)
+
+
+def _facet_distinguishable(states: np.ndarray, basis: np.ndarray, facets: np.ndarray,
+                           tol: float) -> DistinguishabilityWitness | None:
+    """The cone test: perfect distinguishability of ``states`` by one LP in a
+    nonnegative weight per usable facet.
+
+    ``basis`` holds r orthonormal rows that span a subspace L holding every
+    state: the identity for a polytope's own facets, the span basis of
+    ``_span_bound`` for those of its DD.  ``facets`` holds the normals h_k,
+    scaled to unit max-abs, of the facets of the state cone C in L's
+    coordinates.
+
+    Claim.  States v_1..v_n are perfectly distinguishable iff
+    u ∈ cone{h_k : h_k vanishes on at least n − 1 of the v_j}.
+
+    Proof.  The h_k cut out C, so by Farkas' lemma the functionals on L that
+    are nonnegative on C, the effect cone, form cone{h_k}.  Let effects
+    E_1..E_n with Σ E_i = u tell the v_j apart, and write each
+    E_i = Σ_k c_ik h_k with c ≥ 0.  For j ≠ i, 0 = E_i(v_j) = Σ_k c_ik h_k(v_j)
+    is a sum of nonnegative terms, so c_ik = 0 unless h_k(v_j) = 0.  Each
+    E_i is thus a combination of facets that vanish on every v_j with j ≠ i,
+    on at least n − 1 of the states, and so is u = Σ E_i.  Conversely, let
+    u = Σ_k c_k h_k with c ≥ 0 over such facets, and give each facet to one
+    effect: one that vanishes on every v_j with j ≠ i to E_i, one that
+    vanishes on all n states to E_n.  Each E_i is nonnegative on C, their
+    sum is u, and E_i(v_j) = 0 for j ≠ i by construction, so
+    E_i(v_i) = u(v_i) − Σ_{j≠i} E_j(v_i) = u(v_i) = 1 for normalized states,
+    and E_i ≤ u on C: the E_i are a measurement that tells the v_j apart.
+    Effects on L lift to the ambient space as E ↦ E @ basis, which has the
+    same value at every state; E_n = u − Σ_{i<n} E_i makes them sum to u
+    there too.
+
+    A facet vanishes at v when |h(v)| ≤ tol · max|v| in L's coordinates, the
+    scaled test of ``convex._first_non_vertex``.  The LP has r equality rows,
+    Σ_k c_k h_k = u on L, where ``_polytope_distinguishable``'s has
+    (n − 1)·K free variables and n·nv inequality rows.  A state more than
+    10 tol off u(v) = 1 has no witness, as there.
+    """
+    n, K = states.shape
+    unit = unit_effect_vector(K)
+    if np.max(np.abs(states @ unit - 1.0)) > 10 * tol:
+        return None
+    coords = states @ basis.T
+    vanish = np.abs(coords @ facets.T) <= tol * np.abs(coords).max(axis=1, keepdims=True)
+    usable = np.flatnonzero(vanish.sum(axis=0) >= n - 1)
+    if usable.size == 0:
+        return None
+    vanish = vanish[:, usable]
+    feasible, weights = lp_feasible(LinearProgram(
+        n_vars=usable.size, a_eq=facets[usable].T, b_eq=basis @ unit, nonneg=True), tol=tol)
+    if not feasible:
+        return None
+    # each facet goes to the one state it does not vanish on, or to the last
+    owner = np.where(vanish.all(axis=0), n - 1, np.argmin(vanish, axis=0))
+    effects = ((owner == np.arange(n - 1)[:, None]) * weights) @ facets[usable] @ basis
+    effects = np.vstack([effects, unit - effects.sum(axis=0)])
     return DistinguishabilityWitness(Measurement(effects), states)
 
 
@@ -236,8 +300,8 @@ def _quantum_capacity(space: StateSpace) -> CapacityResult:
 def _vertex_permutations(verts: np.ndarray, tol: float) -> np.ndarray:
     """Vertex permutations of linear symmetries, one per row: the group that
     ``geometry.vertex_symmetries`` finds.  ``capacity`` calls it at most
-    once per search, at the first LP that answers "not distinguishable",
-    since only then can a mark save an LP.  If the search passes
+    once per search, at the first test that answers "not distinguishable",
+    since only then can a mark save a test.  If the search passes
     SYMMETRY_NODE_BUDGET nodes, only the identity is kept: any set of
     verified symmetries marks sound orbits, only smaller ones.
     """
@@ -259,8 +323,8 @@ def _capacity_bound(verts: np.ndarray, facets: np.ndarray, tol: float) -> int | 
     0 ≤ eᵢ(yᵢ) = (β·eᵢ(μ) − 1)/(β − 1), so eᵢ(μ) ≥ 1/β, and summing gives
     1 = u(μ) ≥ N/β: N ≤ β, and N is an integer.  β − 1 is Minkowski's
     measure of asymmetry of S about μ (Grünbaum, 1963); a simplex about its
-    centroid has β = N, a centrally symmetric space β = 2.  The LP accepts
-    effects up to about 10·tol below 0, which the same steps turn into
+    centroid has β = N, a centrally symmetric space β = 2.  Either test
+    accepts effects up to about 10·tol below 0, which the same steps turn into
     N ≤ β/(1 − 10·β·tol); the slack 100·β²·tol covers that and the
     rounding of β, and it can only loosen the bound.
 
@@ -280,19 +344,50 @@ def _capacity_bound(verts: np.ndarray, facets: np.ndarray, tol: float) -> int | 
     return int(beta + 100 * beta * beta * tol)
 
 
-def _span_bound(verts: np.ndarray, tol: float) -> int | None:
+def _span_bound(verts: np.ndarray, tol: float
+                ) -> tuple[int | None, np.ndarray, np.ndarray | None]:
     """``_capacity_bound`` on the vertices V written in an orthonormal basis
     of their linear span, the leading rows of Wᵀ in the thin SVD V = U S Wᵀ
     with the rank cut at ``tol`` as ``geometry.vertex_symmetries`` cuts it,
-    and the facets of their cone in that span from one DD; None if the DD
-    fails or shows more than FACET_DD_BUDGET facets."""
+    and the facets of their cone in that span from one DD.  Returns the
+    bound, the basis and the facets; the bound and the facets are None if
+    the DD fails or shows more than FACET_DD_BUDGET facets."""
     _, svals, wt = np.linalg.svd(verts, full_matrices=False)
-    coords = verts @ wt[: int(np.sum(svals > tol * max(1.0, svals[0])))].T
+    basis = wt[: int(np.sum(svals > tol * max(1.0, svals[0])))]
+    coords = verts @ basis.T
     try:
         facets = dual_cone_rays(coords, tol=tol, max_rays=FACET_DD_BUDGET)
     except (ValidationError, BudgetExceededError):
-        return None
-    return _capacity_bound(coords, facets, tol)
+        return None, basis, None
+    return _capacity_bound(coords, facets, tol), basis, facets
+
+
+def _search_frame(rep: PolytopeRep, verts: np.ndarray, tol: float
+                  ) -> tuple[int | None, tuple[np.ndarray, np.ndarray] | None]:
+    """The bound ⌊β⌋ of ``capacity``'s search and the frame (basis, facets)
+    it tests candidates in: the rep's facets, when known, in the identity
+    basis, else those of one DD in the vertices' span (``_span_bound``),
+    scaled to unit max-abs as ``_facet_distinguishable`` takes them.  The
+    frame is None when neither is known."""
+    facets = rep.facets
+    if facets is None:
+        bound, basis, facets = _span_bound(verts, tol)
+    else:
+        bound, basis = _capacity_bound(verts, facets, tol), np.eye(verts.shape[1])
+    if facets is None:
+        return bound, None
+    return bound, (basis, facets / np.abs(facets).max(axis=1, keepdims=True))
+
+
+def _candidate_distinguishable(space: StateSpace, states: np.ndarray, frame, tol: float
+                               ) -> DistinguishabilityWitness | None:
+    """The capacity search's test of one candidate: the cone test over the
+    facets it holds, ``frame`` = (basis, facets) as ``_facet_distinguishable``
+    takes them, or the LP ``distinguishable_unchecked`` when ``frame`` is
+    None."""
+    if frame is None:
+        return distinguishable_unchecked(space, states, tol)
+    return _facet_distinguishable(states, *frame, tol)
 
 
 def _check_lp_budget(lp_budget) -> None:
@@ -315,50 +410,53 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
     in lexicographic order: a distinguishable tuple is extended by each
     index past its last, and a candidate is skipped when a subset one
     element smaller is already known not to be distinguishable
-    (monotonicity).  A linear map that permutes the vertices maps
-    distinguishable sets to distinguishable sets, so one LP decides a
-    candidate's whole orbit under a set of vertex symmetries: the ``perms``
-    of the space's group, which were found or checked against the vertices
-    when the group was built, and otherwise those that
-    ``geometry.vertex_symmetries`` finds.  After each LP the answer is
+    (monotonicity).  Each candidate is decided by one test: the cone test
+    ``_facet_distinguishable`` over the facets the search holds, the
+    polytope's own or, without them, those of one DD in the span of its
+    vertices (``_span_bound``), and the LP ``distinguishable_unchecked``
+    only when neither is known.  A linear map that permutes the vertices
+    maps distinguishable sets to distinguishable sets, so one test decides
+    a candidate's whole orbit under a set of vertex symmetries: the
+    ``perms`` of the space's group, which were found or checked against the
+    vertices when the group was built, and otherwise those that
+    ``geometry.vertex_symmetries`` finds.  After each test the answer is
     marked on the candidate, which a loaded group need not fix, and on each
-    of its sorted images, one per symmetry; a marked candidate takes no LP.
-    Without a group, the symmetries are searched only at the first LP that
-    answers "not distinguishable" (``_vertex_permutations``), and the marks
-    of the LPs solved before it are then replayed in solve order.  Until
-    then only the candidate is marked, and no mark is lost: before the
-    first "no" the search follows one chain (0, 1), (0, 1, 2), .. whose
+    of its sorted images, one per symmetry; a marked candidate takes no
+    test.  Without a group, the symmetries are searched only at the first
+    test that answers "not distinguishable" (``_vertex_permutations``), and
+    the marks of the tests before it are then replayed in test order.
+    Until then only the candidate is marked, and no mark is lost: before
+    the first "no" the search follows one chain (0, 1), (0, 1, 2), .. whose
     candidates each open a new size, so no earlier mark could decide one,
-    and no subset is marked not distinguishable; the LPs solved, and so the
+    and no subset is marked not distinguishable; the tests run, and so the
     result, are those of a search that finds the symmetries first.  A
     search that meets no "no", such as one that the bound ends at the first
     pair, searches no symmetries.
     The search bounds itself by N ≤ ⌊β⌋ (``_capacity_bound``), from the
-    polytope's facets or, without them, from one DD in the span of its
-    vertices (``_span_bound``): the first distinguishable candidate of size
-    ⌊β⌋ ends it.  Otherwise it ends when the tuples run out, and N is the
-    largest size it found.
+    same facets: the first distinguishable candidate of size ⌊β⌋ ends it.
+    Otherwise it ends when the tuples run out, and N is the largest size it
+    found.
 
     The result is that of a search level by level, which keeps every
     distinguishable tuple of one size before it opens the next: the
     lexicographically first distinguishable set of the largest size, or of
-    size ⌊β⌋ when the bound ends the search, with the witness of its LP.
+    size ⌊β⌋ when the bound ends the search, with the witness of its test.
     A pre-order DFS visits each size's candidates in lexicographic order,
     and it reaches every distinguishable set, because every prefix of one
     is distinguishable and no subset of one is marked otherwise.  The first
-    distinguishable candidate of a size gets its own LP on the same
+    distinguishable candidate of a size gets its own test on the same
     ``verts[list(cand)]``: a mark on it could only come from an earlier
     distinguishable candidate of that size, and there is none.  So N and
     the witness do not depend on which symmetries mark the orbits or on
-    the bound, only the LP count does.  Only the LPs solved count against
-    ``lp_budget``, not the candidates the marks decide.  Every budget ends
-    in a result: past ``lp_budget`` LPs, or past DEFAULT_VERTEX_BUDGET
-    vertices, ``n`` is None and the witness is the lexicographically first
-    distinguishable set of the largest size found.  The search records no
-    distinguishable pairs: a polytope with two or more vertices gives every
-    vertex a partner by theorem, which is how P4′ is decided
-    (``runner._check_p4_prime``).  ``lp_budget`` must be a nonnegative
-    integer (``_check_lp_budget``), on every kind of space.
+    the bound, only the test count does.  Each candidate tested counts one
+    against ``lp_budget``, and the candidates the marks decide count
+    nothing.  Every budget ends in a result: past ``lp_budget`` tests, or
+    past DEFAULT_VERTEX_BUDGET vertices, ``n`` is None and the witness is
+    the lexicographically first distinguishable set of the largest size
+    found.  The search records no distinguishable pairs: a polytope with
+    two or more vertices gives every vertex a partner by theorem, which is
+    how P4′ is decided (``runner._check_p4_prime``).  ``lp_budget`` must be
+    a nonnegative integer (``_check_lp_budget``), on every kind of space.
     """
     _check_lp_budget(lp_budget)
     tol = resolve_tol(tol)
@@ -376,12 +474,11 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
     if nv > DEFAULT_VERTEX_BUDGET:
         return CapacityResult(None, best)
     perms = getattr(space.group, "perms", None)  # a FiniteMatrixGroup's checked table
-    facets = getattr(rep, "facets", None)  # a PolytopeRep's, when known
-    bound = _span_bound(verts, tol) if facets is None else _capacity_bound(verts, facets, tol)
+    bound, frame = _search_frame(rep, verts, tol)
 
     firsts = [best]  # the witness of the first distinguishable set of each size
     decided: dict[tuple, bool] = {}  # candidate -> distinguishable
-    spent = 0  # LPs solved
+    spent = 0  # candidates tested
 
     def mark(cand: tuple, answer: bool) -> None:
         """Mark cand's orbit: cand and its sorted images."""
@@ -397,17 +494,17 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
             if spent >= lp_budget:
                 return CapacityResult(None, firsts[-1])
             spent += 1
-            w = distinguishable_unchecked(space, verts[list(cand)], tol)
+            w = _candidate_distinguishable(space, verts[list(cand)], frame, tol)
             if perms is None and w is None:  # the first "no": replay the marks so far
                 perms = _vertex_permutations(verts, tol)
-                for solved in list(decided):  # in solve order, all distinguishable
-                    mark(solved, True)
+                for tested in list(decided):  # in test order, all distinguishable
+                    mark(tested, True)
             if perms is None:
                 decided[cand] = True
             else:
                 mark(cand, w is not None)
         if decided[cand]:
-            if len(cand) > len(firsts):  # the first of its size has its own LP
+            if len(cand) > len(firsts):  # the first of its size has its own test
                 firsts.append(w)
                 if len(cand) == bound:
                     return CapacityResult(bound, w)

@@ -92,8 +92,8 @@ def test_every_seed0_corpus_report_matches_its_golden_digest(monkeypatch):
 
 
 @pytest.mark.parametrize("workload, lps, iterations", [
-    ("check_corpus", 39, 115),
-    ("capacity_ns", 56, 400),
+    ("check_corpus", 39, 98),
+    ("capacity_ns", 56, 304),
     ("membership", 100, 1408),
 ], ids=["check_corpus-39", "capacity_ns-56", "membership-100"])
 def test_seed0_pass_zero_solves_its_pinned_number_of_lps(monkeypatch, workload, lps, iterations):
@@ -101,7 +101,8 @@ def test_seed0_pass_zero_solves_its_pinned_number_of_lps(monkeypatch, workload, 
     # run reports per pass, counted in-process; every answer must still be
     # right.  check_corpus validates its JSON polytopes and the square by
     # their facets; every capacity search stops at ⌊β⌋, which capacity_ns's
-    # rank-deficient faces get from a DD in their span
+    # rank-deficient faces get from a DD in their span, and decides each
+    # candidate by one cone test over the same facets
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     prepared = workloads.WORKLOADS[workload].setup(0, False, workloads.load_golden())

@@ -659,6 +659,28 @@ def test_a_full_search_past_the_vertex_budget_keeps_the_product_bound():
     assert verify_witness(comp.space, result.witness)
 
 
+@pytest.mark.parametrize("parts, duals, count", [
+    (("square", "square"), ("square", "square"), 24),
+    (("5-gon", "5-gon"), ("5-gon", "5-gon"), 135),
+    (("6-gon", "6-gon"), ("6-gon", "6-gon"), 552),
+    (("square", "5-gon"), ("square", "5-gon"), 60),
+    (("cube", "cube"), ("octahedron", "octahedron"), 684),
+    (("octahedron", "octahedron"), ("cube", "cube"), 1408),
+], ids=["square2", "5-gon2", "6-gon2", "square-5-gon", "cube2", "octahedron2"])
+def test_min_composite_facets_count_the_vertices_of_the_dual_max_composite(parts, duals, count):
+    # cone duality: the facets of min(A, B) are the extreme rays of
+    # {E : E(a ⊗ b) ≥ 0}, one DD of its product vertices, and the max tensor
+    # of the dual cones A*, B* has as many vertices.  Regular polygons and
+    # the square are self-dual, the cube and the octahedron each other's
+    # dual.  This checks the float DD of the min side against compose's
+    # max side
+    a, b = map(_corpus_part, parts)
+    facets = dual_cone_rays(vertices_of(compose(a, b, "min").space),
+                            max_rays=MAX_COMPOSITE_VERTICES)
+    dual_a, dual_b = map(_corpus_part, duals)
+    assert facets.shape[0] == vertices_of(compose(dual_a, dual_b, "max").space).shape[0] == count
+
+
 def test_no_signalling_polytope_capacity_is_multiplicative(square_pair):
     # full subset search over the 24 vertices confirms capacity 2*2
     result = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=100_000)

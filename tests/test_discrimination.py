@@ -340,9 +340,10 @@ def test_every_vertex_of_a_random_polytope_has_a_distinguishable_partner(dim, co
        point_seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_the_facet_bound_holds_and_changes_no_capacity(dim, count, point_seed):
     # N ≤ ⌊β⌋ on the hull of 4 to 9 Gaussian points and on a unit-fixing
-    # linear image of it; the bound from the facets leaves N, exact and the
-    # witness as the search on the bare vertices, bounded in their span,
-    # finds them
+    # linear image of it; the search over the rep's facets finds N, exact
+    # and the witness states that the search on the bare vertices, bounded
+    # and tested by the facets of their span, finds.  The two witnesses'
+    # effects combine different facet normals, and both verify
     hull = pytest.importorskip("scipy.spatial").ConvexHull
     rng = np.random.default_rng(point_seed)
     points = rng.normal(size=(count, dim))
@@ -357,7 +358,11 @@ def test_the_facet_bound_holds_and_changes_no_capacity(dim, count, point_seed):
         result = capacity(StateSpace(name="random", rep=rep))
         bound = discrimination._capacity_bound(rep.vertices, rep.facets, resolve_tol(None))
         assert bound is not None and bound >= result.n
-        assert result == capacity(StateSpace(name="random", rep=PolytopeRep(rows)))
+        bare = StateSpace(name="random", rep=PolytopeRep(rows))
+        spanned = capacity(bare)
+        assert (result.n, result.exact) == (spanned.n, spanned.exact)
+        assert np.array_equal(result.witness.states, spanned.witness.states)
+        assert verify_witness(bare, result.witness) and verify_witness(bare, spanned.witness)
 
 
 def _highs_distinguishable(verts: np.ndarray, subset: tuple) -> bool:
@@ -419,14 +424,77 @@ def test_capacity_matches_a_brute_force_oracle_on_random_hulls(dim, order, count
             result, solved = _solved_candidates(monkeypatch, space)
         assert (result.n, result.exact, result.witness.n) == (n, True, n)
         assert verify_witness(space, result.witness)
-        bound = discrimination._span_bound(verts_k, tol)
-        assert bound is not None and bound >= n
+        bound, _, facets = discrimination._span_bound(verts_k, tol)
+        assert bound is not None and bound >= n and facets is not None
         perms = discrimination._vertex_permutations(verts_k, tol)
         refuted = set()
         for cand in solved:
             assert not any(cand[:x] + cand[x + 1:] in refuted for x in range(len(cand))), cand
             if not oracle(cand):
                 refuted.update(map(tuple, np.sort(perms[:, cand], axis=1).tolist()))
+
+
+def _differential_inputs() -> list[tuple[StateSpace, int, list[tuple]]]:
+    """(space, largest subset size, subsets known to be distinguishable) for
+    the cone-test oracle: the NS polytope with its product facets, four of
+    its 8-vertex faces with the facets of their span, the corpus cube,
+    octahedron, tesseract, 5-gon and 12-gon with the facets of their JSON
+    build, and max(5-gon, 5-gon), whose vertices 0, 5, 95, 109 and 130 are
+    distinguishable, with its 25 product facets."""
+    sq = square_gbit()
+    pentagon = build_space(load_theory(str(CORPUS / "5-gon.json")))
+    spaces = [compose(sq, sq, "max").space, *_ns_faces()[:4]] + [
+        build_space(load_theory(str(CORPUS / f"{name}.json")))
+        for name in ["cube", "octahedron", "tesseract", "5-gon", "12-gon"]]
+    inputs = []
+    for space in spaces:
+        row = {v.tobytes(): i for i, v in enumerate(vertices_of(space))}
+        inputs.append((space, 5, [tuple(row[s.tobytes()] for s in capacity(space).witness.states)]))
+    return inputs + [(compose(pentagon, pentagon, "max").space, 3, [(0, 5), (0, 5, 95)])]
+
+
+def test_the_cone_test_matches_the_lp_and_highs():
+    # on seeded vertex subsets of sizes 2-5, 2-3 on max(5-gon, 5-gon), and
+    # on each capacity witness, the cone test over the facets the search
+    # holds answers as the LP and HiGHS do, and every witness it returns
+    # verifies
+    rng = np.random.default_rng(20120321)
+    tol = resolve_tol(None)
+    answers = []
+    for space, top, known in _differential_inputs():
+        verts = vertices_of(space)
+        _, frame = discrimination._search_frame(space.rep, verts, tol)
+        assert frame is not None, space.name
+        drawn = [tuple(sorted(rng.choice(len(verts), size, replace=False)))
+                 for size in range(2, top + 1) for _ in range(6)]
+        for subset in known + drawn:
+            states = verts[list(subset)]
+            witness = discrimination._facet_distinguishable(states, *frame, tol)
+            lp = discrimination._polytope_distinguishable(space, states, tol)
+            assert (witness is not None) == (lp is not None) == _highs_distinguishable(
+                verts, subset), (space.name, subset)
+            assert witness is None or verify_witness(space, witness), (space.name, subset)
+            answers.append((len(subset), witness is not None))
+    # both answers at every size but 5; the capacity witnesses give the yes at 4
+    assert {size for size, yes in answers if yes} == {2, 3, 4}
+    assert {size for size, yes in answers if not yes} == {2, 3, 4, 5}
+
+
+def test_the_pentagon_squared_has_capacity_five():
+    # min(5-gon, 5-gon) holds 5 distinguishable product states, one more
+    # than N_A·N_B = 4: Shannon's zero-error code for the pentagon, since
+    # the 5-gon's confusability graph is C5 and α(C5 ⊠ C5) = 5.  Its 135
+    # facets pass FACET_DD_BUDGET, so the search tests candidates by the LP
+    pentagon = build_space(load_theory(str(CORPUS / "5-gon.json")))
+    comp = compose(pentagon, pentagon, "min")
+    result = capacity_multiplicativity_check(comp, full_search=True)
+    assert (result.product_bound, result.composite_capacity, result.ok) == (4, 5, False)
+    witness = capacity(comp.space).witness
+    verts = vertices_of(comp.space)
+    row = {v.tobytes(): i for i, v in enumerate(verts)}
+    subset = tuple(row[s.tobytes()] for s in witness.states)
+    assert len(subset) == 5 and _highs_distinguishable(verts, subset)
+    assert verify_witness(comp.space, witness)
 
 
 def test_measurements_witnesses_and_capacity_results_compare_by_value():
@@ -620,15 +688,16 @@ def _assert_orbits_change_nothing(monkeypatch, space, **kwargs):
     assert with_orbits == searched == every_lp, space.name
 
 
-def _count_pair_lps(monkeypatch) -> list:
+def _count_search_tests(monkeypatch) -> list:
+    """Record the arguments of each candidate test the capacity search runs."""
     calls = []
-    solve = discrimination._polytope_distinguishable
+    test = discrimination._candidate_distinguishable
 
-    def counting_solve(*args):
+    def counting_test(*args):
         calls.append(args)
-        return solve(*args)
+        return test(*args)
 
-    monkeypatch.setattr(discrimination, "_polytope_distinguishable", counting_solve)
+    monkeypatch.setattr(discrimination, "_candidate_distinguishable", counting_test)
     return calls
 
 
@@ -663,7 +732,7 @@ def test_lp_budget_counts_only_the_lps_solved(monkeypatch, lp_budget):
     # bound, the face takes 11 LPs with its orbits and 177 without them
     _without_bound(monkeypatch)
     face = _ns_face()
-    calls = _count_pair_lps(monkeypatch)
+    calls = _count_search_tests(monkeypatch)
     with_orbits = capacity(face, lp_budget=lp_budget)
     assert len(calls) <= lp_budget if with_orbits.exact else len(calls) == lp_budget
     with monkeypatch.context() as m:
@@ -689,7 +758,7 @@ def test_orbit_memo_falls_back_to_the_identity_past_the_node_budget(monkeypatch)
     _without_bound(monkeypatch)
     face = _ns_face()
     assert face.group is None
-    calls = _count_pair_lps(monkeypatch)
+    calls = _count_search_tests(monkeypatch)
     searched = capacity(face)
     assert len(calls) == 11
     monkeypatch.setattr(discrimination, "SYMMETRY_NODE_BUDGET", 1)
@@ -756,17 +825,17 @@ def _hypercube(d: int) -> StateSpace:
 def _solved_candidates(monkeypatch, space, search=capacity, **kwargs
                        ) -> tuple[CapacityResult, list]:
     """The result of a capacity search and the index tuple of each candidate
-    given an LP."""
+    it tests."""
     row = {v.tobytes(): i for i, v in enumerate(vertices_of(space))}
     solved = []
-    solve = discrimination.distinguishable_unchecked
+    test = discrimination._candidate_distinguishable
 
-    def recording_solve(space, states, tol):
+    def recording_test(space, states, frame, tol):
         solved.append(tuple(row[s.tobytes()] for s in states))
-        return solve(space, states, tol)
+        return test(space, states, frame, tol)
 
     with monkeypatch.context() as m:
-        m.setattr(discrimination, "distinguishable_unchecked", recording_solve)
+        m.setattr(discrimination, "_candidate_distinguishable", recording_test)
         return search(space, **kwargs), solved
 
 
@@ -828,9 +897,7 @@ def _eager_capacity(space: StateSpace, lp_budget: int = 100_000, tol: float = 1e
     perms = getattr(space.group, "perms", None)
     if perms is None:
         perms = discrimination._vertex_permutations(verts, tol)
-    facets = space.rep.facets
-    bound = (discrimination._span_bound(verts, tol) if facets is None
-             else discrimination._capacity_bound(verts, facets, tol))
+    bound, frame = discrimination._search_frame(space.rep, verts, tol)
     firsts = [discrimination._single_state_witness(space, verts[0])]
     decided = {}
     spent = 0
@@ -843,7 +910,7 @@ def _eager_capacity(space: StateSpace, lp_budget: int = 100_000, tol: float = 1e
             if spent >= lp_budget:
                 return CapacityResult(None, firsts[-1])
             spent += 1
-            w = discrimination.distinguishable_unchecked(space, verts[list(cand)], tol)
+            w = discrimination._candidate_distinguishable(space, verts[list(cand)], frame, tol)
             images = np.sort(perms[:, cand], axis=1).tolist()
             decided.update(dict.fromkeys([cand, *map(tuple, images)], w is not None))
         if decided[cand]:
@@ -881,15 +948,15 @@ def test_a_search_with_no_lp_answering_no_searches_no_group(monkeypatch):
     for face in _ns_faces():
         searches.clear()
         answers = []
-        solve = discrimination.distinguishable_unchecked
+        test = discrimination._candidate_distinguishable
 
-        def recording_solve(*args):
-            w = solve(*args)
+        def recording_test(*args):
+            w = test(*args)
             answers.append(w is not None)
             return w
 
         with monkeypatch.context() as m:
-            m.setattr(discrimination, "distinguishable_unchecked", recording_solve)
+            m.setattr(discrimination, "_candidate_distinguishable", recording_test)
             assert capacity(face).n == 4
         lps.append(len(answers))
         assert len(searches) == (not all(answers)), face.name
@@ -942,7 +1009,7 @@ def test_default_lp_budget_counts_lps_not_candidates(monkeypatch):
     # the bound the first distinguishable 4-set or pair ends each search
     sq = square_gbit()
     spaces = [(compose(sq, sq, "max").space, 4), (_hypercube(5), 2), (_cross_polytope(6), 2)]
-    calls = _count_pair_lps(monkeypatch)
+    calls = _count_search_tests(monkeypatch)
     for bounded_lps, unbounded_lps in [((4, 1, 1), None), (None, (187, 15, 4))]:
         if unbounded_lps:
             _without_bound(monkeypatch)
@@ -958,7 +1025,7 @@ def test_linearly_independent_vertices_take_no_lp(monkeypatch):
     # all 120 subsets, with the bound ⌊β⌋ = 7 disabled, and ends with the LP
     # on all of them
     facet = StateSpace(name="facet", rep=PolytopeRep(vertices_of(classical(8))[1:]))
-    calls = _count_pair_lps(monkeypatch)
+    calls = _count_search_tests(monkeypatch)
     result = capacity(facet)
     assert (result.n, len(calls)) == (7, 0)
     assert verify_witness(facet, result.witness)
@@ -997,7 +1064,7 @@ def test_capacity_is_multiplicative_on_a_thin_triangle_times_a_bit():
 def test_capacity_vertex_budget(monkeypatch):
     # past the vertex budget the search solves no LP and returns a result,
     # not exact, with a single vertex as its witness
-    calls = _count_pair_lps(monkeypatch)
+    calls = _count_search_tests(monkeypatch)
     space = _polygon(discrimination.DEFAULT_VERTEX_BUDGET + 1)
     result = capacity(space)
     assert result.n is None and result.lower_bound == 1

@@ -383,21 +383,20 @@ def test_p4_prime_finds_a_partner_for_each_pentagon_vertex():
 
 
 def test_p4_prime_solves_no_distinguishability_lp(monkeypatch):
-    # P4' holds by theorem on a polytope, so the check solves only the
-    # capacity search's LPs
+    # P4' holds by theorem on a polytope, so the check runs only the
+    # capacity search's tests, which on the pentagon's facets are cone tests
     calls = []
-    solve = discrimination._polytope_distinguishable
+    for name in ("_polytope_distinguishable", "_candidate_distinguishable"):
+        def counting(*args, solve=getattr(discrimination, name)):
+            calls.append(args)
+            return solve(*args)
 
-    def counting_solve(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(discrimination, "_polytope_distinguishable", counting_solve)
+        monkeypatch.setattr(discrimination, name, counting)
     capacity(build_space(PENTAGON))
     alone = len(calls)
     calls.clear()
     check_postulates(PENTAGON, seed=0)
-    assert len(calls) == alone
+    assert alone > 0 and len(calls) == alone
 
 
 def test_p4_prime_passes_when_the_capacity_search_runs_out(monkeypatch):
