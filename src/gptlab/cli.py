@@ -56,7 +56,8 @@ def cmd_check(args) -> int:
 
 def cmd_capacity(args) -> int:
     theory = load_theory(args.theory)
-    space = build_space(theory)
+    # capacity searches vertex symmetries itself, and only when a test says no
+    space = build_space(theory, search_group=False)
     result = capacity(space)
     out = {
         "theory": theory.name,

@@ -1,14 +1,16 @@
 """State distinguishability, capacity, complete measurements and K = N^r fits.
 
 Distinguishability of n states asks for n effects that sum to the unit
-effect u and evaluate to the Kronecker delta on the given states.  For
-polytopes, ``distinguishable`` solves an LP in n − 1 effects over the
-vertex-dual description of the effect cone; the last effect is u minus the
-others.  The capacity search holds the polytope's facets, its own or those
-of one DD in the span of its vertices, and decides each candidate by a cone
-test over them instead (``_facet_distinguishable``): one LP with a row per
-dimension of the span and a nonnegative column per facet that vanishes on
-all but at most one of the states.  Balls and quantum systems have exact
+effect u and evaluate to the Kronecker delta on the given states.  On a
+polytope whose facets are known, ``distinguishable`` decides it by a cone
+test over them (``_facet_distinguishable``): one LP with a row per
+dimension and a nonnegative column per facet that vanishes on all but at
+most one of the states.  The capacity search runs the same test over the
+polytope's own facets or, without them, those of one DD in the span of its
+vertices.  Only a polytope with no facets known (a min composite, a DD past
+FACET_DD_BUDGET, a ``SimplexRep``) takes the LP ``_polytope_distinguishable``
+in n − 1 effects over the vertex-dual description of the effect cone; the
+last effect is u minus the others.  Balls and quantum systems have exact
 criteria and solve no LP: on a ball, only a pair of antipodal boundary
 points is distinguishable; quantum states are distinguishable iff their
 supports are pairwise orthogonal, and then the support projectors are the
@@ -170,6 +172,20 @@ def _facet_distinguishable(states: np.ndarray, basis: np.ndarray, facets: np.nda
     return DistinguishabilityWitness(Measurement(effects), states)
 
 
+def _unit_rows(facets: np.ndarray) -> np.ndarray:
+    """Facet rows scaled to unit max-abs, as ``_facet_distinguishable`` takes them."""
+    return facets / np.abs(facets).max(axis=1, keepdims=True)
+
+
+def _rep_frame(rep: PolytopeRep) -> tuple[np.ndarray, np.ndarray] | None:
+    """The frame (basis, facets) of a polytope's own facets: the identity
+    basis and the rep's facets at unit max-abs, or None when its facets are
+    unknown.  Public ``distinguishable`` and ``capacity`` both test in it."""
+    if rep.facets is None:
+        return None
+    return np.eye(rep.ambient_dim), _unit_rows(rep.facets)
+
+
 def _ball_distinguishable(space: StateSpace, states: np.ndarray,
                           tol: float) -> DistinguishabilityWitness | None:
     """Exact criterion: an effect attains value 1 on the ball only at a single
@@ -209,7 +225,10 @@ def _quantum_distinguishable(space: StateSpace, states: np.ndarray,
 
 def distinguishable(space: StateSpace, states, tol: float | None = None
                     ) -> DistinguishabilityWitness | None:
-    """Perfect-distinguishability witness for the given states, or None."""
+    """Perfect-distinguishability witness for the given states, or None.
+
+    Every state must lie in the space, within max(tol, 1e-7).  The test is
+    chosen by the representation, as ``distinguishable_unchecked`` says."""
     tol = resolve_tol(tol)
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.size == 0:  # [] and [[]] give shape (1, 0)
@@ -224,7 +243,17 @@ def distinguishable_unchecked(space: StateSpace, states: np.ndarray, tol: float
                               ) -> DistinguishabilityWitness | None:
     """``distinguishable`` without its membership check, for states known to lie
     in the space, such as its own vertices.  ``states`` is a non-empty 2-D float
-    array and ``tol`` a resolved tolerance."""
+    array and ``tol`` a resolved tolerance.
+
+    One state is told apart by u alone; balls and quantum systems are
+    decided by their exact criteria.  A ``PolytopeRep`` with facets is
+    decided by the cone test over them in the identity basis
+    (``_rep_frame``), whose proof holds for any states in the cone, not only
+    vertices, and for any finite set of rows that cuts the cone out, a max
+    composite's product rows among them.  A facet counts as vanishing on a
+    state at |h(v)| ≤ tol · max|v|, so a state admitted by the membership
+    check but farther than that off a facet is not on it.  A polytope
+    without facets takes the vertex LP ``_polytope_distinguishable``."""
     n = states.shape[0]
     if n == 1:
         return _single_state_witness(space, states[0])
@@ -233,7 +262,8 @@ def distinguishable_unchecked(space: StateSpace, states: np.ndarray, tol: float
         return _ball_distinguishable(space, states, tol)
     if isinstance(rep, QuantumRep):
         return _quantum_distinguishable(space, states, tol)
-    return _polytope_distinguishable(space, states, tol)
+    frame = _rep_frame(rep) if isinstance(rep, PolytopeRep) else None
+    return _candidate_distinguishable(space, states, frame, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +395,27 @@ def _span_bound(verts: np.ndarray, tol: float
 def _search_frame(rep: PolytopeRep, verts: np.ndarray, tol: float
                   ) -> tuple[int | None, tuple[np.ndarray, np.ndarray] | None]:
     """The bound ⌊β⌋ of ``capacity``'s search and the frame (basis, facets)
-    it tests candidates in: the rep's facets, when known, in the identity
-    basis, else those of one DD in the vertices' span (``_span_bound``),
-    scaled to unit max-abs as ``_facet_distinguishable`` takes them.  The
-    frame is None when neither is known."""
-    facets = rep.facets
-    if facets is None:
-        bound, basis, facets = _span_bound(verts, tol)
-    else:
-        bound, basis = _capacity_bound(verts, facets, tol), np.eye(verts.shape[1])
-    if facets is None:
-        return bound, None
-    return bound, (basis, facets / np.abs(facets).max(axis=1, keepdims=True))
+    it tests candidates in: the rep's own (``_rep_frame``), when its facets
+    are known, else the span basis and the facets of one DD in the vertices'
+    span (``_span_bound``), scaled to unit max-abs as
+    ``_facet_distinguishable`` takes them.  The frame is None when neither
+    is known."""
+    frame = _rep_frame(rep)
+    if frame is not None:
+        return _capacity_bound(verts, rep.facets, tol), frame
+    bound, basis, facets = _span_bound(verts, tol)
+    return bound, None if facets is None else (basis, _unit_rows(facets))
 
 
 def _candidate_distinguishable(space: StateSpace, states: np.ndarray, frame, tol: float
                                ) -> DistinguishabilityWitness | None:
-    """The capacity search's test of one candidate: the cone test over the
-    facets it holds, ``frame`` = (basis, facets) as ``_facet_distinguishable``
-    takes them, or the LP ``distinguishable_unchecked`` when ``frame`` is
-    None."""
+    """The test of n ≥ 2 states of a polytope: the cone test over the facets
+    of ``frame`` = (basis, facets), as ``_facet_distinguishable`` takes them,
+    or the LP ``_polytope_distinguishable`` when ``frame`` is None.  The
+    capacity search passes its ``_search_frame``, public ``distinguishable``
+    the rep's own ``_rep_frame``."""
     if frame is None:
-        return distinguishable_unchecked(space, states, tol)
+        return _polytope_distinguishable(space, states, tol)
     return _facet_distinguishable(states, *frame, tol)
 
 

@@ -119,8 +119,14 @@ def _float_array(value, what: str) -> np.ndarray:
     return arr
 
 
-def build_space(td: TheoryDefinition) -> StateSpace:
-    """Construct and validate the state space described by a definition."""
+def build_space(td: TheoryDefinition, search_group: bool = True) -> StateSpace:
+    """Construct and validate the state space described by a definition.
+
+    A polytope with group kind ``"auto"`` gets its vertex group searched
+    here, which can exhaust SYMMETRY_NODE_BUDGET; with ``search_group``
+    False it is built without a group, for callers such as ``capacity``
+    that search symmetries only when they need them.  A ``"finite"`` group
+    is validated either way."""
     spec = td.space_spec
     family = spec.get("family")
     kind = td.group_spec.get("kind", "auto")
@@ -140,7 +146,7 @@ def build_space(td: TheoryDefinition) -> StateSpace:
             raise ValidationError("polytope vertices must be a non-empty list of rows")
         space = StateSpace(name=td.name, rep=PolytopeRep.with_facets(verts))
         validate_space(space)
-        if kind == "auto":
+        if kind == "auto" and search_group:
             # searched on the deduplicated vertices, once they are known to be extreme
             space = replace(space, group=polytope_symmetry_group(space.rep.vertices))
     else:

@@ -94,7 +94,7 @@ def test_every_seed0_corpus_report_matches_its_golden_digest(monkeypatch):
 @pytest.mark.parametrize("workload, lps, iterations", [
     ("check_corpus", 39, 98),
     ("capacity_ns", 56, 304),
-    ("membership", 100, 1408),
+    ("membership", 100, 617),
 ], ids=["check_corpus-39", "capacity_ns-56", "membership-100"])
 def test_seed0_pass_zero_solves_its_pinned_number_of_lps(monkeypatch, workload, lps, iterations):
     # the LP gate: the lp.calls and lp.iterations a traced seed-0 benchmark
@@ -102,7 +102,9 @@ def test_seed0_pass_zero_solves_its_pinned_number_of_lps(monkeypatch, workload, 
     # right.  check_corpus validates its JSON polytopes and the square by
     # their facets; every capacity search stops at ⌊β⌋, which capacity_ns's
     # rank-deficient faces get from a DD in their span, and decides each
-    # candidate by one cone test over the same facets
+    # candidate by one cone test over the same facets; membership's pair
+    # queries on the no-signalling polytope take the cone test over its
+    # product facets
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     prepared = workloads.WORKLOADS[workload].setup(0, False, workloads.load_golden())

@@ -366,14 +366,19 @@ def test_the_facet_bound_holds_and_changes_no_capacity(dim, count, point_seed):
 
 
 def _highs_distinguishable(verts: np.ndarray, subset: tuple) -> bool:
+    """Oracle: are the subset's vertices perfectly distinguishable?"""
+    return _highs_tells_apart(verts, verts[list(subset)])
+
+
+def _highs_tells_apart(verts: np.ndarray, states: np.ndarray) -> bool:
     """Oracle: one HiGHS feasibility LP over all n effects, E_i ≥ 0 on every
-    vertex, Σ E_i = u and E_i(ω_j) = δ_ij on the subset's vertices."""
+    vertex, Σ E_i = u and E_i(ω_j) = δ_ij on the states."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    (nv, k), n = verts.shape, len(subset)
+    (nv, k), n = verts.shape, len(states)
     eye = np.eye(n)
     res = linprog(np.zeros(n * k), method="highs", bounds=(None, None),
                   A_ub=-np.kron(eye, verts), b_ub=np.zeros(n * nv),
-                  A_eq=np.vstack([np.kron(eye, verts[list(subset)]), np.kron(np.ones(n), np.eye(k))]),
+                  A_eq=np.vstack([np.kron(eye, states), np.kron(np.ones(n), np.eye(k))]),
                   b_eq=np.concatenate([eye.ravel(), np.eye(k)[0]]))
     assert res.status in (0, 2), res.message  # feasible or infeasible
     return res.status == 0
@@ -478,6 +483,102 @@ def test_the_cone_test_matches_the_lp_and_highs():
     # both answers at every size but 5; the capacity witnesses give the yes at 4
     assert {size for size, yes in answers if yes} == {2, 3, 4}
     assert {size for size, yes in answers if not yes} == {2, 3, 4, 5}
+
+
+def _non_vertex_sets(space: StateSpace, witness: DistinguishabilityWitness, rng
+                     ) -> list[tuple[str, np.ndarray]]:
+    """Seeded state sets with non-vertex states, labelled by kind: pairs of
+    edge midpoints, an edge midpoint with a vertex, pairs and triples of
+    Dirichlet mixtures inside one facet each, a vertex with an interior
+    point (never distinguishable) and two interior points, and mixtures
+    inside the faces where each effect of ``witness`` is 1, which are
+    distinguishable by it."""
+    verts = vertices_of(space)
+    nv, k = verts.shape
+    facets = discrimination._unit_rows(space.rep.facets)
+    tight = np.abs(verts @ facets.T) <= 1e-9
+    edges = []
+    for pair in rng.permutation(list(combinations(range(nv), 2))):
+        if np.linalg.matrix_rank(facets[tight[pair[0]] & tight[pair[1]]]) == k - 2:
+            edges.append(verts[pair].mean(axis=0))
+            if len(edges) == 8:
+                break
+
+    def mixture(rows):
+        return rng.dirichlet(np.ones(len(rows))) @ rows
+
+    def in_facet():
+        return mixture(verts[tight[:, rng.integers(len(facets))]])
+
+    def vertex():
+        return verts[rng.integers(nv)]
+
+    faces = [verts[e @ verts.T >= 1 - 1e-9] for e in witness.measurement.effects]
+    sets = [("edges", np.array(edges[i:i + 2])) for i in range(0, len(edges) - 1, 2)]
+    sets += [("edge-vertex", np.array([edge, vertex()])) for edge in edges[:4]]
+    sets += [("facets", np.array([in_facet() for _ in range(n)])) for n in (2, 2, 2, 3, 3)]
+    sets += [("vertex-interior", np.array([vertex(), mixture(verts)])) for _ in range(3)]
+    sets += [("interior", np.array([mixture(verts), mixture(verts)]))]
+    sets += [("faces", np.array([mixture(face) for face in faces[:n]]))
+             for n in (2, len(faces))]
+    return sets
+
+
+def test_public_distinguishable_matches_the_lp_and_highs_on_non_vertex_states():
+    # states capacity never passes, on polytopes whose facets are known:
+    # public distinguishable (the cone test) answers as the vertex LP and
+    # HiGHS do, and every witness it returns verifies
+    rng = np.random.default_rng(20120325)
+    tol = resolve_tol(None)
+    sq = square_gbit()
+    pentagon = build_space(load_theory(str(CORPUS / "5-gon.json")))
+    spaces = [compose(sq, sq, "max").space, sq] + [
+        build_space(load_theory(str(CORPUS / f"{name}.json")))
+        for name in ["cube", "octahedron", "5-gon", "12-gon"]]
+    inputs = [(space, capacity(space).witness) for space in spaces]
+    # max(5-gon, 5-gon) is past the search's vertex budget; its five
+    # vertices 0, 5, 95, 109 and 130 are distinguishable
+    space = compose(pentagon, pentagon, "max").space
+    inputs.append((space, distinguishable(space, vertices_of(space)[[0, 5, 95, 109, 130]])))
+    answers = set()
+    for space, code in inputs:
+        assert space.rep.facets is not None and code.n >= 2, space.name
+        verts = vertices_of(space)
+        for kind, states in _non_vertex_sets(space, code, rng):
+            witness = distinguishable(space, states)
+            lp = discrimination._polytope_distinguishable(space, states, tol)
+            assert (witness is not None) == (lp is not None) == _highs_tells_apart(
+                verts, states), (space.name, kind)
+            assert witness is None or verify_witness(space, witness), (space.name, kind)
+            answers.add((kind, witness is not None))
+    # both answers on edges; random facet points are nearly all "no", and
+    # the witness faces give the "yes" on mixtures
+    assert ("vertex-interior", True) not in answers and ("faces", False) not in answers
+    assert {("edges", True), ("edges", False), ("edge-vertex", True), ("edge-vertex", False),
+            ("facets", False), ("faces", True)} <= answers
+
+
+def test_only_a_polytope_without_facets_solves_the_vertex_lp(monkeypatch):
+    # min(square, square) has product vertices and no facets, so public
+    # distinguishable takes the vertex LP there; the no-signalling polytope
+    # max(square, square) has its product facets and takes the cone test
+    sq = square_gbit()
+    calls = []
+    for name in ("_polytope_distinguishable", "_facet_distinguishable"):
+        def recording(*args, name=name, test=getattr(discrimination, name)):
+            calls.append(name)
+            return test(*args)
+
+        monkeypatch.setattr(discrimination, name, recording)
+    for rule, route in (("min", "_polytope_distinguishable"), ("max", "_facet_distinguishable")):
+        space = compose(sq, sq, rule).space
+        assert (space.rep.facets is None) == (rule == "min")
+        calls.clear()
+        pair = vertices_of(space)[[0, 15]]
+        witness = distinguishable(space, pair)
+        assert witness is not None and verify_witness(space, witness)
+        assert distinguishable(space, np.vstack([pair[0], vertices_of(space).mean(axis=0)])) is None
+        assert calls == [route, route], rule
 
 
 def test_the_pentagon_squared_has_capacity_five():

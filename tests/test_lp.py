@@ -10,7 +10,7 @@ import pytest
 
 from gptlab.composites import compose
 from gptlab.convex import PolytopeRep, StateSpace, cone_contains, unit_effect_vector, vertices_of
-from gptlab.discrimination import distinguishable, distinguishable_unchecked, verify_witness
+from gptlab.discrimination import _polytope_distinguishable, distinguishable, verify_witness
 from gptlab.models import square_gbit
 from gptlab.lp import FEASIBLE, INFEASIBLE, LinearProgram, lp_feasible, lp_solve
 from gptlab.runner import build_space, load_theory
@@ -200,9 +200,10 @@ def test_free_and_nonnegative_systems_match_highs():
 
 
 def _distinguishability_matches_highs(space, states) -> bool:
-    """Our verdict on ``states`` against HiGHS on the n-effect formulation; a
-    witness must verify and its last effect must be exactly u minus the others."""
-    witness = distinguishable_unchecked(space, states, 1e-9)
+    """The vertex LP's verdict on ``states``, and the public route's (the
+    cone test where the space has facets), against HiGHS on the n-effect
+    formulation; each witness must verify and its last effect must be
+    exactly u minus the others."""
     verts = vertices_of(space)
     n, k = states.shape
     # variables E_1..E_n: sum_a E_a = unit, E_a(states_b) = delta_ab,
@@ -210,13 +211,16 @@ def _distinguishability_matches_highs(space, states) -> bool:
     a_eq = np.vstack([np.kron(np.ones(n), np.eye(k)), np.kron(np.eye(n), states)])
     b_eq = np.concatenate([unit_effect_vector(k), np.eye(n).ravel()])
     a_ub = np.kron(np.eye(n), -verts)
-    assert (witness is not None) == _highs_feasible(a_eq, b_eq, a_ub, np.zeros(len(a_ub))), states
-    if witness is not None:
-        effects = witness.measurement.effects
-        assert effects.shape == (n, k)
-        assert verify_witness(space, witness, 1e-9), states
-        assert np.array_equal(effects[-1], unit_effect_vector(k) - effects[:-1].sum(axis=0))
-    return witness is not None
+    highs = _highs_feasible(a_eq, b_eq, a_ub, np.zeros(len(a_ub)))
+    for witness in (_polytope_distinguishable(space, states, 1e-9),
+                    distinguishable(space, states, 1e-9)):
+        assert (witness is not None) == highs, states
+        if witness is not None:
+            effects = witness.measurement.effects
+            assert effects.shape == (n, k)
+            assert verify_witness(space, witness, 1e-9), states
+            assert np.array_equal(effects[-1], unit_effect_vector(k) - effects[:-1].sum(axis=0))
+    return highs
 
 
 def _with_a_midpoint(rng, verts, states):
@@ -305,14 +309,16 @@ def test_a_degenerate_infeasible_distinguishability_lp_terminates(pentagon_pair)
     # degenerate.  Dantzig's rule re-enters a degenerate cycle here whenever
     # the loop returns to it, so this LP ends only if Bland's rule holds for
     # the rest of the call once it engages.  The iteration limit is about
-    # 231,000 pivots, far past the time bound.
+    # 231,000 pivots, far past the time bound.  Public distinguishable
+    # takes the cone test on this space's product facets, so the vertex LP
+    # is called directly.
     verts = vertices_of(pentagon_pair)
     states = verts[[12, 54, 70, 127]]
     with _wall_time_limit(5):
-        assert distinguishable(pentagon_pair, states) is None
+        assert _polytope_distinguishable(pentagon_pair, states, 1e-9) is None
     assert not _distinguishability_matches_highs(pentagon_pair, states)
     with _wall_time_limit(5):
-        witness = distinguishable(pentagon_pair, verts[PENTAGON_PAIR_CODE])
+        witness = _polytope_distinguishable(pentagon_pair, verts[PENTAGON_PAIR_CODE], 1e-9)
     assert witness is not None and verify_witness(pentagon_pair, witness)
 
 

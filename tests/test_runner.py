@@ -973,6 +973,24 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_cli_capacity_searches_no_group_at_load(tmp_path, capsys):
+    # the load-time group search that makes `check` exit 3 on the 7-cross is
+    # skipped: the capacity search stops at ⌊β⌋ = 2 before it needs a group
+    theory = _write(tmp_path, "poly.json",
+                    {"name": "7-cross", "space": {"family": "polytope", "vertices": _cross_polytope(7)}})
+    code = cli_main(["capacity", theory])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (out["capacity"], out["exact"], out["lower_bound"]) == (2, True, 2)
+    # a loaded finite group is still checked against the vertices
+    stretch = np.diag([1.0, 2.0] + [1.0] * 6)[None].tolist()
+    theory = _write(tmp_path, "bad-group.json",
+                    {"name": "7-cross", "space": {"family": "polytope", "vertices": _cross_polytope(7)},
+                     "group": {"kind": "finite", "matrices": stretch}})
+    assert cli_main(["capacity", theory]) == 2
+    capsys.readouterr()
+
+
 _ANGLES_18 = 2 * np.pi * np.arange(18) / 18
 POLYTOPES_PAST_16_VERTICES = {
     "18-gon": np.column_stack([np.ones(18), np.cos(_ANGLES_18), np.sin(_ANGLES_18)]).tolist(),
