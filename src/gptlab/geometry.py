@@ -32,9 +32,11 @@ every later row keeps outnumber it.
 
 The float path's deduplication (``canonicalize_vertices``) walks the rows in
 lexicographic order and keeps a row unless an already kept row lies within
-``tol`` of it in every coordinate; near pairs are found by array comparisons
-over blocks of rows, and only rows with an earlier near row are decided one
-by one.
+``tol`` of it in every coordinate.  Near pairs are found by one sort: the
+rows are projected onto a fixed direction, and only rows whose projections
+lie within a slack of each other, which covers ``tol`` and the rounding of
+the projection, are compared coordinate by coordinate, in chunks of pairs.
+Only rows with an earlier near row are decided one by one.
 
 ``vertex_symmetries`` finds the vertex permutations that linear maps induce on
 a polytope; the postulate checker builds its automatic groups from them and
@@ -55,6 +57,7 @@ first LP that answers "not distinguishable".
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from fractions import Fraction
@@ -78,12 +81,30 @@ def affine_dimension(points: np.ndarray, tol: float | None = None) -> int:
     return int(np.sum(svals > tol * max(1.0, scale)))
 
 
-# Rows compared per step in canonicalize_vertices: a step holds a
-# 256 x n boolean matrix and one 256 x n float difference.
-_DEDUP_BLOCK_ROWS = 256
+# Candidate pairs compared per step in canonicalize_vertices: a step holds a
+# handful of index and float arrays of this length, 0.5 MB each.  A row
+# whose window alone holds more pairs is one step.
+_DEDUP_PAIRS = 1 << 16
 # Permutations checked per step in vertex_symmetries: a step holds a
 # 1024 x nv x K float array.
 _CHECK_BLOCK_ROWS = 1024
+
+
+@functools.cache
+def _dedup_direction(K: int) -> np.ndarray:
+    """The projection direction of ``canonicalize_vertices`` in R^K: the
+    square roots of the first K primes.  They are linearly independent over
+    the rationals, so no small integer difference of lattice rows is
+    orthogonal to w, as (1, -2, 1) is to any arithmetic progression."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < K:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    w = np.sqrt(primes)
+    w.flags.writeable = False  # one cached array for every caller
+    return w
 
 
 def canonicalize_vertices(vertices: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -91,24 +112,83 @@ def canonicalize_vertices(vertices: np.ndarray, tol: float | None = None) -> np.
 
     Rows are visited in lexicographic order and a row is kept unless a row
     already kept lies within ``tol`` of it in every coordinate, so a chain
-    a≈b≈c with a, c apart keeps a and c.  Near pairs are found in blocks of
-    rows, with memory bounded by block size times the number of rows.
+    a≈b≈c with a, c apart keeps a and c.  A non-finite coordinate raises
+    ValidationError.
+
+    Near pairs are found from one sort of the projections p = V w onto the
+    fixed direction w of ``_dedup_direction``.  The candidates of a row are
+    the rows whose projection lies within ``slack = 2‖w‖₁(tol + (K + 2)εX)``
+    of its own, X the largest absolute coordinate and ε the machine epsilon,
+    and each candidate pair takes the exact test ``|a_c - b_c| <= tol`` in
+    every coordinate c.  Every near pair is a candidate: its rows differ by
+    at most tol(1 + ε) in each coordinate, so their exact projections differ
+    by at most tol(1 + ε)‖w‖₁, and each computed projection is within
+    γ_K‖w‖₁X of the exact one, γ_K = Kε/2 / (1 - Kε/2), in any order of
+    summation (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    §3.1).  The slack is about twice the sum of these bounds; the margin
+    covers the rounding of the slack itself, of the gaps between sorted
+    projections and of the window's ends ``p ± slack``.  So the rows kept
+    are those of a comparison of every pair, bit for bit.  The projections
+    and the slack are taken on the rows scaled by 2^-e, e >= 0 the least
+    with X·2^-e < 1, so that no projection overflows.  The scaling is exact
+    but for entries pushed below the normal range, which move a projection
+    by at most K·2^-1075, far below the slack.  Candidate pairs are compared
+    in chunks of about ``_DEDUP_PAIRS``, grouped by their later row in
+    lexicographic order; a pair whose earlier row is already dropped is not
+    compared.
     """
     tol = resolve_tol(tol)
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     if verts.size == 0:
         return verts.reshape(0, verts.shape[1] if verts.ndim == 2 else 0)
+    if not np.isfinite(verts).all():
+        raise ValidationError("non-finite vertex coordinate")
     verts = verts[np.lexsort(verts.T[::-1])]
-    n = verts.shape[0]
+    n, K = verts.shape
+    w = _dedup_direction(K)
+    largest = np.abs(verts).max()
+    exponent = max(0, int(np.frexp(largest)[1]))
+    proj = np.ldexp(verts, -exponent) @ w
+    order = proj.argsort(kind="stable")
+    proj = proj[order]
+    slack = 2 * w.sum() * np.ldexp(tol + (K + 2) * np.finfo(float).eps * largest, -exponent)
+    # a row has a candidate when a neighbour in projection order is within
+    # the slack
+    close = proj[1:] - proj[:-1] <= slack
+    if not close.any():
+        return verts
+    has_candidate = np.zeros(n, dtype=bool)
+    has_candidate[:-1] = close
+    has_candidate[1:] |= close
+    # positions of those rows in projection order, in lexicographic order of
+    # the rows, and their windows [lo, lo + size) in projection order
+    pos = np.flatnonzero(has_candidate)
+    pos = pos[order[pos].argsort()]
+    rows = order[pos]
+    lo = np.searchsorted(proj, proj[pos] - slack, side="left")
+    size = np.searchsorted(proj, proj[pos] + slack, side="right") - lo
+    ends = np.cumsum(size)
     keep = np.ones(n, dtype=bool)
-    for start in range(0, n, _DEDUP_BLOCK_ROWS):
-        stop = min(start + _DEDUP_BLOCK_ROWS, n)
-        # near[i, j]: block row i and row j < start + i agree within tol everywhere
-        near = np.tri(stop - start, stop, k=start - 1, dtype=bool)
+    start = 0
+    while start < rows.size:
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - size[start] + _DEDUP_PAIRS,
+                                                  side="right")))
+        counts = size[start:stop]
+        first = np.cumsum(counts) - counts  # each row's first pair in the chunk
+        j = np.repeat(rows[start:stop], counts)
+        i = order[np.arange(j.size) + np.repeat(lo[start:stop] - first, counts)]
+        # keep[i] is final for rows of earlier chunks and still True for the
+        # rest, which the loop below reads again
+        earlier = (i < j) & keep[i]
+        i, j = i[earlier], j[earlier]
+        near = np.ones(i.size, dtype=bool)
         for col in verts.T:
-            near &= np.abs(col[start:stop, None] - col[None, :stop]) <= tol
-        for i in np.flatnonzero(near.any(axis=1)):
-            keep[start + i] = not keep[:stop][near[i]].any()
+            near &= np.abs(col[i] - col[j]) <= tol
+        i, j = i[near], j[near]
+        later, heads = np.unique(j, return_index=True)
+        for row, group in zip(later, np.split(i, heads[1:])):
+            keep[row] = not keep[group].any()
+        start = stop
     return verts[keep]
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -18,6 +19,7 @@ from gptlab.discrimination import _vertex_permutations
 from gptlab.errors import BudgetExceededError, ValidationError
 from gptlab.geometry import (
     SYMMETRY_NODE_BUDGET,
+    _dedup_direction,
     _independent_rows,
     _integer_rows,
     affine_dimension,
@@ -94,7 +96,8 @@ NEAR_OFFSETS = (0.0, 0.5, 0.9, 1.0, 1.1, 2.0)
     data_seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_canonicalize_matches_greedy_oracle(dim, tol, n_centres, n_chains, data_seed):
-    # Up to about 700 rows, so several blocks of the blocked comparison occur.
+    # Up to about 700 rows, with near pairs, chains and candidates that are
+    # not near.
     rng = np.random.default_rng(data_seed)
     centres = rng.integers(-2, 3, size=(n_centres, dim)) / 2.0
     rows = np.repeat(centres, rng.integers(1, 9, size=n_centres), axis=0)
@@ -107,6 +110,92 @@ def test_canonicalize_matches_greedy_oracle(dim, tol, n_centres, n_chains, data_
     expected = _greedy_dedup(rows, tol)
     assert out.shape == expected.shape
     assert out.tobytes() == expected.tobytes()
+
+
+def _crowded_rows(case, tol, rng):
+    """Rows on which a projection onto one direction gives little away."""
+    if case == "large":
+        # near pairs a, a + d with one coordinate at 1e6..1e8: the projection
+        # rounds on a grid far coarser than tol, so a window of a few tol
+        # misses pairs that its rounding slack catches
+        a = rng.integers(-2, 3, size=(60, int(rng.integers(2, 5)))) / 2.0
+        a[:, 0] = rng.integers(1, 4, size=60) * 10.0 ** rng.uniform(6, 8, size=60)
+        d = tol * rng.choice(NEAR_OFFSETS[:4], size=a.shape) * rng.choice([-1, 1], size=a.shape)
+        rows = np.vstack([a, a + d])
+        return rows[rng.permutation(rows.shape[0])]
+    K = int(rng.integers(2, 17))
+    if case == "tied":
+        # differences orthogonal to the projection direction: the projections
+        # of rows a whole unit apart tie up to rounding
+        w = _dedup_direction(K)
+        d = rng.normal(size=(3, K))
+        d -= np.outer(d @ w / (w @ w), w)
+        centres = rng.integers(-2, 3, size=(30, 3)) @ (d / np.abs(d).max(axis=1, keepdims=True))
+    else:  # "cluster" and "chain": every row within a few tol of one point
+        centres = rng.normal(size=(1, K))
+    count = 300 if case == "cluster" else 3
+    rows = np.repeat(centres, count, axis=0)
+    rows += tol * rng.choice(NEAR_OFFSETS, size=rows.shape) * rng.choice([-1, 1], size=rows.shape)
+    if case == "chain":
+        # a, b = a + 0.6 tol, c = a + 1.2 tol in every coordinate: keeps a and c
+        rows = np.vstack([rows, centres + 0.6 * tol, centres + 1.2 * tol])
+    return rows[rng.permutation(rows.shape[0])]
+
+
+@pytest.mark.parametrize("case", ["large", "tied", "cluster", "chain"])
+@pytest.mark.parametrize("tol", [1e-9, 1e-7])
+@pytest.mark.parametrize("data_seed", range(4))
+def test_canonicalize_matches_greedy_oracle_on_crowded_projections(case, tol, data_seed):
+    # The cluster's 300 rows are nearly all candidates of one another, up to
+    # 90,000 pairs, so its pairs are checked in two chunks.
+    rng = np.random.default_rng([34, data_seed])
+    rows = _crowded_rows(case, tol, rng)
+    out = canonicalize_vertices(rows, tol=tol)
+    expected = _greedy_dedup(rows, tol)
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_canonicalize_one_cluster_in_bounded_memory():
+    # 4096 rows, K = 16, all within tol of one point: every row is a
+    # candidate of every other, about 8.4 million pairs, which held at once
+    # as two index arrays would take 134 MB.  Two coordinates spread over
+    # the whole +-tol, so the near pairs form chains and several rows stay.
+    tol = 1e-9
+    rng = np.random.default_rng(34)
+    spread = np.full(16, 0.45)
+    spread[:2] = 1.0
+    rows = rng.normal(size=16) + tol * spread * rng.uniform(-1, 1, size=(4096, 16))
+    tracemalloc.start()
+    try:
+        out = canonicalize_vertices(rows, tol=tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = _greedy_dedup(rows, tol)
+    assert len(expected) > 1
+    assert out.tobytes() == expected.tobytes()
+    assert peak < 16 * 2**20
+
+
+def test_canonicalize_rows_near_the_largest_float():
+    # unscaled, both projections would overflow to inf and their gap be NaN
+    big = np.finfo(float).max / 2
+    rows = np.array([[big, big, 1.0], [big, -big, 1.0], [big, big, 1.0]])
+    assert canonicalize_vertices(rows).tobytes() == rows[[1, 0]].tobytes()
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, np.inf], [1.0, np.inf]],
+    [[1.0, np.nan], [1.0, np.nan]],
+    [[1.0, 0.0], [-np.inf, 1.0]],
+    [[np.nan, 0.0]],
+])
+def test_canonicalize_refuses_a_non_finite_coordinate(rows):
+    # inf - inf is NaN with a RuntimeWarning, and NaN is near nothing, not
+    # even itself; a NaN projection would also break the sort
+    with pytest.raises(ValidationError, match="non-finite vertex coordinate"):
+        canonicalize_vertices(np.array(rows))
 
 
 def test_bit_effect_cone_rays():
