@@ -163,8 +163,9 @@ def compose(a: StateSpace, b: StateSpace, rule: str, tol: float | None = None) -
     rows = product_effect(rays_a[:, None], rays_b[None]).reshape(-1, k)
     exact = _integral(rows) and k <= 16
     if exact:
-        raw = np.array(dual_cone_rays_exact(np.round(rows).astype(int),
-                                            max_rays=MAX_COMPOSITE_VERTICES),
+        # int of a float is exact at any size, where an int64 cast wraps
+        ints = [[int(x) for x in row] for row in np.round(rows).tolist()]
+        raw = np.array(dual_cone_rays_exact(ints, max_rays=MAX_COMPOSITE_VERTICES),
                        dtype=object).reshape(-1, k)
     else:
         raw = dual_cone_rays(rows, tol=tol, max_rays=MAX_COMPOSITE_VERTICES)

@@ -5,20 +5,22 @@ One routine serves every direction of the duality: the extreme rays of
 give composite-state vertices when ``G`` holds product-effect functionals.
 
 One incremental double-description loop (Fukuda & Prodon, 1996) does the
-enumeration for two number types: float arrays compared against a tolerance
-(``dual_cone_rays``) and numpy object arrays of Python ints compared exactly
-(``dual_cone_rays_exact``), so that small integral fixtures are bit-exact.
-The exact path is fraction-free from input to output: rational rows are
-scaled to integers, the starting rows are picked and inverted by Bareiss
-elimination (adjugate instead of inverse), and rays are kept primitive,
-divided by the gcd of their entries where the float path scales them to unit
-max-abs.  The two entry points differ only in that set-up and in the final
-deduplication.
+enumeration on floats compared against a tolerance (``dual_cone_rays``) and
+on integers compared exactly (``dual_cone_rays_exact``), so that small
+integral fixtures are bit-exact.  The exact path is fraction-free from input
+to output: rational rows are scaled to integers, the starting rows are
+picked and inverted by Bareiss elimination (adjugate instead of inverse),
+and rays are kept primitive, divided by the gcd of their entries where the
+float path scales them to unit max-abs.  Its integers are int64 when a
+Hadamard bound on the rows shows that no step can overflow, and Python ints
+in numpy object arrays otherwise; the choice is made once per call, from
+the rows, and both give the same rays.  The two entry points differ only in
+that set-up and in the final deduplication.
 
 Each cutting row is processed as arrays, not ray by ray (numpy 2.0 or
 later).  The rays' values on the row are one matrix product ``rays @ g`` on
-the exact path, where Python ints sum exactly in any order, and
-``np.vecdot`` on the float path, which keeps the bits of a ray-by-ray loop.
+the exact path, where integers sum exactly in any order, and ``np.vecdot``
+on the float path, which keeps the bits of a ray-by-ray loop.
 The rows tight at each ray are one row of packed ``uint64`` words (a bit
 pattern, as in Terzer & Stelling, Bioinformatics 24(19), 2008).  A
 positive and a negative ray with fewer than K - 2 common tight rows cannot
@@ -263,22 +265,25 @@ def _bareiss_start_rays(B: np.ndarray) -> np.ndarray:
     determinant, that is |det B| times the inverse.
 
     Fraction-free Gauss-Jordan elimination on ``[B | I]`` ends with
-    ``[d I | d B^-1]``, d = ±det B, every division exact.
+    ``[d I | d B^-1]``, d = ±det B, every division exact.  It runs as whole
+    row operations on an array of ``B``'s dtype.  After each step every
+    entry is, up to sign, a minor of ``[B | I]`` with its rows permuted by
+    the pivot swaps: by Cramer's rule in the rows already pivoted, by
+    Sylvester's identity in the rest (Bareiss, Math. Comp. 22, 1968).  So by
+    Hadamard's inequality no entry exceeds H = (max‖b‖₂² + 1)^(K/2), b a
+    row of ``B``, and no product difference before its division 2H².
     """
     K = B.shape[0]
-    M = [list(row) + [int(i == j) for j in range(K)] for i, row in enumerate(B.tolist())]
+    M = np.concatenate([B, np.eye(K, dtype=B.dtype)], axis=1)
     prev = 1
     for k in range(K):
-        pivot = next(r for r in range(k, K) if M[r][k])
-        M[k], M[pivot] = M[pivot], M[k]
-        p = M[k][k]
-        for i in range(K):
-            if i != k:
-                f = M[i][k]
-                M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], M[k])]
-        prev = p
-    sign = 1 if prev > 0 else -1
-    return np.array([[sign * x for x in row[K:]] for row in M], dtype=object)
+        pivot = k + np.flatnonzero(M[k:, k])[0]
+        M[[k, pivot]] = M[[pivot, k]]
+        row = M[k].copy()
+        M = (row[k] * M - M[:, k:k + 1] * row) // prev
+        M[k] = row
+        prev = row[k]
+    return M[:, K:] if prev > 0 else -M[:, K:]
 
 
 def _unit_max_abs(rays: np.ndarray) -> np.ndarray:
@@ -286,7 +291,9 @@ def _unit_max_abs(rays: np.ndarray) -> np.ndarray:
 
 
 def _primitive(rays: np.ndarray) -> np.ndarray:
-    return rays // np.gcd.reduce(rays, axis=1)[:, None]
+    # from 0: over one column of Python ints the reduction would return the
+    # entry itself, sign and all
+    return rays // np.gcd.reduce(rays, axis=1, initial=0)[:, None]
 
 
 # Mask words held by one step of the K - 2 prefilter or of the subset test in
@@ -338,16 +345,16 @@ def _double_description(G: np.ndarray, start: np.ndarray, tol: float,
     the rows of one array, and a ray's mask, one row of packed ``uint64``
     words, holds the rows it makes tight: row t is bit ``t & 63`` of word
     ``t >> 6``.  The same loop runs on float arrays with a tolerance, rays
-    scaled to unit max-abs, and on object arrays of Python ints with
-    ``tol = 0``, rays divided by the gcd of their entries: a combination of
-    two integer rays is an integer ray, so no entry is ever a fraction.
-    ``normalize`` puts each row in that form.  A row's values on integer
-    rays come from one matrix product ``rays @ g``: integer sums are exact
-    in any order, and the product costs about a quarter of ``np.vecdot``
-    over object arrays.  On float rays they come from ``np.vecdot``, one
-    dot product per ray, which keeps the bits of a ray-by-ray ``g @ r``
-    loop; a matrix product sums in another order and changes the vertex
-    bytes.
+    scaled to unit max-abs, and on integer arrays (int64 or Python ints in
+    object arrays, as ``G`` is) with ``tol = 0``, rays divided by the gcd of
+    their entries: a combination of two integer rays is an integer ray, so
+    no entry is ever a fraction.  ``normalize`` puts each row in that form.
+    A row's values on integer rays come from one matrix product
+    ``rays @ g``: integer sums are exact in any order, and over object
+    arrays the product costs about a quarter of ``np.vecdot``.  On float
+    rays they come from ``np.vecdot``, one dot product per ray, which keeps
+    the bits of a ray-by-ray ``g @ r`` loop; a matrix product sums in
+    another order and changes the vertex bytes.
 
     A ray that is nonnegative on every row not yet processed is extreme in
     the final cone, so once there are more than ``max_rays`` rays, their
@@ -366,7 +373,7 @@ def _double_description(G: np.ndarray, start: np.ndarray, tol: float,
     masks[first, first >> 6] ^= np.uint64(1) << (first & 63).astype(np.uint64)
 
     for t in range(K, n_rows):
-        values = rays @ G[t] if rays.dtype == object else np.vecdot(G[t], rays)
+        values = np.vecdot(G[t], rays) if rays.dtype == float else rays @ G[t]
         pos, neg = values > tol, values < -tol
         word, bit = t >> 6, np.uint64(1 << (t & 63))
         # rays on the row become tight there; the rows common to a positive
@@ -433,22 +440,48 @@ def dual_cone_rays(generators: np.ndarray, tol: float | None = None,
     return _within_budget(canonicalize_vertices(rays, tol=tol), max_rays)
 
 
+def _exact_dtype(G: list[list[int]]) -> type:
+    """int64 when no step of the exact double description on the primitive
+    integer rows ``G`` can overflow it, else object (Python ints).
+
+    With L = max‖g‖₁ and S = max‖g‖₂² over the rows g of K entries, the test
+    is 2·L·(S + 1)^K < 2^63, and it bounds every integer formed:
+
+    - every ray the loop holds is a primitive extreme ray of the cone cut
+      out by the rows processed so far, the kernel of K - 1 independent
+      rows among them; its entries divide the (K - 1)-minors of those rows,
+      at most S^((K-1)/2) by Hadamard's inequality;
+    - a row's value v on a ray is then at most L·S^((K-1)/2) (so are the
+      partial sums of ``rays @ g``), and a new ray ``v_p r_n - v_n r_p``
+      before its gcd division at most 2·L·S^(K-1);
+    - every entry of ``_bareiss_start_rays`` is a minor of ``[B | I]``,
+      whose rows have ‖·‖₂² ≤ S + 1, so at most (S + 1)^(K/2), and each
+      product difference before its exact division at most 2·(S + 1)^K.
+    """
+    K = len(G[0])
+    L = max(sum(map(abs, g)) for g in G)
+    S = max(sum(x * x for x in g) for g in G)
+    return np.int64 if 2 * L * (S + 1) ** K < 2**63 else object
+
+
 def dual_cone_rays_exact(generators, max_rays: int | None = None) -> list[tuple[int, ...]]:
     """Exact double description for integral or rational generators.
 
-    Every step runs on Python ints, which do not overflow: rows scaled to
-    integers, independent rows picked by Bareiss elimination, the starting
-    cone from the signed adjugate of that block.  Returns the extreme rays
-    as primitive integer tuples (entries with gcd 1), sorted.
-    BudgetExceededError is raised as in ``dual_cone_rays``.
+    Rows are scaled to primitive integer rows and independent rows picked by
+    Bareiss elimination on Python ints.  The starting cone (the signed
+    adjugate of that block) and the loop then run on int64 where a Hadamard
+    bound shows no entry can overflow it (``_exact_dtype``), and on numpy
+    object arrays of Python ints otherwise; both give the same rays.
+    Returns the extreme rays as primitive integer tuples (entries with gcd
+    1), sorted.  BudgetExceededError is raised as in ``dual_cone_rays``.
     """
     G = _integer_rows(generators)
-    K = len(G[0])
-    chosen = _bareiss_independent_rows(G)
-    if len(chosen) < K:
+    chosen = _bareiss_independent_rows(G) if G else []
+    if not chosen or len(chosen) < len(G[0]):
         raise ValidationError("generators do not span the space; dual cone is not pointed")
+    K = len(chosen)
     G = np.array([G[i] for i in chosen + [i for i in range(len(G)) if i not in chosen]],
-                 dtype=object)
+                 dtype=_exact_dtype(G))
 
     rays = _double_description(G, _bareiss_start_rays(G[:K]), 0, _primitive, max_rays)
     return _within_budget(sorted(set(map(tuple, rays.tolist()))), max_rays)

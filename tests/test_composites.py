@@ -131,6 +131,16 @@ def test_exact_max_tensor_vertex_bytes_are_pinned(part_a, part_b, count, digest)
     assert hashlib.sha256(np.ascontiguousarray(verts).tobytes()).hexdigest() == digest
 
 
+def test_exact_max_tensor_of_facets_past_int64():
+    # product-facet entries of 1e20 are integral floats past 2**63, where an
+    # int64 cast wraps; each row is scaled down by its gcd before the DD
+    sq = square_gbit()
+    big = StateSpace(name="square", rep=PolytopeRep(vertices_of(sq), facets=sq.rep.facets * 1e10))
+    verts = vertices_of(compose(big, big, "max").space)
+    assert verts.shape == (24, 9)
+    assert verts.tobytes() == vertices_of(compose(sq, sq, "max").space).tobytes()
+
+
 def _corpus_part(name: str) -> StateSpace:
     return build_space(load_theory(
         str(Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / f"{name}.json")))

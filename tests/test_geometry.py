@@ -266,6 +266,23 @@ def test_not_pointed_raises():
         dual_cone_rays_exact(np.array([[2, 1, 0], [4, 2, 0], [0, 0, 1]]))  # rank 2 in R^3
 
 
+@pytest.mark.parametrize("dtype", [float, int])
+@pytest.mark.parametrize("enumerate_rays", [dual_cone_rays, dual_cone_rays_exact],
+                         ids=["float", "exact"])
+def test_no_generator_rows_do_not_span(enumerate_rays, dtype):
+    with pytest.raises(ValidationError, match="generators do not span the space"):
+        enumerate_rays(np.zeros((0, 3), dtype=dtype))
+
+
+@pytest.mark.parametrize("rows", [[[-3]], [[3]], [[-2], [-6]], [[5], [1]], [[-1], [1]]])
+def test_exact_rays_in_one_coordinate_keep_their_sign(rows):
+    # np.gcd.reduce over one column of Python ints returns the entry itself,
+    # sign and all, and dividing by it turned the ray (-1,) into (1,)
+    oracle = brute_force_dual_cone_rays(rows)
+    assert np.array_equal(dual_cone_rays(rows), oracle)
+    assert dual_cone_rays_exact(rows) == [tuple(int(x) for x in r) for r in oracle]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("enumerate_rays", [dual_cone_rays, dual_cone_rays_exact],
                          ids=["float", "exact"])
@@ -345,6 +362,66 @@ def _max_tensor_rows(verts_a, verts_b):
     return np.array(
         [np.kron(f, g) for f in dual_cone_rays(verts_a) for g in dual_cone_rays(verts_b)]
     )
+
+
+OCTAHEDRON_VERTICES = np.array([[1.0, *e] for e in np.vstack([np.eye(3), -np.eye(3)])])
+
+
+@pytest.mark.parametrize("verts_a, verts_b, dtype, count", [
+    (SQUARE_VERTICES, CUBE_VERTICES, np.int64, 128),
+    (OCTAHEDRON_VERTICES, OCTAHEDRON_VERTICES, object, 684),
+], ids=["square-cube", "octahedron-octahedron"])
+def test_exact_enumeration_takes_int64_where_it_cannot_overflow(
+        monkeypatch, verts_a, verts_b, dtype, count):
+    # square x cube rows: max |g|_1 = max |g|_2^2 = 4 in K = 12, so
+    # 2 * 4 * 5**12 < 2**63; octahedron^2 rows: 16 entries of +-1, and
+    # 2 * 16 * 17**16 > 2**63
+    rows = np.round(_max_tensor_rows(verts_a, verts_b)).astype(int)
+    seen = []
+    run = gptlab.geometry._double_description
+
+    def recording(G, *args):
+        seen.append(G.dtype)
+        return run(G, *args)
+
+    monkeypatch.setattr(gptlab.geometry, "_double_description", recording)
+    rays = dual_cone_rays_exact(rows)
+    assert seen == [np.dtype(dtype)] and len(rays) == count
+    assert all(type(x) is int for r in rays for x in r)
+
+
+def _cone_rows(rng, k, m, bound):
+    """m random integer rows in R^k, each with a positive value on the all-ones
+    vector, so the cone has an interior; entries in [-bound, bound]."""
+    rows = rng.integers(-bound, bound, size=(m, k), endpoint=True)
+    rows *= np.sign(rows.sum(axis=1))[:, None]
+    return rows[rows.sum(axis=1) > 0].astype(object)
+
+
+@pytest.mark.parametrize("bound, dtype", [(3, np.int64), (2**40, object)],
+                         ids=["int64", "object"])
+def test_exact_rays_match_bruteforce_on_both_dtypes(bound, dtype):
+    # with entries near 2**40 a new ray v_p r_n - v_n r_p passes 2**80 even
+    # in K = 2, so an int64 run of the loop would wrap; floats hold the
+    # entries exactly, so the oracle reads the same cone from rows scaled to
+    # max-abs 1
+    rng = np.random.default_rng(20260312)
+    dtypes = set()
+    for _ in range(40):
+        k = int(rng.integers(2, 5))
+        rows = _cone_rows(rng, k, int(rng.integers(k + 1, k + 6)), bound)
+        if rows.shape[0] < k or np.linalg.matrix_rank(rows.astype(float)) < k:
+            continue
+        dtypes.add(gptlab.geometry._exact_dtype(_integer_rows(rows)))
+        rays = dual_cone_rays_exact(rows)
+        for r in rays:
+            assert math.gcd(*r) == 1
+            assert min(rows @ np.array(r, dtype=object)) >= 0
+        floats = rows.astype(float)
+        oracle = brute_force_dual_cone_rays(floats / np.abs(floats).max(axis=1, keepdims=True))
+        assert len(rays) == oracle.shape[0] > 0
+        assert _same_rows(_exact_rays_as_floats(rays), oracle, tol=1e-7)
+    assert dtypes == {dtype}
 
 
 @pytest.mark.parametrize(
