@@ -438,17 +438,23 @@ def _first_non_vertex(rep: PolytopeRep, tol: float) -> int | None:
     return int(short[0]) if short.size else None
 
 
+def check_normalized(space: StateSpace, verts: np.ndarray, tol: float) -> None:
+    """Raise ValidationError if a vertex's normalization coordinate is more
+    than ``tol`` off 1."""
+    if np.max(np.abs(verts[:, 0] - 1.0)) > tol:
+        raise ValidationError(f"{space.name}: vertex with normalization coordinate != 1")
+
+
 def validate_space(space: StateSpace, tol: float | None = None) -> None:
     """Check structural invariants; raises ValidationError on failure.
 
-    For polytopes: vertices normalized and extreme (``_first_non_vertex``);
-    K = 1 + affine dimension of the state set.
+    For polytopes: vertices normalized (``check_normalized``) and extreme
+    (``_first_non_vertex``); K = 1 + affine dimension of the state set.
     """
     tol = resolve_tol(tol)
     if isinstance(space.rep, PolytopeRep):
         verts = space.rep.vertices
-        if np.max(np.abs(verts[:, 0] - 1.0)) > tol:
-            raise ValidationError(f"{space.name}: vertex with normalization coordinate != 1")
+        check_normalized(space, verts, tol)
         i = _first_non_vertex(space.rep, tol)
         if i is not None:
             raise ValidationError(

@@ -7,14 +7,15 @@ test over them (``_facet_distinguishable``): one LP with a row per
 dimension and a nonnegative column per facet that vanishes on all but at
 most one of the states.  The capacity search runs the same test over the
 polytope's own facets or, without them, those of one DD in the span of its
-vertices.  Only a polytope with no facets known (a min composite, a DD past
-FACET_DD_BUDGET, a ``SimplexRep``) takes the LP ``_polytope_distinguishable``
-in n − 1 effects over the vertex-dual description of the effect cone; the
-last effect is u minus the others.  Balls and quantum systems have exact
-criteria and solve no LP: on a ball, only a pair of antipodal boundary
-points is distinguishable; quantum states are distinguishable iff their
-supports are pairwise orthogonal, and then the support projectors are the
-witness.
+vertices, after a reject that needs no LP: a candidate with a state that no
+facet tells apart from the others (``_unseparated``).  Only a polytope with
+no facets known (a min composite, a DD past FACET_DD_BUDGET, a
+``SimplexRep``) takes the LP ``_polytope_distinguishable`` in n − 1 effects
+over the vertex-dual description of the effect cone; the last effect is u
+minus the others.  Balls and quantum systems have exact criteria and solve
+no LP: on a ball, only a pair of antipodal boundary points is
+distinguishable; quantum states are distinguishable iff their supports are
+pairwise orthogonal, and then the support projectors are the witness.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from gptlab.convex import (
     PolytopeRep,
     QuantumRep,
     StateSpace,
+    check_normalized,
     contains_effect,
     contains_state,
     unit_effect_vector,
@@ -145,18 +147,17 @@ def _facet_distinguishable(states: np.ndarray, basis: np.ndarray, facets: np.nda
     same value at every state; E_n = u − Σ_{i<n} E_i makes them sum to u
     there too.
 
-    A facet vanishes at v when |h(v)| ≤ tol · max|v| in L's coordinates, the
-    scaled test of ``convex._first_non_vertex``.  The LP has r equality rows,
-    Σ_k c_k h_k = u on L, where ``_polytope_distinguishable``'s has
-    (n − 1)·K free variables and n·nv inequality rows.  A state more than
+    A facet vanishes at v when |h(v)| ≤ tol · max|v| in L's coordinates
+    (``_vanishing``).  The LP has r equality rows, Σ_k c_k h_k = u on L,
+    where ``_polytope_distinguishable``'s has (n − 1)·K free variables and
+    n·nv inequality rows.  A state more than
     10 tol off u(v) = 1 has no witness, as there.
     """
     n, K = states.shape
     unit = unit_effect_vector(K)
     if np.max(np.abs(states @ unit - 1.0)) > 10 * tol:
         return None
-    coords = states @ basis.T
-    vanish = np.abs(coords @ facets.T) <= tol * np.abs(coords).max(axis=1, keepdims=True)
+    vanish = _vanishing(states, basis, facets, tol)
     usable = np.flatnonzero(vanish.sum(axis=0) >= n - 1)
     if usable.size == 0:
         return None
@@ -170,6 +171,42 @@ def _facet_distinguishable(states: np.ndarray, basis: np.ndarray, facets: np.nda
     effects = ((owner == np.arange(n - 1)[:, None]) * weights) @ facets[usable] @ basis
     effects = np.vstack([effects, unit - effects.sum(axis=0)])
     return DistinguishabilityWitness(Measurement(effects), states)
+
+
+def _vanishing(states: np.ndarray, basis: np.ndarray, facets: np.ndarray, tol: float
+               ) -> np.ndarray:
+    """``vanish[i, k]``: facet k vanishes on state i, |h_k(v_i)| ≤ tol · max|v_i|
+    with v_i in the coordinates of ``basis``, the scaled test of
+    ``convex._first_non_vertex``.  The cone test and the capacity search's
+    reject both read it."""
+    coords = states @ basis.T
+    return np.abs(coords @ facets.T) <= tol * np.abs(coords).max(axis=1, keepdims=True)
+
+
+def _vanishing_masks(vanish: np.ndarray) -> list[int]:
+    """Each row of ``vanish`` as a bitmask over the facets, bit k for facet k."""
+    packed = np.packbits(vanish, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unseparated(masks: list[int], cand: tuple) -> bool:
+    """The capacity search's pre-LP reject: True when some state of ``cand``
+    has no facet that vanishes on all its other states and not on it, with
+    ``masks`` from ``_vanishing_masks``.  Such a set is not distinguishable:
+    by the proof of ``_facet_distinguishable``, E_i(v_i) = 1 > 0 needs a
+    facet with a positive weight in E_i that vanishes on every v_j with
+    j ≠ i and not on v_i.  The reject is monotone, since a superset adds
+    states on which such a facet must vanish too, and invariant under a
+    vertex symmetry, which permutes the facets."""
+    rows = [masks[i] for i in cand]
+    for i, row in enumerate(rows):
+        others = -1
+        for j, other in enumerate(rows):
+            if j != i:
+                others &= other
+        if not others & ~row:
+            return True
+    return False
 
 
 def _unit_rows(facets: np.ndarray) -> np.ndarray:
@@ -330,10 +367,11 @@ def _quantum_capacity(space: StateSpace) -> CapacityResult:
 def _vertex_permutations(verts: np.ndarray, tol: float) -> np.ndarray:
     """Vertex permutations of linear symmetries, one per row: the group that
     ``geometry.vertex_symmetries`` finds.  ``capacity`` calls it at most
-    once per search, at the first test that answers "not distinguishable",
-    since only then can a mark save a test.  If the search passes
-    SYMMETRY_NODE_BUDGET nodes, only the identity is kept: any set of
-    verified symmetries marks sound orbits, only smaller ones.
+    once per search, just before the first LP that a mark could save: once
+    an LP has answered "not distinguishable", or has tested a candidate of
+    the same size.  If the search passes SYMMETRY_NODE_BUDGET nodes, only
+    the identity is kept: any set of verified symmetries marks sound
+    orbits, only smaller ones.
     """
     try:
         return vertex_symmetries(verts, tol, SYMMETRY_NODE_BUDGET)
@@ -433,34 +471,45 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
     """Maximal number of jointly perfectly distinguishable states.
 
     Closed form with a verified certificate for balls and quantum systems.
-    Linearly independent vertices, a simplex's among them, span a simplex,
-    whose capacity is the vertex count by theorem (``_simplex_capacity``).
+    A polytope whose vertex has a normalization coordinate more than
+    ``tol`` off 1 raises ``ValidationError`` (``convex.check_normalized``):
+    no measurement tells such a vertex apart with E(v) = 1.  Linearly
+    independent vertices, a simplex's among them, span a simplex, whose
+    capacity is the vertex count by theorem (``_simplex_capacity``).
     For other polytopes, one depth-first search over vertex index tuples
     in lexicographic order: a distinguishable tuple is extended by each
     index past its last, and a candidate is skipped when a subset one
     element smaller is already known not to be distinguishable
-    (monotonicity).  Each candidate is decided by one test: the cone test
-    ``_facet_distinguishable`` over the facets the search holds, the
-    polytope's own or, without them, those of one DD in the span of its
-    vertices (``_span_bound``), and the LP ``distinguishable_unchecked``
-    only when neither is known.  A linear map that permutes the vertices
-    maps distinguishable sets to distinguishable sets, so one test decides
-    a candidate's whole orbit under a set of vertex symmetries: the
-    ``perms`` of the space's group, which were found or checked against the
-    vertices when the group was built, and otherwise those that
-    ``geometry.vertex_symmetries`` finds.  After each test the answer is
-    marked on the candidate, which a loaded group need not fix, and on each
-    of its sorted images, one per symmetry; a marked candidate takes no
-    test.  Without a group, the symmetries are searched only at the first
-    test that answers "not distinguishable" (``_vertex_permutations``), and
-    the marks of the tests before it are then replayed in test order.
-    Until then only the candidate is marked, and no mark is lost: before
-    the first "no" the search follows one chain (0, 1), (0, 1, 2), .. whose
-    candidates each open a new size, so no earlier mark could decide one,
-    and no subset is marked not distinguishable; the tests run, and so the
-    result, are those of a search that finds the symmetries first.  A
-    search that meets no "no", such as one that the bound ends at the first
-    pair, searches no symmetries.
+    (monotonicity).  The search holds facets: the polytope's own or,
+    without them, those of one DD in the span of its vertices
+    (``_span_bound``).  With them, a candidate with a state that no facet
+    tells apart from the others (``_unseparated``) is not distinguishable,
+    and is marked so without an LP; every other candidate is decided by
+    one LP, the cone test ``_facet_distinguishable`` over those facets, or
+    ``_polytope_distinguishable`` when neither is known.  A linear map
+    that permutes the vertices maps distinguishable sets to
+    distinguishable sets, so one answer decides a candidate's whole orbit
+    under a set of vertex symmetries: the ``perms`` of the space's group,
+    which were found or checked against the vertices when the group was
+    built, and otherwise those that ``geometry.vertex_symmetries`` finds.
+    Each answer is marked on the candidate, which a loaded group need not
+    fix, and on each of its sorted images, one per symmetry; a marked
+    candidate takes no LP.
+
+    Without a group, the symmetries are searched only when a mark could
+    save an LP (``_vertex_permutations``): just before an LP, once some
+    LP has answered "not distinguishable" or an LP has tested a candidate
+    of the same size.  The marks made so far are then replayed in test
+    order, each with its own answer, and the candidate goes back on the
+    stack, so that the subset skip and the marks decide it again.  Until
+    then only the candidate is marked, and no mark that could save an LP
+    is lost: an LP's candidate is not rejected, so no image of a rejected
+    set is one of it or one of its subsets (the reject is monotone and
+    invariant under symmetries), and without an LP's "no" or an LP of its
+    size, no LP's mark can decide it.  So the LPs run, and the result, are
+    those of a search that finds the symmetries first and runs the same
+    reject.  A search whose LPs meet neither, such as one that the bound
+    ends after an LP of each size, searches no symmetries.
     The search bounds itself by N ≤ ⌊β⌋ (``_capacity_bound``), from the
     same facets: the first distinguishable candidate of size ⌊β⌋ ends it.
     Otherwise it ends when the tuples run out, and N is the largest size it
@@ -473,15 +522,15 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
     A pre-order DFS visits each size's candidates in lexicographic order,
     and it reaches every distinguishable set, because every prefix of one
     is distinguishable and no subset of one is marked otherwise.  The first
-    distinguishable candidate of a size gets its own test on the same
+    distinguishable candidate of a size gets its own LP on the same
     ``verts[list(cand)]``: a mark on it could only come from an earlier
     distinguishable candidate of that size, and there is none.  So N and
-    the witness do not depend on which symmetries mark the orbits or on
-    the bound, only the test count does.  Each candidate tested counts one
-    against ``lp_budget``, and the candidates the marks decide count
-    nothing.  Every budget ends in a result: past ``lp_budget`` tests, or
-    past DEFAULT_VERTEX_BUDGET vertices, ``n`` is None and the witness is
-    the lexicographically first distinguishable set of the largest size
+    the witness do not depend on which symmetries mark the orbits, on the
+    reject or on the bound, only the LP count does.  ``lp_budget`` counts
+    LPs: the candidates that the reject or the marks decide count nothing.
+    Every budget ends in a result: past ``lp_budget`` LPs, or past
+    DEFAULT_VERTEX_BUDGET vertices, ``n`` is None and the witness is the
+    lexicographically first distinguishable set of the largest size
     found.  The search records no distinguishable pairs: a polytope with
     two or more vertices gives every vertex a partner by theorem, which is
     how P4′ is decided (``runner._check_p4_prime``).  ``lp_budget`` must be
@@ -496,6 +545,7 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
         return _quantum_capacity(space)
 
     verts = vertices_of(space)
+    check_normalized(space, verts, tol)
     nv = verts.shape[0]
     if np.linalg.matrix_rank(verts) == nv:
         return _simplex_capacity(verts)
@@ -504,13 +554,19 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
         return CapacityResult(None, best)
     perms = getattr(space.group, "perms", None)  # a FiniteMatrixGroup's checked table
     bound, frame = _search_frame(rep, verts, tol)
+    masks = None if frame is None else _vanishing_masks(_vanishing(verts, *frame, tol))
 
     firsts = [best]  # the witness of the first distinguishable set of each size
-    decided: dict[tuple, bool] = {}  # candidate -> distinguishable
-    spent = 0  # candidates tested
+    decided: dict[tuple, bool] = {}  # candidate -> distinguishable, in test order
+    lp_sizes: set[int] = set()  # the sizes of the candidates an LP has tested
+    refuted = False  # whether an LP has answered "not distinguishable"
+    spent = 0  # LPs solved
 
     def mark(cand: tuple, answer: bool) -> None:
         """Mark cand's orbit: cand and its sorted images."""
+        if perms is None:
+            decided[cand] = answer
+            return
         images = np.sort(perms[:, cand], axis=1).tolist()
         decided.update(dict.fromkeys([cand, *map(tuple, images)], answer))
 
@@ -520,20 +576,24 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
         if any(decided.get(cand[:x] + cand[x + 1:]) is False for x in range(len(cand))):
             continue
         if cand not in decided:
+            if masks is not None and _unseparated(masks, cand):
+                mark(cand, False)
+                continue
+            if perms is None and (refuted or len(cand) in lp_sizes):  # a mark can save this LP
+                perms = _vertex_permutations(verts, tol)
+                for tested, answer in list(decided.items()):
+                    mark(tested, answer)
+                stack.append(cand)
+                continue
             if spent >= lp_budget:
                 return CapacityResult(None, firsts[-1])
             spent += 1
             w = _candidate_distinguishable(space, verts[list(cand)], frame, tol)
-            if perms is None and w is None:  # the first "no": replay the marks so far
-                perms = _vertex_permutations(verts, tol)
-                for tested in list(decided):  # in test order, all distinguishable
-                    mark(tested, True)
-            if perms is None:
-                decided[cand] = True
-            else:
-                mark(cand, w is not None)
+            mark(cand, w is not None)
+            lp_sizes.add(len(cand))
+            refuted |= w is None
         if decided[cand]:
-            if len(cand) > len(firsts):  # the first of its size has its own test
+            if len(cand) > len(firsts):  # the first of its size has its own LP
                 firsts.append(w)
                 if len(cand) == bound:
                     return CapacityResult(bound, w)

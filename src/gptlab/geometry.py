@@ -53,8 +53,9 @@ per search for each pair of basis positions and each vertex, where a numpy
 comparison per node would cost more than the node.  Each image the
 backtracking tries and each product formed counts against one node budget,
 ``SYMMETRY_NODE_BUDGET``, which the checker's groups and the capacity
-search's orbits share.  The capacity search asks for its orbits only at its
-first LP that answers "not distinguishable".
+search's orbits share.  The capacity search asks for its orbits only just
+before an LP that a mark could save: once an LP has answered "not
+distinguishable", or has tested a candidate of the same size.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gptlab import geometry, runner
+from gptlab import discrimination, geometry, runner
 from gptlab.lp import engine as lp_engine
 from gptlab.runner import check_postulates, report_render
 
@@ -93,16 +93,18 @@ def test_every_seed0_corpus_report_matches_its_golden_digest(monkeypatch):
 
 @pytest.mark.parametrize("workload, lps, iterations", [
     ("check_corpus", 39, 98),
-    ("capacity_ns", 56, 304),
+    ("capacity_ns", 48, 280),
     ("membership", 100, 617),
-], ids=["check_corpus-39", "capacity_ns-56", "membership-100"])
+], ids=["check_corpus-39", "capacity_ns-48", "membership-100"])
 def test_seed0_pass_zero_solves_its_pinned_number_of_lps(monkeypatch, workload, lps, iterations):
     # the LP gate: the lp.calls and lp.iterations a traced seed-0 benchmark
     # run reports per pass, counted in-process; every answer must still be
     # right.  check_corpus validates its JSON polytopes and the square by
     # their facets; every capacity search stops at ⌊β⌋, which capacity_ns's
     # rank-deficient faces get from a DD in their span, and decides each
-    # candidate by one cone test over the same facets; membership's pair
+    # candidate by one cone test over the same facets, once no facet count
+    # rejects it (48 LPs: one pair, one triple and one 4-set per face, and
+    # no vertex-group search); membership's pair
     # queries on the no-signalling polytope take the cone test over its
     # product facets
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -175,3 +177,24 @@ def test_seed0_check_corpus_pass_zero_builds_two_composites(monkeypatch):
     wrong = [op.label for op in prepared.ops(0) if not op.check(op.run())]
     assert wrong == []
     assert built == [("square", "square", "max"), ("square", "square", "min")]
+
+
+def test_seed0_capacity_ns_pass_zero_searches_no_vertex_group(monkeypatch):
+    # each face's search ends after one LP per size with no LP answering
+    # "no", so no mark could save an LP and no face searches its group; the
+    # 16 DDs are the span facets of the 16 rank-deficient faces
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    prepared = workloads.WORKLOADS["capacity_ns"].setup(0, False, workloads.load_golden())
+    calls = {"dual_cone_rays": 0, "group_searches": 0}
+    _count_calls(monkeypatch, "dual_cone_rays", calls)
+    search = discrimination._vertex_permutations
+
+    def counting_search(*args):
+        calls["group_searches"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(discrimination, "_vertex_permutations", counting_search)
+    wrong = [op.label for op in prepared.ops(0) if not op.check(op.run())]
+    assert wrong == []
+    assert calls == {"dual_cone_rays": 16, "group_searches": 0}

@@ -648,11 +648,12 @@ def test_capacity_multiplicativity_max_square(square_pair):
     result = capacity_multiplicativity_check(square_pair)
     assert result.ok
     assert result.product_bound == 4
-    # a budget below the 4 LPs the search needs to reach the composite's
-    # bound ⌊β⌋ = 4 leaves the full capacity unconfirmed, not failed
-    limited = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=3)
+    # a budget below the 3 LPs the search needs to reach the composite's
+    # bound ⌊β⌋ = 4 leaves the full capacity unconfirmed, not failed; the
+    # candidates that no facet tells apart take no LP and no budget
+    limited = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=2)
     assert limited.ok and not limited.capacity_exact
-    confirmed = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=4)
+    confirmed = capacity_multiplicativity_check(square_pair, full_search=True, lp_budget=3)
     assert confirmed.ok and confirmed.composite_capacity == 4
 
 

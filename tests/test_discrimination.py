@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gptlab import convex, discrimination, symmetry
 from gptlab.composites import capacity_multiplicativity_check, compose
-from gptlab.errors import BudgetExceededError, DomainError
+from gptlab.errors import BudgetExceededError, DomainError, ValidationError
 from gptlab.config import resolve_tol
 from gptlab.convex import (
     BallRep,
@@ -828,9 +828,10 @@ def test_orbit_memo_matches_an_lp_per_candidate_on_the_no_signalling_faces(monke
 
 @pytest.mark.parametrize("lp_budget", [2, 30, 60])
 def test_lp_budget_counts_only_the_lps_solved(monkeypatch, lp_budget):
-    # candidates the orbit memo decides are free, so the orbit search gets at
-    # least as far as one LP per candidate on the same budget; without the
-    # bound, the face takes 11 LPs with its orbits and 177 without them
+    # candidates the orbit memo or the reject decides are free, so the orbit
+    # search gets at least as far as one LP per candidate on the same budget;
+    # without the bound, the face takes 8 LPs with its orbits and 112 without
+    # them
     _without_bound(monkeypatch)
     face = _ns_face()
     calls = _count_search_tests(monkeypatch)
@@ -855,19 +856,20 @@ def test_orbit_memo_with_a_large_symmetry_group(monkeypatch):
 
 def test_orbit_memo_falls_back_to_the_identity_past_the_node_budget(monkeypatch):
     # a search that passes SYMMETRY_NODE_BUDGET nodes keeps only the identity:
-    # one LP per candidate, and the same result as the search's orbits
+    # one LP per candidate that the reject leaves, and the same result as the
+    # search's orbits
     _without_bound(monkeypatch)
     face = _ns_face()
     assert face.group is None
     calls = _count_search_tests(monkeypatch)
     searched = capacity(face)
-    assert len(calls) == 11
+    assert len(calls) == 8
     monkeypatch.setattr(discrimination, "SYMMETRY_NODE_BUDGET", 1)
     assert discrimination._vertex_permutations(vertices_of(face), 1e-9).tolist() == [
         list(range(8))]
     calls.clear()
     assert capacity(face) == searched
-    assert len(calls) == 177
+    assert len(calls) == 112
 
 
 # Integer points on a circle and on a sphere: every subset is in convex position.
@@ -897,10 +899,12 @@ def test_orbit_memo_on_integer_polytopes_and_their_linear_images(points, map_see
 
 def test_one_lp_per_orbit_on_the_no_signalling_polytope(monkeypatch):
     # each 8-vertex face has 128 linear symmetries, and its span bound
-    # ⌊β⌋ = 4 ends the search after 3 or 4 LPs, 56 over the 16 faces; the
-    # whole polytope's facet bound ends it after 4.  Without the bound the
-    # search decides every candidate: 11 LPs per face and 187 on the whole
-    # polytope, never two in one orbit
+    # ⌊β⌋ = 4 ends the search after 3 LPs, one per size, 48 over the 16
+    # faces: the candidates before its first distinguishable 4-set are
+    # rejected by their facets with no LP.  The whole polytope's facet
+    # bound ends it after 3.  Without the bound the search decides every
+    # candidate: 8 LPs per face and 104 on the whole polytope, never two in
+    # one orbit
     sq = square_gbit()
     spaces = _ns_faces() + [compose(sq, sq, "max").space]
     lps = []
@@ -908,9 +912,9 @@ def test_one_lp_per_orbit_on_the_no_signalling_polytope(monkeypatch):
         result, solved = _solved_candidates(monkeypatch, space, lp_budget=100_000)
         assert (result.n, result.exact) == (4, True)
         lps.append(len(solved))
-    assert set(lps[:16]) == {3, 4} and sum(lps[:16]) == 56 and lps[16] == 4
+    assert lps == [3] * 17
     _without_bound(monkeypatch)
-    for space, lps in zip(spaces, [11] * 16 + [187]):
+    for space, lps in zip(spaces, [8] * 16 + [104]):
         perms = vertex_symmetries(vertices_of(space), 1e-9, 10**6)
         result, solved = _solved_candidates(monkeypatch, space, lp_budget=100_000)
         assert (result.n, result.exact) == (4, True)
@@ -990,7 +994,9 @@ def test_the_marked_search_solves_one_lp_per_orbit(monkeypatch, name):
 def _eager_capacity(space: StateSpace, lp_budget: int = 100_000, tol: float = 1e-9
                     ) -> CapacityResult:
     """Reference for capacity on a polytope: the search that finds the vertex
-    group before its first LP and marks each orbit from the first LP on."""
+    group before its first candidate and marks each orbit from the first
+    one on, with the same pre-LP reject of a candidate that no facet tells
+    apart."""
     verts = vertices_of(space)
     nv = verts.shape[0]
     if np.linalg.matrix_rank(verts) == nv:
@@ -999,6 +1005,9 @@ def _eager_capacity(space: StateSpace, lp_budget: int = 100_000, tol: float = 1e
     if perms is None:
         perms = discrimination._vertex_permutations(verts, tol)
     bound, frame = discrimination._search_frame(space.rep, verts, tol)
+    masks = None
+    if frame is not None:
+        masks = discrimination._vanishing_masks(discrimination._vanishing(verts, *frame, tol))
     firsts = [discrimination._single_state_witness(space, verts[0])]
     decided = {}
     spent = 0
@@ -1008,12 +1017,15 @@ def _eager_capacity(space: StateSpace, lp_budget: int = 100_000, tol: float = 1e
         if any(decided.get(cand[:x] + cand[x + 1:]) is False for x in range(len(cand))):
             continue
         if cand not in decided:
-            if spent >= lp_budget:
-                return CapacityResult(None, firsts[-1])
-            spent += 1
-            w = discrimination._candidate_distinguishable(space, verts[list(cand)], frame, tol)
+            rejected = masks is not None and discrimination._unseparated(masks, cand)
+            if not rejected:
+                if spent >= lp_budget:
+                    return CapacityResult(None, firsts[-1])
+                spent += 1
+                w = discrimination._candidate_distinguishable(space, verts[list(cand)], frame, tol)
             images = np.sort(perms[:, cand], axis=1).tolist()
-            decided.update(dict.fromkeys([cand, *map(tuple, images)], w is not None))
+            decided.update(dict.fromkeys([cand, *map(tuple, images)],
+                                         not rejected and w is not None))
         if decided[cand]:
             if len(cand) > len(firsts):
                 firsts.append(w)
@@ -1023,46 +1035,47 @@ def _eager_capacity(space: StateSpace, lp_budget: int = 100_000, tol: float = 1e
     return CapacityResult(len(firsts), firsts[-1])
 
 
-def _count_group_searches(monkeypatch) -> list:
-    calls = []
-    search = discrimination._vertex_permutations
-
-    def counting_search(*args):
-        calls.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(discrimination, "_vertex_permutations", counting_search)
-    return calls
-
-
 def test_a_search_with_no_lp_answering_no_searches_no_group(monkeypatch):
     # ⌊β⌋ = 2 ends the 6-cube's and the 6-cross's search at their first
-    # pair, and an NS face whose first 4-set is distinguishable ends after
-    # 3 LPs: none of them answers "no", so none searches the vertex group,
-    # whose 46,080 elements the cubes share.  A face that meets a "no"
-    # searches it once, at that LP
-    searches = _count_group_searches(monkeypatch)
+    # pair, and each NS face ends after 3 LPs, on a pair, a triple and a
+    # 4-set: the candidates between them are rejected by their facets with
+    # no LP.  No LP answers "no" and no two LPs test one size, so no mark
+    # could save an LP, and none of them searches the vertex group, whose
+    # 46,080 elements the cubes share.  Without the bound, a face searches
+    # it once, just before its second 4-set LP, and the 6-cross just after
+    # its first "no"
+    events = []
+    search = discrimination._vertex_permutations
+    test = discrimination._candidate_distinguishable
+
+    def recording_search(*args):
+        events.append("group")
+        return search(*args)
+
+    def recording_test(space, states, frame, tol):
+        w = test(space, states, frame, tol)
+        events.append((len(states), w is not None))
+        return w
+
+    monkeypatch.setattr(discrimination, "_vertex_permutations", recording_search)
+    monkeypatch.setattr(discrimination, "_candidate_distinguishable", recording_test)
     for space, n in [(_hypercube(6), 2), (_cross_polytope(6), 2)]:
+        events.clear()
         result = capacity(space)
-        assert (result.n, result.exact, len(searches)) == (n, True, 0), space.name
-    lps = []
+        assert (result.n, result.exact, events) == (n, True, [(2, True)]), space.name
     for face in _ns_faces():
-        searches.clear()
-        answers = []
-        test = discrimination._candidate_distinguishable
-
-        def recording_test(*args):
-            w = test(*args)
-            answers.append(w is not None)
-            return w
-
-        with monkeypatch.context() as m:
-            m.setattr(discrimination, "_candidate_distinguishable", recording_test)
-            assert capacity(face).n == 4
-        lps.append(len(answers))
-        assert len(searches) == (not all(answers)), face.name
-        assert all(answers) == (len(answers) == 3), face.name
-    assert lps.count(3) and lps.count(4) and set(lps) == {3, 4}
+        events.clear()
+        assert capacity(face).n == 4
+        assert events == [(2, True), (3, True), (4, True)], face.name
+    _without_bound(monkeypatch)
+    for face in _ns_faces():
+        events.clear()
+        assert capacity(face).n == 4
+        assert events[:5] == [(2, True), (3, True), (4, True), "group", (4, True)], face.name
+        assert (events.count("group"), len(events)) == (1, 9), face.name
+    events.clear()
+    assert capacity(_cross_polytope(6)).n == 2
+    assert events == [(2, True), (3, False), "group", (2, True)]
 
 
 def _lazy_group_inputs(name: str) -> list[StateSpace]:
@@ -1083,11 +1096,12 @@ def _lazy_group_inputs(name: str) -> list[StateSpace]:
 @pytest.mark.parametrize("name", ["ns-faces", "ns-polytope", "corpus", "5-cube", "5-cross",
                                   "6-cross"])
 def test_the_lazy_group_search_matches_the_eager_one(monkeypatch, name):
-    # searching the group at the first "no", and replaying the marks of the
-    # LPs before it, gives the result, its witness bytes and the LP count of
-    # the search that finds the group first, with the ⌊β⌋ bound and without
-    # it; the corpus polytopes run without their groups, with and without
-    # facets, so that capacity searches the group itself
+    # searching the group just before the first LP that a mark could save,
+    # and replaying the marks made before it, gives the result, its witness
+    # bytes and the LPs of the search that finds the group first, with the
+    # ⌊β⌋ bound and without it; the corpus polytopes run without their
+    # groups, with and without facets, so that capacity searches the group
+    # itself
     for bound in (True, False):
         with monkeypatch.context() as unbounded:
             if not bound:
@@ -1102,16 +1116,74 @@ def test_the_lazy_group_search_matches_the_eager_one(monkeypatch, name):
                     assert a.tobytes() == b.tobytes(), (space.name, bound)
 
 
+def _assert_the_reject_is_sound(space: StateSpace, sizes, highs_every: int) -> int:
+    """Every candidate of the given sizes that ``_unseparated`` rejects in the
+    capacity search's frame is refused by the vertex LP, and every
+    ``highs_every``-th of them by HiGHS; the reject is monotone and
+    invariant under the vertex symmetries.  Returns the number rejected."""
+    tol = resolve_tol(None)
+    verts = vertices_of(space)
+    nv = verts.shape[0]
+    _, frame = discrimination._search_frame(space.rep, verts, tol)
+    masks = discrimination._vanishing_masks(discrimination._vanishing(verts, *frame, tol))
+    perms = discrimination._vertex_permutations(verts, tol)
+    rejected = [cand for k in sizes for cand in combinations(range(nv), k)
+                if discrimination._unseparated(masks, cand)]
+    for cand in rejected:
+        assert discrimination._polytope_distinguishable(space, verts[list(cand)], tol) is None
+        supersets = [tuple(sorted(cand + (j,))) for j in range(nv) if j not in cand]
+        images = map(tuple, np.sort(perms[:, cand], axis=1).tolist())
+        assert all(discrimination._unseparated(masks, c) for c in [*supersets, *images]), cand
+    for cand in rejected[::highs_every]:
+        assert not _highs_distinguishable(verts, cand), cand
+    kept = [cand for k in sizes for cand in combinations(range(nv), k) if cand not in rejected]
+    for cand in kept:  # invariance both ways: no image of a kept set is rejected
+        images = map(tuple, np.sort(perms[:, cand], axis=1).tolist())
+        assert not any(discrimination._unseparated(masks, c) for c in images), cand
+    return len(rejected)
+
+
+def test_the_reject_is_sound_on_the_no_signalling_faces():
+    # every pair, triple and 4-set of each 8-vertex face: a rejected set is
+    # not distinguishable, by the vertex LP and by HiGHS, its supersets and
+    # its images under the face's 128 symmetries are rejected, and the
+    # reject fires on most of the triples and 4-sets
+    rejected = [_assert_the_reject_is_sound(face, (2, 3, 4), highs_every=25)
+                for face in _ns_faces()]
+    assert min(rejected) > 0
+
+
+@seed(20120321)
+@settings(max_examples=15, deadline=None)
+@given(
+    points=st.sampled_from([CIRCLE, SPHERE]).flatmap(
+        lambda pts: st.lists(st.sampled_from(pts), min_size=4, max_size=9, unique=True)),
+    map_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_the_reject_is_sound_on_integer_polytopes_and_their_linear_images(points, map_seed):
+    verts = np.array([[1.0, *p] for p in points])
+    k = verts.shape[1]
+    assume(affine_dimension(verts) == k - 1)
+    a = np.eye(k)
+    a[1:] = np.random.default_rng(map_seed).uniform(-1.0, 1.0, size=(k - 1, k))
+    a[1:, 1:] += 1.5 * np.eye(k - 1)
+    assume(np.linalg.cond(a) < 20)
+    for v in (verts, verts @ a.T):
+        _assert_the_reject_is_sound(StateSpace(name="p", rep=PolytopeRep(v)), (2, 3, 4),
+                                    highs_every=10)
+
+
 def test_default_lp_budget_counts_lps_not_candidates(monkeypatch):
-    # without the bound ⌊β⌋, 187 LPs decide the no-signalling polytope's
-    # candidates, of which the identity-only search solves 10,578; 15 decide
-    # the 5-cube's and 4 the 6-cross's, whose 46,080 symmetries mark a whole
-    # size with one LP, all far below the default budget of 4000 LPs.  With
-    # the bound the first distinguishable 4-set or pair ends each search
+    # without the bound ⌊β⌋, 104 LPs decide the no-signalling polytope's
+    # candidates; 9 decide the 5-cube's and 3 the 6-cross's, whose 46,080
+    # symmetries mark a whole size with one LP, all far below the default
+    # budget of 4000 LPs.  The candidates that the facets reject take none.
+    # With the bound the first distinguishable 4-set or pair ends each
+    # search
     sq = square_gbit()
     spaces = [(compose(sq, sq, "max").space, 4), (_hypercube(5), 2), (_cross_polytope(6), 2)]
     calls = _count_search_tests(monkeypatch)
-    for bounded_lps, unbounded_lps in [((4, 1, 1), None), (None, (187, 15, 4))]:
+    for bounded_lps, unbounded_lps in [((3, 1, 1), None), (None, (104, 9, 3))]:
         if unbounded_lps:
             _without_bound(monkeypatch)
         for (space, n), lps in zip(spaces, bounded_lps or unbounded_lps):
@@ -1154,6 +1226,29 @@ def test_a_thin_simplex_gets_a_witness_that_verifies(eps):
     assert result.n == 3
     assert np.max(np.abs(delta - np.eye(3))) <= 1e-12
     assert verify_witness(thin, result.witness)
+
+
+@pytest.mark.parametrize("verts", [
+    [[2, 1, 1], [2, 1, -1], [2, -1, 1], [2, -1, -1]],
+    [[1.5, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]],
+    [[2, 0, 0], [2, 1, 0], [2, 0, 1]],
+    [[1 + 2e-9, 0, 0], [1, 1, 0], [1, 0, 1]],
+], ids=["scaled-square", "one-scaled-vertex", "scaled-simplex", "simplex-off-by-2-tol"])
+def test_capacity_refuses_a_vertex_off_normalization(verts):
+    # a vertex v with u(v) != 1 gave an exact N whose witness fails
+    # verification: N = 1 on the scaled square and N = 2 with one vertex
+    # scaled, and the simplex shortcut's N = 3; capacity now refuses them
+    # with validate_space's error, past tol as validate_space does
+    space = StateSpace(name="off", rep=PolytopeRep(np.array(verts, dtype=float)))
+    with pytest.raises(ValidationError, match="off: vertex with normalization coordinate != 1"):
+        convex.validate_space(space)
+    with pytest.raises(ValidationError, match="off: vertex with normalization coordinate != 1"):
+        capacity(space)
+
+
+def test_capacity_takes_a_vertex_within_tol_of_normalization():
+    verts = np.array([[1 + 5e-10, 0, 0], [1, 1, 0], [1, 0, 1]])
+    assert capacity(StateSpace(name="near", rep=PolytopeRep(verts))).n == 3
 
 
 def test_capacity_is_multiplicative_on_a_thin_triangle_times_a_bit():
