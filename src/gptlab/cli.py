@@ -56,9 +56,7 @@ def cmd_check(args) -> int:
 
 def cmd_capacity(args) -> int:
     theory = load_theory(args.theory)
-    # capacity searches vertex symmetries itself, and only when a test says no
-    space = build_space(theory, search_group=False)
-    result = capacity(space)
+    result = capacity(build_space(theory))
     out = {
         "theory": theory.name,
         "capacity": result.n,

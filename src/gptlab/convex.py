@@ -431,11 +431,23 @@ def _first_non_vertex(rep: PolytopeRep, tol: float) -> int | None:
             if cone_contains(np.delete(verts, i, axis=0), verts[i], tol):
                 return i
         return None
-    facets = rep.facets / np.abs(rep.facets).max(axis=1, keepdims=True)
-    tight = np.abs(verts @ facets.T) <= tol * np.abs(verts).max(axis=1, keepdims=True)
+    facets = unit_rows(rep.facets)
+    tight = tight_facets(verts, facets, tol)
     # one stacked rank: row i's matrix holds the facets tight at it, the others zeroed
     short = np.flatnonzero(np.linalg.matrix_rank(tight[:, :, None] * facets) < verts.shape[1] - 1)
     return int(short[0]) if short.size else None
+
+
+def unit_rows(facets: np.ndarray) -> np.ndarray:
+    """Facet rows scaled to unit max-abs, as ``tight_facets`` takes them."""
+    return facets / np.abs(facets).max(axis=1, keepdims=True)
+
+
+def tight_facets(points: np.ndarray, facets: np.ndarray, tol: float) -> np.ndarray:
+    """``tight[i, k]``: facet k, at unit max-abs (``unit_rows``), vanishes
+    at point i, |h_k(x_i)| ≤ tol · max|x_i|.  The one tightness rule of the
+    vertex test here and of ``discrimination``'s cone test and reject."""
+    return np.abs(points @ facets.T) <= tol * np.abs(points).max(axis=1, keepdims=True)
 
 
 def check_normalized(space: StateSpace, verts: np.ndarray, tol: float) -> None:

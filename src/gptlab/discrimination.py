@@ -38,10 +38,12 @@ from gptlab.convex import (
     check_normalized,
     contains_effect,
     contains_state,
+    tight_facets,
     unit_effect_vector,
+    unit_rows,
     vertices_of,
 )
-from gptlab.geometry import SYMMETRY_NODE_BUDGET, dual_cone_rays, vertex_symmetries
+from gptlab.geometry import SYMMETRY_NODE_BUDGET, _bitmask_rows, dual_cone_rays, vertex_symmetries
 from gptlab.lp import LinearProgram, lp_feasible
 
 DEFAULT_VERTEX_BUDGET = 64
@@ -175,24 +177,17 @@ def _facet_distinguishable(states: np.ndarray, basis: np.ndarray, facets: np.nda
 
 def _vanishing(states: np.ndarray, basis: np.ndarray, facets: np.ndarray, tol: float
                ) -> np.ndarray:
-    """``vanish[i, k]``: facet k vanishes on state i, |h_k(v_i)| ≤ tol · max|v_i|
-    with v_i in the coordinates of ``basis``, the scaled test of
-    ``convex._first_non_vertex``.  The cone test and the capacity search's
-    reject both read it."""
-    coords = states @ basis.T
-    return np.abs(coords @ facets.T) <= tol * np.abs(coords).max(axis=1, keepdims=True)
-
-
-def _vanishing_masks(vanish: np.ndarray) -> list[int]:
-    """Each row of ``vanish`` as a bitmask over the facets, bit k for facet k."""
-    packed = np.packbits(vanish, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    """``vanish[i, k]``: facet k vanishes on state i, with v_i in the
+    coordinates of ``basis``, by ``convex.tight_facets``.  The cone test
+    and the capacity search's reject both read it."""
+    return tight_facets(states @ basis.T, facets, tol)
 
 
 def _unseparated(masks: list[int], cand: tuple) -> bool:
     """The capacity search's pre-LP reject: True when some state of ``cand``
     has no facet that vanishes on all its other states and not on it, with
-    ``masks`` from ``_vanishing_masks``.  Such a set is not distinguishable:
+    ``masks`` the rows of ``_vanishing`` as bitmasks
+    (``geometry._bitmask_rows``).  Such a set is not distinguishable:
     by the proof of ``_facet_distinguishable``, E_i(v_i) = 1 > 0 needs a
     facet with a positive weight in E_i that vanishes on every v_j with
     j ≠ i and not on v_i.  The reject is monotone, since a superset adds
@@ -209,18 +204,13 @@ def _unseparated(masks: list[int], cand: tuple) -> bool:
     return False
 
 
-def _unit_rows(facets: np.ndarray) -> np.ndarray:
-    """Facet rows scaled to unit max-abs, as ``_facet_distinguishable`` takes them."""
-    return facets / np.abs(facets).max(axis=1, keepdims=True)
-
-
 def _rep_frame(rep: PolytopeRep) -> tuple[np.ndarray, np.ndarray] | None:
     """The frame (basis, facets) of a polytope's own facets: the identity
     basis and the rep's facets at unit max-abs, or None when its facets are
     unknown.  Public ``distinguishable`` and ``capacity`` both test in it."""
     if rep.facets is None:
         return None
-    return np.eye(rep.ambient_dim), _unit_rows(rep.facets)
+    return np.eye(rep.ambient_dim), unit_rows(rep.facets)
 
 
 def _ball_distinguishable(space: StateSpace, states: np.ndarray,
@@ -442,7 +432,7 @@ def _search_frame(rep: PolytopeRep, verts: np.ndarray, tol: float
     if frame is not None:
         return _capacity_bound(verts, rep.facets, tol), frame
     bound, basis, facets = _span_bound(verts, tol)
-    return bound, None if facets is None else (basis, _unit_rows(facets))
+    return bound, None if facets is None else (basis, unit_rows(facets))
 
 
 def _candidate_distinguishable(space: StateSpace, states: np.ndarray, frame, tol: float
@@ -554,7 +544,7 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
         return CapacityResult(None, best)
     perms = getattr(space.group, "perms", None)  # a FiniteMatrixGroup's checked table
     bound, frame = _search_frame(rep, verts, tol)
-    masks = None if frame is None else _vanishing_masks(_vanishing(verts, *frame, tol))
+    masks = None if frame is None else _bitmask_rows(_vanishing(verts, *frame, tol))
 
     firsts = [best]  # the witness of the first distinguishable set of each size
     decided: dict[tuple, bool] = {}  # candidate -> distinguishable, in test order

@@ -4,7 +4,9 @@ A theory is a state space plus a group and a set of allowed effects, loaded
 from a small JSON schema.  ``check_postulates`` runs the five postulate
 probes (plus the continuity variant) against a composite partner and emits a
 deterministic, serializable report; every Fail carries a witness that can be
-replayed through the originating operation.
+replayed through the originating operation.  Loading searches no group: the
+vertex group of an ``"auto"`` polytope is searched by ``check_postulates``,
+the one reader of it, for capacity, P3 and P3C.
 """
 
 from __future__ import annotations
@@ -119,14 +121,15 @@ def _float_array(value, what: str) -> np.ndarray:
     return arr
 
 
-def build_space(td: TheoryDefinition, search_group: bool = True) -> StateSpace:
+def build_space(td: TheoryDefinition) -> StateSpace:
     """Construct and validate the state space described by a definition.
 
-    A polytope with group kind ``"auto"`` gets its vertex group searched
-    here, which can exhaust SYMMETRY_NODE_BUDGET; with ``search_group``
-    False it is built without a group, for callers such as ``capacity``
-    that search symmetries only when they need them.  A ``"finite"`` group
-    is validated either way."""
+    Nothing is searched here.  A built-in family keeps its own group, and a
+    ``"finite"`` group is checked against the vertices.  A polytope with
+    group kind ``"auto"`` is built without a group: ``check_postulates``,
+    which reads it, searches it, and ``capacity`` searches vertex
+    symmetries only when they can save an LP.  Another caller that wants
+    the group calls ``polytope_symmetry_group(space.rep.vertices)``."""
     spec = td.space_spec
     family = spec.get("family")
     kind = td.group_spec.get("kind", "auto")
@@ -146,9 +149,6 @@ def build_space(td: TheoryDefinition, search_group: bool = True) -> StateSpace:
             raise ValidationError("polytope vertices must be a non-empty list of rows")
         space = StateSpace(name=td.name, rep=PolytopeRep.with_facets(verts))
         validate_space(space)
-        if kind == "auto" and search_group:
-            # searched on the deduplicated vertices, once they are known to be extreme
-            space = replace(space, group=polytope_symmetry_group(space.rep.vertices))
     else:
         raise ValidationError(f"unknown space family {family!r}")
     if kind == "finite":
@@ -496,26 +496,47 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
                      tol: float | None = None) -> PostulateReport:
     """Run all postulate probes for a theory (composite checks against
     ``partner``, which defaults to the theory itself).  ``seed`` is only
-    recorded in the report: no probe draws random numbers."""
+    recorded in the report: no probe draws random numbers.
+
+    The vertex group of an ``"auto"`` polytope is searched here, once, and
+    ``capacity`` (through its ``perms``), P3 and P3C read it; the partner's
+    group is never read, so it is not searched.  A search past
+    SYMMETRY_NODE_BUDGET leaves P3 and P3C indeterminate with the budget
+    reason, and every other entry is filled; ``capacity`` then runs
+    without a group and searches vertex symmetries only where they save
+    an LP."""
     if rule not in (MIN_TENSOR, MAX_TENSOR):
         raise ValueError(f"unknown composition rule {rule!r}")
     tol = resolve_tol(tol)
     space = build_space(theory)
+    search_error = None
+    if space.group is None:  # an "auto" polytope
+        try:
+            space = replace(space, group=polytope_symmetry_group(space.rep.vertices))
+        except BudgetExceededError as exc:
+            search_error = exc  # capacity runs without the group
     partner_space = build_space(partner) if partner is not None else space
 
     cap = capacity(space, tol=tol)
     postulates: dict[str, dict] = {}
 
+    def exhausted(exc: BudgetExceededError) -> dict:
+        return _status(INDETERMINATE, reason=f"{BUDGET_EXHAUSTED}{exc}")
+
     def run(key: str, fn, *args) -> None:
         try:
             postulates[key] = fn(*args)
         except BudgetExceededError as exc:
-            postulates[key] = _status(INDETERMINATE, reason=f"{BUDGET_EXHAUSTED}{exc}")
+            postulates[key] = exhausted(exc)
 
     run("P1", _check_p1, space, partner_space)
     run("P2", _check_p2, space, cap, tol)
-    run("P3", _check_p3, space, tol)
-    run("P3C", _check_p3c, space)
+    if search_error is None:
+        run("P3", _check_p3, space, tol)
+        run("P3C", _check_p3c, space)
+    else:  # the two entries that read the group
+        postulates["P3"] = exhausted(search_error)
+        postulates["P3C"] = exhausted(search_error)
     run("P4", _check_p4, space, theory.allowed_effects, tol)
     run("P4prime", _check_p4_prime, space)
 

@@ -179,6 +179,36 @@ def test_seed0_check_corpus_pass_zero_builds_two_composites(monkeypatch):
     assert built == [("square", "square", "max"), ("square", "square", "min")]
 
 
+def test_seed0_check_corpus_pass_zero_searches_each_vertex_group_once(monkeypatch):
+    # the computed-once pin: a check searches the group of an "auto"
+    # polytope itself, once, and loading a theory searches none; the 17
+    # searches are those of the checks of JSON polytopes
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    prepared = workloads.WORKLOADS["check_corpus"].setup(0, False, workloads.load_golden())
+    searches = []
+    loading = []
+    search, build = runner.polytope_symmetry_group, runner.build_space
+
+    def counting_search(*args, **kwargs):
+        searches.append(bool(loading))
+        return search(*args, **kwargs)
+
+    def flagged_build(*args, **kwargs):
+        loading.append(True)
+        try:
+            return build(*args, **kwargs)
+        finally:
+            loading.pop()
+
+    monkeypatch.setattr(runner, "polytope_symmetry_group", counting_search)
+    monkeypatch.setattr(runner, "build_space", flagged_build)
+    wrong = [op.label for op in prepared.ops(0) if not op.check(op.run())]
+    assert wrong == []
+    assert len(searches) == 17
+    assert sum(searches) == 0  # none inside build_space
+
+
 def test_seed0_capacity_ns_pass_zero_searches_no_vertex_group(monkeypatch):
     # each face's search ends after one LP per size with no LP answering
     # "no", so no mark could save an LP and no face searches its group; the

@@ -27,6 +27,7 @@ from gptlab.composites import compose
 from gptlab.convex import PolytopeRep, StateSpace, vertices_of
 from gptlab.models import square_gbit
 from gptlab.runner import build_space, load_theory
+from gptlab.symmetry import polytope_symmetry_group
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS_PATH = Path(__file__).resolve().parent / "capacity_digests.json"
@@ -39,6 +40,8 @@ def _spaces() -> list[StateSpace]:
     spaces = []
     for name in CORPUS_POLYTOPES:
         space = build_space(load_theory(str(ROOT / "perfbench" / "corpus" / f"{name}.json")))
+        if space.group is None:  # an "auto" polytope: the group a check searches
+            space = replace(space, group=polytope_symmetry_group(space.rep.vertices))
         spaces += [space, replace(space, name=f"{name}-groupless", group=None)]
     sq = square_gbit()
     ns = replace(compose(sq, sq, "max").space, name="ns")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from gptlab import convex, discrimination, symmetry
+from gptlab import convex, discrimination, geometry, symmetry
 from gptlab.composites import capacity_multiplicativity_check, compose
 from gptlab.errors import BudgetExceededError, DomainError, ValidationError
 from gptlab.config import resolve_tol
@@ -495,7 +495,7 @@ def _non_vertex_sets(space: StateSpace, witness: DistinguishabilityWitness, rng
     distinguishable by it."""
     verts = vertices_of(space)
     nv, k = verts.shape
-    facets = discrimination._unit_rows(space.rep.facets)
+    facets = convex.unit_rows(space.rep.facets)
     tight = np.abs(verts @ facets.T) <= 1e-9
     edges = []
     for pair in rng.permutation(list(combinations(range(nv), 2))):
@@ -1007,7 +1007,7 @@ def _eager_capacity(space: StateSpace, lp_budget: int = 100_000, tol: float = 1e
     bound, frame = discrimination._search_frame(space.rep, verts, tol)
     masks = None
     if frame is not None:
-        masks = discrimination._vanishing_masks(discrimination._vanishing(verts, *frame, tol))
+        masks = geometry._bitmask_rows(discrimination._vanishing(verts, *frame, tol))
     firsts = [discrimination._single_state_witness(space, verts[0])]
     decided = {}
     spent = 0
@@ -1125,7 +1125,7 @@ def _assert_the_reject_is_sound(space: StateSpace, sizes, highs_every: int) -> i
     verts = vertices_of(space)
     nv = verts.shape[0]
     _, frame = discrimination._search_frame(space.rep, verts, tol)
-    masks = discrimination._vanishing_masks(discrimination._vanishing(verts, *frame, tol))
+    masks = geometry._bitmask_rows(discrimination._vanishing(verts, *frame, tol))
     perms = discrimination._vertex_permutations(verts, tol)
     rejected = [cand for k in sizes for cand in combinations(range(nv), k)
                 if discrimination._unseparated(masks, cand)]

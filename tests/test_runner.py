@@ -132,7 +132,8 @@ def test_user_polytope_theory_with_auto_group():
         },
     )
     space = build_space(td)
-    assert space.group.order == 8
+    assert space.group is None  # loading searches no group
+    assert polytope_symmetry_group(space.rep.vertices).order == 8
     report = check_postulates(td)
     assert report.postulates["P2"]["status"] == FAIL
     assert report.postulates["P3"]["status"] == PASS
@@ -140,6 +141,7 @@ def test_user_polytope_theory_with_auto_group():
 
 # JSON polytopes with one extra row.  The auto group is searched on the
 # vertices that validation leaves: duplicates merged, no interior points.
+# A check searches it; loading searches none.
 _SQUARE_ROWS = [[1.0, 0, 0], [1.0, 1, 0], [1.0, 0, 1], [1.0, 1, 1]]
 NEAR_DUPLICATE = TheoryDefinition(name="near-duplicate", space_spec={
     "family": "polytope", "vertices": _SQUARE_ROWS + [[1.0, 1e-12, 0.0]]})
@@ -154,7 +156,7 @@ TESSERACT_AND_CENTRE = TheoryDefinition(name="tesseract-and-centre", space_spec=
 def test_auto_group_is_searched_on_the_deduplicated_vertices(td):
     space = build_space(td)
     assert space.rep.vertices.shape[0] == 4
-    assert space.group.order == 8
+    assert polytope_symmetry_group(space.rep.vertices).order == 8
     assert check_postulates(td).postulates["P3"]["status"] == PASS
 
 
@@ -164,7 +166,7 @@ def test_an_interior_row_fails_validation_before_the_group_search(monkeypatch):
 
     monkeypatch.setattr(runner, "polytope_symmetry_group", no_search)
     with pytest.raises(ValidationError, match="vertex 8 is a convex combination of the others"):
-        build_space(TESSERACT_AND_CENTRE)
+        check_postulates(TESSERACT_AND_CENTRE)
 
 
 def _random_hull_rows(seed: int) -> np.ndarray:
@@ -965,17 +967,47 @@ def _cross_polytope(d):
 
 
 def test_cli_budget_exit_code(tmp_path, capsys):
-    # the 7-cross's symmetry search needs 1,063,931 nodes, past the node budget
+    # the 7-cross's symmetry search needs 1,063,931 nodes, past the node
+    # budget: only P3 and P3C, which read the group, are indeterminate, and
+    # the capacity search, run without the group, stops at ⌊β⌋ = 2
     theory = _write(tmp_path, "poly.json",
                     {"name": "7-cross", "space": {"family": "polytope", "vertices": _cross_polytope(7)}})
     code = cli_main(["check", theory])
-    capsys.readouterr()
+    report = json.loads(capsys.readouterr().out)
     assert code == 3
+    exhausted = {"status": INDETERMINATE,
+                 "reason": "budget exhausted: symmetry search needs 1063931 nodes (budget 200000)"}
+    assert report["postulates"]["P3"] == report["postulates"]["P3C"] == exhausted
+    assert (report["metrics"]["N"], report["metrics"]["capacity_exact"]) == (2, True)
+    for key in ("P1", "P2", "P4", "P4prime"):
+        assert report["postulates"][key]["status"] != INDETERMINATE, key
+
+
+def _cross_and_square(tmp_path):
+    cross = _write(tmp_path, "7-cross.json",
+                   {"name": "7-cross", "space": {"family": "polytope", "vertices": _cross_polytope(7)}})
+    return cross, _write(tmp_path, "square.json", {"name": "square", "space": {"family": "square"}})
+
+
+def test_cli_check_searches_no_group_of_its_partner(tmp_path, capsys):
+    # the 7-cross's group search would run out, but a partner's group is
+    # never read, so it is not searched
+    cross, square = _cross_and_square(tmp_path)
+    assert cli_main(["check", square, "--partner", cross]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["theory"], report["partner"]) == ("square", "7-cross")
+    assert not PostulateReport.from_dict(report).any_budget_exhausted
+
+
+def test_cli_compose_searches_no_group_of_its_parts(tmp_path, capsys):
+    cross, square = _cross_and_square(tmp_path)
+    assert cli_main(["compose", cross, square, "--rule", "min"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["vertices"]) == 56
 
 
 def test_cli_capacity_searches_no_group_at_load(tmp_path, capsys):
-    # the load-time group search that makes `check` exit 3 on the 7-cross is
-    # skipped: the capacity search stops at ⌊β⌋ = 2 before it needs a group
+    # no command searches a group at load, and the capacity search stops
+    # at ⌊β⌋ = 2 before it needs one
     theory = _write(tmp_path, "poly.json",
                     {"name": "7-cross", "space": {"family": "polytope", "vertices": _cross_polytope(7)}})
     code = cli_main(["capacity", theory])
@@ -1145,7 +1177,7 @@ CORPUS_POLYTOPES = ["square"] + [f"{n}-gon" for n in range(3, 13)] + [
 @pytest.mark.parametrize("rule", ["min", "max"])
 @pytest.mark.parametrize("name", CORPUS_POLYTOPES)
 def test_a_check_derives_the_vertex_group_once(monkeypatch, name, rule):
-    # build_space searches the group once; P3 and capacity read the
+    # check_postulates searches the group once; P3 and capacity read the
     # permutations it keeps instead of recovering or searching them again.
     # Each name is counted where its module binds it.
     calls = []

@@ -40,6 +40,7 @@ from gptlab.symmetry import (
     maximally_mixed_decomposition,
     orbit_states,
     permutation_coordinate_matrix,
+    polytope_symmetry_group,
     sample_element,
     strict_convexity_check,
     transitivity_check,
@@ -346,9 +347,12 @@ def test_strict_convexity_witness_is_an_edge_of_every_corpus_polytope(space):
 
 
 def _spaces_with_vertex_groups():
-    # every corpus polytope, the square and ball(1), plus the square with a
-    # "finite" group, whose permutations are checked when it is loaded
+    # every corpus polytope, with the group that a check searches for it,
+    # the square and ball(1), plus the square with a "finite" group, whose
+    # permutations are checked when it is loaded
     spaces = [build_space(load_theory(str(path))) for path in sorted(CORPUS.glob("*.json"))]
+    spaces = [replace(s, group=polytope_symmetry_group(s.rep.vertices)) if s.group is None else s
+              for s in spaces]
     spaces = [s for s in spaces if isinstance(s.group, FiniteMatrixGroup)]
     quarter = [[1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]
     square_c4 = build_space(theory_from_dict({
