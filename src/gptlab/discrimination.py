@@ -43,7 +43,7 @@ from gptlab.convex import (
     unit_rows,
     vertices_of,
 )
-from gptlab.geometry import SYMMETRY_NODE_BUDGET, _bitmask_rows, dual_cone_rays, vertex_symmetries
+from gptlab.geometry import SYMMETRY_NODE_BUDGET, bitmask_rows, dual_cone_rays, vertex_symmetries
 from gptlab.lp import LinearProgram, lp_feasible
 
 DEFAULT_VERTEX_BUDGET = 64
@@ -187,7 +187,7 @@ def _unseparated(masks: list[int], cand: tuple) -> bool:
     """The capacity search's pre-LP reject: True when some state of ``cand``
     has no facet that vanishes on all its other states and not on it, with
     ``masks`` the rows of ``_vanishing`` as bitmasks
-    (``geometry._bitmask_rows``).  Such a set is not distinguishable:
+    (``geometry.bitmask_rows``).  Such a set is not distinguishable:
     by the proof of ``_facet_distinguishable``, E_i(v_i) = 1 > 0 needs a
     facet with a positive weight in E_i that vanishes on every v_j with
     j ≠ i and not on v_i.  The reject is monotone, since a superset adds
@@ -544,7 +544,7 @@ def capacity(space: StateSpace, lp_budget: int = DEFAULT_LP_BUDGET,
         return CapacityResult(None, best)
     perms = getattr(space.group, "perms", None)  # a FiniteMatrixGroup's checked table
     bound, frame = _search_frame(rep, verts, tol)
-    masks = None if frame is None else _bitmask_rows(_vanishing(verts, *frame, tol))
+    masks = None if frame is None else bitmask_rows(_vanishing(verts, *frame, tol))
 
     firsts = [best]  # the witness of the first distinguishable set of each size
     decided: dict[tuple, bool] = {}  # candidate -> distinguishable, in test order

@@ -656,14 +656,14 @@ def _image_filter(gram: np.ndarray, alike: np.ndarray, basis: list[int]
     An image v of b_k has its own bit cleared in the masks it selects, so
     no vertex is an image twice.
     """
-    alike_bits = _bitmask_rows(alike)
+    alike_bits = bitmask_rows(alike)
     by_value = {}  # Gram value g -> row v: the w != v with gram[w, v] == g
 
     def masks(g: float) -> list[int]:
         if g not in by_value:
             same = gram.T == g
             np.fill_diagonal(same, False)
-            by_value[g] = _bitmask_rows(same)
+            by_value[g] = bitmask_rows(same)
         return by_value[g]
 
     gram_bits = [[masks(gram[b, basis[k]]) for k in range(i)] for i, b in enumerate(basis)]
@@ -683,7 +683,7 @@ def _image_filter(gram: np.ndarray, alike: np.ndarray, basis: list[int]
     return fits
 
 
-def _bitmask_rows(mask: np.ndarray) -> list[int]:
+def bitmask_rows(mask: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as a Python int, bit w for column w."""
     packed = np.packbits(mask, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]

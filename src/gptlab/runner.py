@@ -504,7 +504,8 @@ def check_postulates(theory: TheoryDefinition, partner: TheoryDefinition | None 
     SYMMETRY_NODE_BUDGET leaves P3 and P3C indeterminate with the budget
     reason, and every other entry is filled; ``capacity`` then runs
     without a group and searches vertex symmetries only where they save
-    an LP."""
+    an LP.  If a mark can save an LP before the ⌊β⌋ bound ends its search,
+    that is the same search again, and it runs past the same budget."""
     if rule not in (MIN_TENSOR, MAX_TENSOR):
         raise ValueError(f"unknown composition rule {rule!r}")
     tol = resolve_tol(tol)

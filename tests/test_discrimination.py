@@ -802,10 +802,21 @@ def _count_search_tests(monkeypatch) -> list:
     return calls
 
 
+def _corpus_space_with_group(name: str) -> StateSpace:
+    """A corpus polytope with its vertex group: a family's own, or for an
+    "auto" polytope the group that a check searches for it."""
+    space = build_space(load_theory(str(CORPUS / f"{name}.json")))
+    if space.group is None:
+        space = replace(space, group=symmetry.polytope_symmetry_group(space.rep.vertices))
+    return space
+
+
 @pytest.mark.parametrize("name", CORPUS_POLYTOPES)
 def test_orbit_memo_matches_an_lp_per_candidate_on_the_corpus(monkeypatch, name):
     # with the identity as the only symmetry, every candidate gets its own LP
-    _assert_orbits_change_nothing(monkeypatch, build_space(load_theory(str(CORPUS / f"{name}.json"))))
+    space = _corpus_space_with_group(name)
+    assert space.group.perms is not None
+    _assert_orbits_change_nothing(monkeypatch, space)
 
 
 @pytest.mark.parametrize("matrices", [
@@ -957,7 +968,7 @@ def _spaces(name: str) -> list[StateSpace]:
         return [_hypercube(5)]
     if name == "5-cross":
         return [_cross_polytope(5)]
-    return [build_space(load_theory(str(CORPUS / f"{name}.json")))]
+    return [_corpus_space_with_group(name)]
 
 
 @pytest.mark.parametrize("name", CORPUS_POLYTOPES + ["ns-faces", "5-cube", "5-cross"])
@@ -1007,7 +1018,7 @@ def _eager_capacity(space: StateSpace, lp_budget: int = 100_000, tol: float = 1e
     bound, frame = discrimination._search_frame(space.rep, verts, tol)
     masks = None
     if frame is not None:
-        masks = geometry._bitmask_rows(discrimination._vanishing(verts, *frame, tol))
+        masks = geometry.bitmask_rows(discrimination._vanishing(verts, *frame, tol))
     firsts = [discrimination._single_state_witness(space, verts[0])]
     decided = {}
     spent = 0
@@ -1125,7 +1136,7 @@ def _assert_the_reject_is_sound(space: StateSpace, sizes, highs_every: int) -> i
     verts = vertices_of(space)
     nv = verts.shape[0]
     _, frame = discrimination._search_frame(space.rep, verts, tol)
-    masks = geometry._bitmask_rows(discrimination._vanishing(verts, *frame, tol))
+    masks = geometry.bitmask_rows(discrimination._vanishing(verts, *frame, tol))
     perms = discrimination._vertex_permutations(verts, tol)
     rejected = [cand for k in sizes for cand in combinations(range(nv), k)
                 if discrimination._unseparated(masks, cand)]
